@@ -175,9 +175,6 @@ class ComplexSplitting:
         """Coordinates of a (complexified) vector in the combined frame."""
         return self.combined_inv.matvec(v)
 
-    def from_combined(self, coeffs) -> tuple:
-        return self.combined.matvec(coeffs)
-
     def combined_bracket(self, alpha: int, beta: int) -> tuple:
         if alpha == beta:
             return tuple([ZERO] * self.dim)
@@ -218,18 +215,38 @@ class ComplexSplitting:
                     return Verdict(False, ("holomorphic-component", a, b))
         return Verdict(True)
 
-    def complexified_algebra(self) -> LieAlgebra:
-        """The complexified algebra in the combined frame, over Q(i)."""
-        table = {
-            pair: {k: c for k, c in enumerate(vec) if c}
-            for pair, vec in self.constants.items()
-        }
-        return LieAlgebra(self.dim, table, field="Qi")
-
 
 def split(g: LieAlgebra, acs: AlmostComplexStructure) -> ComplexSplitting:
     """Split the complexified algebra into J-eigenspaces."""
     return ComplexSplitting(g, acs)
+
+
+def _closure_defect(c, pairs) -> Optional[tuple]:
+    """First (i, j, k, l) with sum_r c_ij^rbar conj(c_rk^lbar) != 0, else None.
+
+    c is a ComplexSplitting or an AdaptedConstants (anything with m and
+    c_pp_01); pairs lists the (i, j) to test, in the order they are tested.
+    The sum is the coefficient of Z_l in [[Z_i, Z_j], conj Z_k].  Under the
+    quasi-Kaehler sector shape it is the whole Jacobi sum of that triple, and
+    its vanishing for all indices says [[g, g], g] = 0.
+    """
+    m = c.m
+    conj_rows = [
+        [tuple(x.conjugate() for x in c.c_pp_01(r, k)) for k in range(m)] for r in range(m)
+    ]
+    for i, j in pairs:
+        cij = c.c_pp_01(i, j)
+        nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
+        for k in range(m):
+            for l in range(m):
+                acc = ZERO
+                for r, cr in nonzero:
+                    d = conj_rows[r][k][l]
+                    if d:
+                        acc = acc + cr * d
+                if acc:
+                    return (i, j, k, l)
+    return None
 
 
 class AdaptedConstants:
@@ -249,7 +266,7 @@ class AdaptedConstants:
 
     def __init__(self, m: int, table: Mapping):
         self._install(m, table)
-        bad = self._closure_defect()
+        bad = _closure_defect(self, self._rows)
         if bad is not None:
             raise ValueError(
                 "constants violate the quadratic closure relations at "
@@ -276,25 +293,6 @@ class AdaptedConstants:
         self.m = m
         self._rows = rows
         self._full = full
-
-    def _closure_defect(self):
-        m = self.m
-        full = self._full
-        conj_rows = [
-            [tuple(c.conjugate() for c in full[r][k]) for k in range(m)] for r in range(m)
-        ]
-        for (i, j), cij in self._rows.items():
-            nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
-            for k in range(m):
-                for l in range(m):
-                    acc = ZERO
-                    for r, cr in nonzero:
-                        d = conj_rows[r][k][l]
-                        if d:
-                            acc = acc + cr * d
-                    if acc:
-                        return (i, j, k, l)
-        return None
 
     @classmethod
     def from_splitting(cls, s: ComplexSplitting) -> "AdaptedConstants":
@@ -348,6 +346,11 @@ class AdaptedConstants:
         return f"AdaptedConstants(m={self.m}, nonzero_pairs={len(self._rows)})"
 
 
+def _ad_j_basis(g: LieAlgebra, acs: AlmostComplexStructure) -> list:
+    """ad_{J e_i} for every basis index i: entry i has [J e_i, e_j] in column j."""
+    return [g.ad(acs.j.column(i)) for i in range(g.dim)]
+
+
 def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> dict:
     """Nijenhuis tensor values N(e_i, e_j) for i < j; empty dict means zero.
 
@@ -356,23 +359,18 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     the +i eigenspace]); disagreement raises.
     """
     n = g.dim
+    ad_j = _ad_j_basis(g, acs)
     values = {}
     for i in range(n):
-        ei = [ZERO] * n
-        ei[i] = ONE
-        jei = acs.apply(ei)
         for j in range(i + 1, n):
-            ej = [ZERO] * n
-            ej[j] = ONE
-            jej = acs.apply(ej)
-            term = g.bracket(jei, jej)
+            # [e_i, J e_j] = -[J e_j, e_i], so its J-image enters with a plus sign
             term = tuple(
-                t - b - jc - jd
+                t - b - jc + jd
                 for t, b, jc, jd in zip(
-                    term,
+                    ad_j[i].matvec(acs.j.column(j)),
                     g.basis_bracket(i, j),
-                    acs.apply(g.bracket(jei, ej)),
-                    acs.apply(g.bracket(ei, jej)),
+                    acs.apply(ad_j[i].column(j)),
+                    acs.apply(ad_j[j].column(i)),
                 )
             )
             if any(term):
@@ -406,15 +404,12 @@ def is_chern_flat(
             break
     verdict_b = Verdict(True)
     n = g.dim
+    ad_j = _ad_j_basis(g, acs)
     for i in range(n):
-        ei = [ZERO] * n
-        ei[i] = ONE
-        jei = acs.apply(ei)
         for j in range(i, n):
-            ej = [ZERO] * n
-            ej[j] = ONE
-            left = g.bracket(jei, ej)
-            right = g.bracket(ei, acs.apply(ej))
+            # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
+            left = ad_j[i].column(j)
+            right = tuple(-c for c in ad_j[j].column(i))
             if left != right:
                 verdict_b = Verdict(False, ("basis-pair", i, j))
                 break
@@ -454,16 +449,11 @@ def is_qk_chern_flat(
 
     v3 = Verdict(True)
     n = g.dim
+    ad_j = _ad_j_basis(g, acs)
     for i in range(n):
-        ei = [ZERO] * n
-        ei[i] = ONE
-        jei = acs.apply(ei)
         for j in range(n):
-            ej = [ZERO] * n
-            ej[j] = ONE
-            w = g.basis_bracket(i, j)
-            lhs = acs.apply(w)
-            rhs = tuple(-c for c in g.bracket(jei, ej))
+            lhs = acs.apply(g.basis_bracket(i, j))
+            rhs = tuple(-c for c in ad_j[i].column(j))
             if lhs != rhs:
                 v3 = Verdict(False, ("basis-pair", i, j))
                 break
@@ -499,27 +489,7 @@ def two_step_certificate(s: ComplexSplitting) -> bool:
     if not qk:
         raise ValueError(f"certificate requires quasi-Kaehler sector relations; witness {qk.witness}")
     m = s.m
-    relations = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            cij = s.c_pp_01(i, j)
-            for k in range(m):
-                for l in range(m):
-                    acc = ZERO
-                    for r in range(m):
-                        if cij[r]:
-                            crk = s.c_pp_01(r, k)[l]
-                            if crk:
-                                acc = acc + cij[r] * crk.conjugate()
-                    if acc:
-                        relations = False
-                        break
-                if not relations:
-                    break
-            if not relations:
-                break
-        if not relations:
-            break
+    relations = _closure_defect(s, ((i, j) for i in range(m) for j in range(i + 1, m))) is None
     series_two_step = is_two_step(s.g)
     if relations != series_two_step:
         raise AssertionError("quadratic certificate and lower central series disagree")

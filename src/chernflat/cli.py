@@ -126,6 +126,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
+    if args.trials < 0:
+        print(f"error: --trials must be 0 or more, got {args.trials}", file=sys.stderr)
+        return 2
     g, acs, label = resolve_model(args.model)
     if acs is None:
         print("error: model has no structure matrix", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split
 from .lie import LieAlgebra, is_two_step
 from .linalg import ExactMatrix, kernel_from_rows, rank_of_rows
-from .scalars import ONE, ZERO, gaussian
+from .scalars import ZERO, gaussian
 
 __all__ = [
     "DeformationSpace",
@@ -173,13 +173,14 @@ def satisfies_deformation_equations(
             for b in range(n):
                 if anti.entry(a, b):
                     return Verdict(False, ("anticommutation", a, b))
-    cols = [l_mat.column(k) for k in range(n)]
+    # column jdx of ad_l[i] is [L e_i, e_jdx]
+    ad_l = [g.ad(l_mat.column(k)) for k in range(n)]
     for i in range(n):
         for jdx in range(n):
             if i == jdx:
                 continue
             lhs = l_mat.matvec(g.basis_bracket(i, jdx))
-            rhs = g.bracket(cols[i], [ONE if t == jdx else ZERO for t in range(n)])
+            rhs = ad_l[i].column(jdx)
             if any(a + b for a, b in zip(lhs, rhs)):
                 return Verdict(False, ("bracket", i, jdx))
     return Verdict(True)

@@ -118,12 +118,26 @@ class LieAlgebra:
         return tuple(out)
 
     def ad(self, x: Sequence) -> ExactMatrix:
-        """Matrix of ad_x = [x, .] in the standard basis."""
-        cols = []
-        for j in range(self.dim):
-            ej = [ZERO] * self.dim
-            ej[j] = gaussian(1)
-            cols.append(self.bracket(x, ej))
+        """Matrix of ad_x = [x, .] in the standard basis.
+
+        Column j is [x, e_j], built in one sweep over the sparse table: the
+        pair (i, j) adds x_i c_ij to column j and -x_j c_ij to column i.
+        """
+        xv = [gaussian(a) for a in x]
+        if len(xv) != self.dim:
+            raise ValueError("vector length must match the algebra dimension")
+        cols = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), vec in self.brackets.items():
+            xi = xv[i]
+            if xi:
+                col = cols[j]
+                for k, c in vec.items():
+                    col[k] = col[k] + xi * c
+            xj = xv[j]
+            if xj:
+                col = cols[i]
+                for k, c in vec.items():
+                    col[k] = col[k] - xj * c
         return ExactMatrix.from_columns(cols)
 
     def basis_ad(self, i: int) -> ExactMatrix:
@@ -243,26 +257,11 @@ def lower_central_series(g: LieAlgebra) -> list:
     while True:
         generated = []
         for v in current.basis:
-            # images[j] accumulates [v, e_j] in one sweep over the sparse table
-            images = [None] * g.dim
-            for (i, j), vec in g.brackets.items():
-                vi = v[i]
-                if vi:
-                    row = images[j]
-                    if row is None:
-                        row = images[j] = [ZERO] * g.dim
-                    for k, c in vec.items():
-                        row[k] = row[k] + vi * c
-                vj = v[j]
-                if vj:
-                    row = images[i]
-                    if row is None:
-                        row = images[i] = [ZERO] * g.dim
-                    for k, c in vec.items():
-                        row[k] = row[k] - vj * c
-            for row in images:
-                if row is not None and any(row):
-                    generated.append(tuple(row))
+            ad_v = g.ad(v)
+            for j in range(g.dim):
+                image = ad_v.column(j)
+                if any(image):
+                    generated.append(image)
         nxt = Subspace(g.dim, generated)
         series.append(nxt)
         if nxt.dim == current.dim:

@@ -63,12 +63,6 @@ class ExactMatrix:
         return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
-    def diagonal(cls, entries: Sequence) -> "ExactMatrix":
-        values = [gaussian(x) for x in entries]
-        n = len(values)
-        return cls([[values[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "ExactMatrix":
         cols = [list(c) for c in columns]
         if not cols:
@@ -374,8 +368,10 @@ def solve(m: ExactMatrix, rhs) -> "ExactMatrix | tuple | None":
 def inverse(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square():
         raise SingularMatrixError("only square matrices can be inverted")
+    # [m | I] has full row rank, so a singular m leaves some row of I
+    # unreduced past the pivot columns and solve reports it as inconsistent
     x = solve(m, ExactMatrix.identity(m.rows))
-    if x is None or rank(m) != m.rows:
+    if x is None:
         raise SingularMatrixError("matrix is singular over Q(i)")
     return x
 

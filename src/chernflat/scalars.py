@@ -143,10 +143,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._make(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """The field norm z * conj(z), an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):

@@ -108,6 +108,13 @@ def test_normal_form_json(capsys):
     assert obj["constants"] == [{"i": 1, "j": 2, "k": 3, "coeff": "1"}]
 
 
+def test_normal_form_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "normal-form", "@dim4_model", "--trials", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_normal_form_outside_family(capsys):
     code, _, err = run(capsys, "normal-form", "@abelian(6)")
     assert code == 1

@@ -81,9 +81,21 @@ def test_inverse_round_trip_random():
 
 
 def test_inverse_rejects_singular():
-    m = ExactMatrix([[ONE, ONE], [ONE, ONE]])
-    with pytest.raises(SingularMatrixError):
-        inverse(m)
+    a, b = GaussianRational(1, 2), GaussianRational(-3, 1)
+    singular = [
+        ExactMatrix([[ONE, ONE], [ONE, ONE]]),
+        # rank 2 over Q(i): the third row is i * row 1 + (1 - i) * row 2
+        ExactMatrix([
+            [a, b, ONE],
+            [b, ONE, a],
+            [I * a + (1 - I) * b, I * b + (1 - I), I + (1 - I) * a],
+        ]),
+        ExactMatrix([[a, b, ONE], [ZERO, ZERO, ZERO], [b, a, I]]),
+    ]
+    for m in singular:
+        assert rank(m) < m.rows
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
 
 
 def test_determinant_properties_random():

@@ -1,0 +1,268 @@
+"""Differential tests for the bracket primitive the flatness predicates share.
+
+``LieAlgebra.ad`` builds every [x, e_j] in one sweep over the sparse bracket
+table; the dense ``LieAlgebra.bracket`` is its reference.  The real-basis
+characterizations in ``acs`` read [J e_i, e_j] through ``ad``, so they are
+compared here with dense basis-pair loops over ``bracket``, kept below as the
+oracle, on flat pairs and on pairs whose structure is conjugated out of
+flatness.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chernflat.acs import (
+    AdaptedConstants,
+    AlmostComplexStructure,
+    Verdict,
+    is_chern_flat,
+    is_qk_chern_flat,
+    nijenhuis,
+    split,
+)
+from chernflat.classify import random_frame_scramble
+from chernflat.constructions import catalog, random_two_step
+from chernflat.forms import coframe_element, exterior_d
+from chernflat.lie import LieAlgebra
+from chernflat.linalg import ExactMatrix, inverse, random_invertible
+from chernflat.scalars import GaussianRational, ONE, ZERO
+
+from helpers import random_doubled_pair
+
+CATALOG = [
+    "abelian(4)",
+    "centro1_model(1)",
+    "centro1_model(2)",
+    "complex_heisenberg_bicomplex",
+    "dim4_model",
+    "dim5_irreducible",
+    "heisenberg(5)",
+    "heisenberg3",
+    "iwasawa_e_frame",
+    "iwasawa_j3",
+]
+
+
+def _max_bits(g: LieAlgebra) -> int:
+    return max(
+        max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+        for vec in g.brackets.values()
+        for c in vec.values()
+        for f in (c.re, c.im)
+    )
+
+
+def _complexified(g: LieAlgebra, acs: AlmostComplexStructure) -> LieAlgebra:
+    """The complexified algebra in the eigenframe of (g, J), over Q(i)."""
+    s = split(g, acs)
+    table = {pair: {k: c for k, c in enumerate(vec) if c} for pair, vec in s.constants.items()}
+    return LieAlgebra(s.dim, table, field="Qi")
+
+
+@lru_cache(maxsize=None)
+def _algebras() -> tuple:
+    out = [catalog(name).algebra for name in CATALOG]
+    out += [random_two_step(random.Random(seed))[0] for seed in range(4)]
+    center_one = catalog("centro1_model(2)")
+    for seed in range(3):
+        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(seed))
+        assert 10 <= _max_bits(g) <= 20
+        out.append(g)
+    out.append(_complexified(g, acs))
+    iwasawa = catalog("iwasawa_j3")
+    out.append(_complexified(iwasawa.algebra, iwasawa.acs))
+    assert any(g.field == "Qi" for g in out)
+    return tuple(out)
+
+
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ad_columns_match_the_dense_bracket(data):
+    g = data.draw(st.sampled_from(_algebras()))
+    if g.field == "Qi":
+        entry = st.builds(GaussianRational, _rationals, _rationals)
+    else:
+        entry = st.builds(GaussianRational, _rationals)
+    x = data.draw(st.lists(entry, min_size=g.dim, max_size=g.dim))
+    ad_x = g.ad(x)
+    for j in range(g.dim):
+        e_j = [ONE if t == j else ZERO for t in range(g.dim)]
+        assert ad_x.column(j) == g.bracket(x, e_j)
+
+
+def test_ad_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        catalog("heisenberg3").algebra.ad([ONE, ZERO])
+
+
+# -- oracle: dense basis-pair loops over LieAlgebra.bracket -------------------
+
+
+def _dense_nijenhuis(g, acs, s=None):
+    n = g.dim
+    values = {}
+    for i in range(n):
+        ei = [ZERO] * n
+        ei[i] = ONE
+        jei = acs.apply(ei)
+        for j in range(i + 1, n):
+            ej = [ZERO] * n
+            ej[j] = ONE
+            jej = acs.apply(ej)
+            term = g.bracket(jei, jej)
+            term = tuple(
+                t - b - jc - jd
+                for t, b, jc, jd in zip(
+                    term,
+                    g.basis_bracket(i, j),
+                    acs.apply(g.bracket(jei, ej)),
+                    acs.apply(g.bracket(ei, jej)),
+                )
+            )
+            if any(term):
+                values[(i, j)] = term
+    s = s or split(g, acs)
+    splitting_zero = all(
+        not any(s.c_pp_01(a, b)) for a in range(s.m) for b in range(a + 1, s.m)
+    )
+    if splitting_zero != (not values):
+        raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
+    return values
+
+
+def _dense_is_chern_flat(g, acs, s=None):
+    s = s or split(g, acs)
+    verdict_a = Verdict(True)
+    for a in range(s.m):
+        for b in range(s.m):
+            if any(s.c_pm(a, b)):
+                verdict_a = Verdict(False, ("mixed-bracket", a, b))
+                break
+        if not verdict_a:
+            break
+    verdict_b = Verdict(True)
+    n = g.dim
+    for i in range(n):
+        ei = [ZERO] * n
+        ei[i] = ONE
+        jei = acs.apply(ei)
+        for j in range(i, n):
+            ej = [ZERO] * n
+            ej[j] = ONE
+            left = g.bracket(jei, ej)
+            right = g.bracket(ei, acs.apply(ej))
+            if left != right:
+                verdict_b = Verdict(False, ("basis-pair", i, j))
+                break
+        if not verdict_b:
+            break
+    if verdict_a.ok != verdict_b.ok:
+        raise AssertionError("Chern-flat characterizations disagree; internal inconsistency")
+    return verdict_b if not verdict_b.ok else verdict_a
+
+
+def _dense_is_qk_chern_flat(g, acs, s=None):
+    s = s or split(g, acs)
+    v1 = s.sector_relations_qk()
+    v2 = Verdict(True)
+    for k in range(s.m):
+        d = exterior_d(s, coframe_element(s.m, s.m, k))
+        if not d.component(2, 0).is_zero():
+            v2 = Verdict(False, ("coframe-d-20", k))
+            break
+        if not d.component(1, 1).is_zero():
+            v2 = Verdict(False, ("coframe-d-11", k))
+            break
+    v3 = Verdict(True)
+    n = g.dim
+    for i in range(n):
+        ei = [ZERO] * n
+        ei[i] = ONE
+        jei = acs.apply(ei)
+        for j in range(n):
+            ej = [ZERO] * n
+            ej[j] = ONE
+            w = g.basis_bracket(i, j)
+            lhs = acs.apply(w)
+            rhs = tuple(-c for c in g.bracket(jei, ej))
+            if lhs != rhs:
+                v3 = Verdict(False, ("basis-pair", i, j))
+                break
+        if not v3:
+            break
+    if not (v1.ok == v2.ok == v3.ok):
+        raise AssertionError("quasi-Kaehler Chern-flat characterizations disagree")
+    for v in (v1, v2, v3):
+        if not v.ok:
+            return v
+    return Verdict(True)
+
+
+def _base_pair(seed: int):
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        return random_two_step(rng, max_generators=3, max_center=2)
+    if kind == 1:
+        return random_doubled_pair(rng, max_dim=5)
+    entry = catalog(["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(1)"][seed // 3 % 4])
+    return entry.algebra, entry.acs
+
+
+def _conjugator(n: int, seed: int) -> ExactMatrix:
+    """Random invertible rational P: dense for even seeds, one shear for odd.
+
+    A dense P breaks the structure at the first basis pair; a shear
+    I + c E_ab breaks it further in, or not at all.
+    """
+    rng = random.Random(1000 + seed)
+    if seed % 2 == 0:
+        return random_invertible(n, rng, complex_entries=False, span=1)
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    a, b = rng.sample(range(n), 2)
+    rows[a][b] = GaussianRational(rng.choice([-2, -1, 1, 2]))
+    return ExactMatrix(rows)
+
+
+def _seeded_pairs():
+    """Each base pair (g, J), then (g, P J P^-1)."""
+    for seed in range(12):
+        g, acs = _base_pair(seed)
+        yield f"seed{seed}-base", g, acs
+        p = _conjugator(g.dim, seed)
+        yield f"seed{seed}-conjugated", g, AlmostComplexStructure(p * acs.j * inverse(p))
+
+
+PAIRS = list(_seeded_pairs())
+
+
+@pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
+def test_predicates_match_the_dense_oracle(label, g, acs):
+    s = split(g, acs)
+    assert is_chern_flat(g, acs, s) == _dense_is_chern_flat(g, acs, s)
+    assert is_qk_chern_flat(g, acs, s) == _dense_is_qk_chern_flat(g, acs, s)
+    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
+
+
+def test_seeded_pairs_include_failures_of_every_predicate():
+    # a pair that is not Chern-flat is not quasi-Kaehler Chern-flat either
+    failing = [label for label, g, acs in PAIRS if not is_chern_flat(g, acs) and nijenhuis(g, acs)]
+    assert len(failing) >= len(PAIRS) // 3
+
+
+# -- closure relations ----------------------------------------------------------
+
+
+def test_closure_defect_reports_the_first_failure_in_table_order():
+    # [Z_1, Z_3] on conj Z_2 and [Z_1, Z_2] on conj Z_3 break the closure
+    # relations at both pairs; the table's own order decides which is named.
+    with pytest.raises(ValueError, match=r"\(i, j, k, l\) = \(0, 2, 0, 2\)"):
+        AdaptedConstants(3, {(0, 2): {1: ONE}, (0, 1): {2: ONE}})
+    with pytest.raises(ValueError, match=r"\(i, j, k, l\) = \(0, 1, 0, 1\)"):
+        AdaptedConstants(3, {(0, 1): {2: ONE}, (0, 2): {1: ONE}})
