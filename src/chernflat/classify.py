@@ -424,10 +424,22 @@ def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng, span:
     the new pair is isomorphic to the input through it.  Requires the
     quasi-Kaehler sector shape.
     """
-    from .constructions import from_holomorphic_constants
-
-    s = split(g, acs)
-    frame = random_invertible(s.m, rng, complex_entries=True, span=span)
-    constants = reframed_constants(s, frame)
-    g2, acs2 = from_holomorphic_constants(s.m, constants)
+    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs), rng, span)
     return g2, acs2, frame
+
+
+def _scrambled_copy(c, rng, span: int = 2):
+    """random_frame_scramble from the holomorphic constants c of the input.
+
+    c is a ComplexSplitting or an AdaptedConstants table.  Returns
+    (g2, acs2, s2, frame), where s2 is the splitting of the rebuilt pair that
+    the round-trip assertion checked, so a caller can reuse it.
+    """
+    from .constructions import _assert_round_trip, from_holomorphic_constants
+
+    frame = random_invertible(c.m, rng, complex_entries=True, span=span)
+    constants = reframed_constants(c, frame)
+    g2, acs2 = from_holomorphic_constants(c.m, constants, check=False)
+    s2 = split(g2, acs2)
+    _assert_round_trip(s2, constants)
+    return g2, acs2, s2, frame

@@ -91,15 +91,8 @@ def conjugate_complexification(g: LieAlgebra):
     return _doubling(g, conjugate_scaling=True)
 
 
-def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
-    """Real algebra + standard structure realizing given (0,1)-valued constants.
-
-    constants maps (i, j) with 0 <= i < j < m to {k: coeff}: the coefficient
-    of the k-th conjugate frame vector in [Z_i, Z_j].  Coefficients may be
-    complex.  The reconstructed real brackets are validated (Jacobi runs in
-    the constructor) and, when check is set, the splitting of the result is
-    asserted to reproduce the input exactly.
-    """
+def _holomorphic_table(m: int, constants: dict) -> dict:
+    """Validated copy of constants: GaussianRational coefficients, no zeros."""
     table = {}
     for (i, j), vec in constants.items():
         if not (0 <= i < j < m):
@@ -113,6 +106,38 @@ def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
                 row[k] = c
         if row:
             table[(i, j)] = row
+    return table
+
+
+def _assert_round_trip(s: ComplexSplitting, constants: dict) -> None:
+    """Raise AssertionError unless the splitting s has exactly these constants.
+
+    Every mixed and (1,0) component of s must vanish, and the (0,1)
+    components of [Z_a, Z_b] must equal constants, entry for entry.
+    """
+    m = s.m
+    recovered = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            vec = {k: c for k, c in enumerate(s.c_pp_01(a, b)) if c}
+            if any(s.c_pp_10(a, b)) or any(s.c_pm(a, b)) or any(s.c_pm(b, a)):
+                raise AssertionError("reconstruction produced unexpected sector components")
+            if vec:
+                recovered[(a, b)] = vec
+    if recovered != _holomorphic_table(m, constants):
+        raise AssertionError("splitting does not reproduce the requested constants")
+
+
+def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
+    """Real algebra + standard structure realizing given (0,1)-valued constants.
+
+    constants maps (i, j) with 0 <= i < j < m to {k: coeff}: the coefficient
+    of the k-th conjugate frame vector in [Z_i, Z_j].  Coefficients may be
+    complex.  The reconstructed real brackets are validated (Jacobi runs in
+    the constructor) and, when check is set, the splitting of the result is
+    asserted to reproduce the input exactly.
+    """
+    table = _holomorphic_table(m, constants)
 
     brackets: dict = {}
 
@@ -144,17 +169,7 @@ def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
     g = LieAlgebra(2 * m, {key: row for key, row in brackets.items() if row})
     acs = AlmostComplexStructure.standard(2 * m)
     if check:
-        s = split(g, acs)
-        recovered = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                vec = {k: c for k, c in enumerate(s.c_pp_01(a, b)) if c}
-                if any(s.c_pp_10(a, b)) or any(s.c_pm(a, b)) or any(s.c_pm(b, a)):
-                    raise AssertionError("reconstruction produced unexpected sector components")
-                if vec:
-                    recovered[(a, b)] = vec
-        if recovered != table:
-            raise AssertionError("splitting does not reproduce the requested constants")
+        _assert_round_trip(split(g, acs), table)
     return g, acs
 
 

@@ -8,10 +8,11 @@ eagerly validates the Jacobi identity and reports every violating triple.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import ExactMatrix, kernel_from_rows, rank_of_rows
-from .scalars import GaussianRational, ZERO, gaussian
+from .scalars import GaussianRational, ZERO, clear_denominators, gaussian
 
 __all__ = [
     "LieAlgebra",
@@ -36,8 +37,14 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triples {triples}{more}")
 
 
-def _clean_brackets(dim: int, raw: Mapping) -> dict:
-    table: dict = {}
+class _BracketTable(dict):
+    """A bracket table that _clean_brackets has validated and coerced."""
+
+    __slots__ = ()
+
+
+def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
+    table = _BracketTable()
     for (i, j), out in raw.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"bracket pair ({i}, {j}) out of range for dimension {dim}")
@@ -118,10 +125,14 @@ class LieAlgebra:
         return tuple(out)
 
     def ad(self, x: Sequence) -> ExactMatrix:
-        """Matrix of ad_x = [x, .] in the standard basis.
+        """Matrix of ad_x = [x, .] in the standard basis; see _ad_columns."""
+        return ExactMatrix.from_columns(self._ad_columns(x))
 
-        Column j is [x, e_j], built in one sweep over the sparse table: the
-        pair (i, j) adds x_i c_ij to column j and -x_j c_ij to column i.
+    def _ad_columns(self, x: Sequence) -> list:
+        """The columns [x, e_j] of ad_x, as lists.
+
+        They are built in one sweep over the sparse table: the pair (i, j)
+        adds x_i c_ij to column j and -x_j c_ij to column i.
         """
         xv = [gaussian(a) for a in x]
         if len(xv) != self.dim:
@@ -138,7 +149,7 @@ class LieAlgebra:
                 col = cols[i]
                 for k, c in vec.items():
                     col[k] = col[k] - xj * c
-        return ExactMatrix.from_columns(cols)
+        return cols
 
     def basis_ad(self, i: int) -> ExactMatrix:
         ei = [ZERO] * self.dim
@@ -165,32 +176,45 @@ def jacobi_defect(dim: int, brackets: Mapping) -> list:
     """All basis triples (i, j, k) where the Jacobi cyclic sum is nonzero.
 
     Accepts a raw bracket table (validated and cleaned first) so candidate
-    tensors can be screened without constructing a LieAlgebra.
-    """
-    table = _clean_brackets(dim, brackets)
+    tensors can be screened without constructing a LieAlgebra; the table a
+    LieAlgebra has already cleaned is used as it is.  Each entry is
+    ((i, j, k), vector) with i < j < k, in lexicographic order.
 
-    def pair(i, j):
-        if i < j:
-            return table.get((i, j), {})
-        return {k: -c for k, c in table.get((j, i), {}).items()}
+    The sum over r of c_ab^r c_rc^s is homogeneous of degree 2, so it runs on
+    the Gaussian-integer numerators of the table over its common denominator
+    d, and each nonzero sum is divided by d**2 only when it is reported.
+    """
+    table = brackets if isinstance(brackets, _BracketTable) else _clean_brackets(dim, brackets)
+    denom, re, im = clear_denominators(c for vec in table.values() for c in vec.values())
+    # full[a][b] is (targets, re, im): parallel lists of the numerators of
+    # [e_a, e_b], or () for a zero bracket
+    full = [[()] * dim for _ in range(dim)]
+    start = 0
+    for (i, j), vec in table.items():
+        stop = start + len(vec)
+        targets = list(vec)
+        full[i][j] = (targets, re[start:stop], im[start:stop])
+        full[j][i] = (targets, [-a for a in re[start:stop]], [-b for b in im[start:stop]])
+        start = stop
+    scale = denom * denom
 
     defects = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                acc = {}
-                for (a, b), c_idx in (((i, j), k), ((j, k), i), ((k, i), j)):
-                    for r, c in pair(a, b).items():
-                        for s, d in pair(r, c_idx).items():
-                            cur = acc.get(s, ZERO) + c * d
-                            if cur:
-                                acc[s] = cur
-                            else:
-                                acc.pop(s, None)
-                if acc:
+                acc_re: dict = {}
+                acc_im: dict = {}
+                for ab, c_idx in ((full[i][j], k), (full[j][k], i), (full[k][i], j)):
+                    for r, x, y in zip(*ab):
+                        for s, u, v in zip(*full[r][c_idx]):
+                            acc_re[s] = acc_re.get(s, 0) + x * u - y * v
+                            acc_im[s] = acc_im.get(s, 0) + x * v + y * u
+                if any(acc_re.values()) or any(acc_im.values()):
                     vec = [ZERO] * dim
-                    for s, v in acc.items():
-                        vec[s] = v
+                    for s, re in acc_re.items():
+                        im = acc_im[s]
+                        if re or im:
+                            vec[s] = GaussianRational(Fraction(re, scale), Fraction(im, scale))
                     defects.append(((i, j, k), tuple(vec)))
     return defects
 
@@ -205,7 +229,7 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, vectors: Sequence[Sequence]):
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         from .linalg import _Echelon  # internal engine
 
         ech = _Echelon(ambient_dim)
@@ -255,14 +279,9 @@ def lower_central_series(g: LieAlgebra) -> list:
     series = [Subspace(g.dim, full)]
     current = series[0]
     while True:
-        generated = []
-        for v in current.basis:
-            ad_v = g.ad(v)
-            for j in range(g.dim):
-                image = ad_v.column(j)
-                if any(image):
-                    generated.append(image)
-        nxt = Subspace(g.dim, generated)
+        # streamed into the echelon, so only one ad_v is held at a time
+        images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
+        nxt = Subspace(g.dim, images)
         series.append(nxt)
         if nxt.dim == current.dim:
             break

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over Q(i).
 
 Matrices are dense and tiny (ambient dimensions stay well under ~20), so a
-straightforward representation is fine.  Elimination is fraction-free in the
-Bareiss style: pivot rows are kept with coefficients cleared to Gaussian
-integers and reduced by their integer content after every combination, which
-keeps numerator growth under control; canonical form is enforced by Fraction
-itself after each operation.  The elimination engine works on sparse row
-dictionaries so that the larger stacked systems (deformation equations) stay
-cheap as well.
+straightforward representation is fine.  Elimination is Gauss-Jordan over
+Q(i) and divides: each reduction step subtracts (entry / pivot) times a pivot
+row in GaussianRational (Fraction) arithmetic.  After every combination a
+stored row is rescaled to Gaussian-integer coefficients with integer content
+one, which keeps coefficient growth under control.  The elimination engine
+works on sparse row dictionaries so that the larger stacked systems
+(deformation equations) stay cheap as well.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ZERO, ONE, gaussian
+from .scalars import GaussianRational, ZERO, ONE, clear_denominators, gaussian
 
 __all__ = [
     "ExactMatrix",
@@ -203,22 +203,13 @@ class ExactMatrix:
 
 def _content_normalize(row: dict) -> dict:
     """Clear denominators and divide out the integer content of a sparse row."""
-    denom_lcm = 1
-    for v in row.values():
-        denom_lcm = denom_lcm * v.re.denominator // gcd(denom_lcm, v.re.denominator)
-        denom_lcm = denom_lcm * v.im.denominator // gcd(denom_lcm, v.im.denominator)
-    num_gcd = 0
-    scaled = {}
-    for c, v in row.items():
-        a = v.re.numerator * (denom_lcm // v.re.denominator)
-        b = v.im.numerator * (denom_lcm // v.im.denominator)
-        scaled[c] = (a, b)
-        num_gcd = gcd(num_gcd, gcd(abs(a), abs(b)))
-    if num_gcd == 0:
+    _, re, im = clear_denominators(row.values())
+    content = gcd(*re, *im)
+    if content == 0:
         return {}
     return {
-        c: GaussianRational(Fraction(a // num_gcd), Fraction(b // num_gcd))
-        for c, (a, b) in scaled.items()
+        c: GaussianRational(Fraction(a // content), Fraction(b // content))
+        for c, a, b in zip(row, re, im)
     }
 
 

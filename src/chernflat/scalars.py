@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "GaussianRational",
@@ -24,6 +25,7 @@ __all__ = [
     "ONE",
     "I",
     "gaussian",
+    "clear_denominators",
     "parse_rational",
     "format_rational",
     "parse_scalar",
@@ -177,6 +179,22 @@ def gaussian(value) -> GaussianRational:
     if z is None:
         raise TypeError(f"cannot interpret {value!r} as an exact Q(i) scalar")
     return z
+
+
+def clear_denominators(values) -> tuple:
+    """Gaussian-integer numerators of Q(i) values over one shared denominator.
+
+    Returns (d, re, im): d is the least common denominator of every real and
+    imaginary part, and re[t] + i im[t] is values[t] times d, with re and im
+    lists of ints in input order.  A homogeneous polynomial identity of
+    degree t then holds for the values iff it holds, scaled by d**t, for the
+    numerators, so exact checks can run on Python ints alone.
+    """
+    values = [gaussian(v) for v in values]
+    d = lcm(*[z.re.denominator for z in values], *[z.im.denominator for z in values])
+    re = [z.re.numerator * (d // z.re.denominator) for z in values]
+    im = [z.im.numerator * (d // z.im.denominator) for z in values]
+    return d, re, im
 
 
 ZERO = GaussianRational(0)
