@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, center, is_two_step
-from .linalg import ExactMatrix, inverse
+from .linalg import Echelon, ExactMatrix, inverse
 from .scalars import GaussianRational, I, ONE, ZERO, gaussian
 
 __all__ = [
@@ -102,7 +102,7 @@ class ComplexSplitting:
     that frame.
     """
 
-    __slots__ = ("g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants", "_dtheta")
+    __slots__ = ("g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants", "_dtheta", "_ad_j")
 
     def __init__(self, g: LieAlgebra, acs: AlmostComplexStructure):
         if g.field != "Q":
@@ -111,23 +111,17 @@ class ComplexSplitting:
             raise ValueError("J dimension does not match the algebra")
         n = g.dim
         m = n // 2
-        from .linalg import _Echelon
-
-        ech = _Echelon(n)
+        ech = Echelon(n)
         chosen = []
         for idx in range(n):
             if len(chosen) == m:
                 break
+            if not ech.add({idx: ONE}):
+                continue
             e = [ZERO] * n
             e[idx] = ONE
-            before = ech.rank()
-            ech.add({idx: ONE})
-            if ech.rank() == before:
-                continue
             je = acs.apply(e)
-            mid = ech.rank()
-            ech.add({c: v for c, v in enumerate(je) if v})
-            if ech.rank() == mid:
+            if not ech.add({c: v for c, v in enumerate(je) if v}):
                 raise AssertionError("greedy eigenbasis extension failed; J is not a complex structure on Q^n")
             chosen.append(tuple(e))
         if len(chosen) != m:
@@ -150,6 +144,7 @@ class ComplexSplitting:
         self.combined = combined
         self.combined_inv = combined_inv
         self._dtheta = None
+        self._ad_j = None
 
         for z in onezero:
             jz = acs.j.matvec(z)
@@ -346,9 +341,14 @@ class AdaptedConstants:
         return f"AdaptedConstants(m={self.m}, nonzero_pairs={len(self._rows)})"
 
 
-def _ad_j_basis(g: LieAlgebra, acs: AlmostComplexStructure) -> list:
-    """ad_{J e_i} for every basis index i: entry i has [J e_i, e_j] in column j."""
-    return [g.ad(acs.j.column(i)) for i in range(g.dim)]
+def _ad_j_basis(s: ComplexSplitting) -> list:
+    """The columns of ad_{J e_i} for every basis index i: entry [i][j] is [J e_i, e_j].
+
+    Built once per splitting, from the sparse table, and kept on it.
+    """
+    if s._ad_j is None:
+        s._ad_j = [s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim)]
+    return s._ad_j
 
 
 def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> dict:
@@ -358,24 +358,31 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     cross-checked against the splitting criterion ([10-sector brackets stay in
     the +i eigenspace]); disagreement raises.
     """
+    s = s or split(g, acs)
     n = g.dim
-    ad_j = _ad_j_basis(g, acs)
+    ad_j = _ad_j_basis(s)
+    j_cols = [[(k, c) for k, c in enumerate(acs.j.column(j)) if c] for j in range(n)]
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
+            # [J e_i, J e_j] = sum_k J_kj [J e_i, e_k]
+            jj = [ZERO] * n
+            for k, c in j_cols[j]:
+                for r, x in enumerate(ad_j[i][k]):
+                    if x:
+                        jj[r] = jj[r] + c * x
             # [e_i, J e_j] = -[J e_j, e_i], so its J-image enters with a plus sign
             term = tuple(
                 t - b - jc + jd
                 for t, b, jc, jd in zip(
-                    ad_j[i].matvec(acs.j.column(j)),
+                    jj,
                     g.basis_bracket(i, j),
-                    acs.apply(ad_j[i].column(j)),
-                    acs.apply(ad_j[j].column(i)),
+                    acs.apply(ad_j[i][j]),
+                    acs.apply(ad_j[j][i]),
                 )
             )
             if any(term):
                 values[(i, j)] = term
-    s = s or split(g, acs)
     splitting_zero = all(
         not any(s.c_pp_01(a, b)) for a in range(s.m) for b in range(a + 1, s.m)
     )
@@ -404,13 +411,11 @@ def is_chern_flat(
             break
     verdict_b = Verdict(True)
     n = g.dim
-    ad_j = _ad_j_basis(g, acs)
+    ad_j = _ad_j_basis(s)
     for i in range(n):
         for j in range(i, n):
             # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
-            left = ad_j[i].column(j)
-            right = tuple(-c for c in ad_j[j].column(i))
-            if left != right:
+            if any(a != -b for a, b in zip(ad_j[i][j], ad_j[j][i])):
                 verdict_b = Verdict(False, ("basis-pair", i, j))
                 break
         if not verdict_b:
@@ -449,12 +454,11 @@ def is_qk_chern_flat(
 
     v3 = Verdict(True)
     n = g.dim
-    ad_j = _ad_j_basis(g, acs)
+    ad_j = _ad_j_basis(s)
     for i in range(n):
         for j in range(n):
-            lhs = acs.apply(g.basis_bracket(i, j))
-            rhs = tuple(-c for c in ad_j[i].column(j))
-            if lhs != rhs:
+            # J[e_i, e_j] against -[J e_i, e_j]
+            if any(a != -b for a, b in zip(acs.apply(g.basis_bracket(i, j)), ad_j[i][j])):
                 v3 = Verdict(False, ("basis-pair", i, j))
                 break
         if not v3:

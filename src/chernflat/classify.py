@@ -23,7 +23,7 @@ from typing import Optional
 
 from .acs import AdaptedConstants, AlmostComplexStructure, ComplexSplitting, reframed_constants, split
 from .lie import LieAlgebra, center, derived_subalgebra, is_two_step, lower_central_series
-from .linalg import ExactMatrix, _Echelon, inverse, kernel_basis, kernel_from_rows, random_invertible, rank
+from .linalg import Echelon, ExactMatrix, inverse, kernel_basis, kernel_from_rows, random_invertible, rank
 from .scalars import GaussianRational, ONE, ZERO, gaussian
 
 __all__ = [
@@ -302,15 +302,13 @@ def center_one_normal_form(s) -> NormalFormResult:
     lead = next(t for t, c in enumerate(gen) if c)
     gen = [c / gen[lead] for c in gen]
 
-    ech = _Echelon(m)
+    ech = Echelon(m)
     ech.add({t: c for t, c in enumerate(gen) if c})
     complement = []
     for t in range(m):
         if len(complement) == m - 1:
             break
-        before = ech.rank()
-        ech.add({t: ONE})
-        if ech.rank() > before:
+        if ech.add({t: ONE}):
             complement.append([ONE if u == t else ZERO for u in range(m)])
     if len(complement) != m - 1:
         raise AssertionError("could not complete the center generator to a frame")

@@ -78,6 +78,11 @@ def _constants_listing(constants: dict) -> list:
     return out
 
 
+def _witness_text(witness: tuple) -> str:
+    """A library witness (kind, 0-based indices...) shown with 1-based indices."""
+    return str((witness[0],) + tuple(i + 1 for i in witness[1:]))
+
+
 def _cmd_verify(args) -> int:
     g, acs, label = resolve_model(args.model)
     rows = [
@@ -99,10 +104,10 @@ def _cmd_verify(args) -> int:
         torsion_zero = not nijenhuis(g, acs, s)
         rows.append(("chern-flat", bool(cf)))
         if not cf:
-            rows.append(("chern-flat-witness", str(cf.witness)))
+            rows.append(("chern-flat-witness", _witness_text(cf.witness)))
         rows.append(("qk-chern-flat", bool(qk)))
         if not qk:
-            rows.append(("qk-chern-flat-witness", str(qk.witness)))
+            rows.append(("qk-chern-flat-witness", _witness_text(qk.witness)))
         rows.append(("nijenhuis-zero", torsion_zero))
         if cf:
             rows.append(("center-j-invariant", check_center_j_invariant(g, acs, s)))

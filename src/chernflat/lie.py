@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactMatrix, kernel_from_rows, rank_of_rows
+from .linalg import Echelon, ExactMatrix, kernel_from_rows, rank_of_rows
 from .scalars import GaussianRational, ZERO, clear_denominators, gaussian
 
 __all__ = [
@@ -230,24 +230,13 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        from .linalg import _Echelon  # internal engine
-
-        ech = _Echelon(ambient_dim)
+        ech = Echelon(ambient_dim)
         for v in vectors:
-            vv = [gaussian(a) for a in v]
-            if len(vv) != ambient_dim:
+            if len(v) != ambient_dim:
                 raise ValueError("vector length must match ambient dimension")
-            ech.add({c: a for c, a in enumerate(vv) if a})
-        rows = []
-        for c in sorted(ech.pivot_rows):
-            row = ech.pivot_rows[c]
-            piv = row[c]
-            vec = [ZERO] * ambient_dim
-            for cc, vv in row.items():
-                vec[cc] = vv / piv
-            rows.append(tuple(vec))
+            ech.add({c: a for c, a in enumerate(v) if a})
         self.ambient_dim = ambient_dim
-        self.basis = rows
+        self.basis = ech.basis()
 
     @property
     def dim(self) -> int:

@@ -1,13 +1,14 @@
 """Exact dense linear algebra over Q(i).
 
 Matrices are dense and tiny (ambient dimensions stay well under ~20), so a
-straightforward representation is fine.  Elimination is Gauss-Jordan over
-Q(i) and divides: each reduction step subtracts (entry / pivot) times a pivot
-row in GaussianRational (Fraction) arithmetic.  After every combination a
-stored row is rescaled to Gaussian-integer coefficients with integer content
-one, which keeps coefficient growth under control.  The elimination engine
-works on sparse row dictionaries so that the larger stacked systems
-(deformation equations) stay cheap as well.
+straightforward representation is fine.  Elimination is fraction-free
+Gauss-Jordan on Python ints: the engine, :class:`Echelon`, stores each row as
+Gaussian-integer numerators with integer content one and a positive integer
+pivot, and reduces by cross-multiplying instead of dividing.  Scalars are
+built only for the results (kernel vectors, reduced bases, solutions), each
+divided once by its pivot.  The determinant is Bareiss elimination on the
+same numerators.  The engine works on sparse row dictionaries so that the
+larger stacked systems (deformation equations) stay cheap as well.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable, Sequence
 from .scalars import GaussianRational, ZERO, ONE, clear_denominators, gaussian
 
 __all__ = [
+    "Echelon",
     "ExactMatrix",
     "SingularMatrixError",
     "rank",
@@ -201,75 +203,116 @@ class ExactMatrix:
 # -- elimination engine ------------------------------------------------------
 
 
-def _content_normalize(row: dict) -> dict:
-    """Clear denominators and divide out the integer content of a sparse row."""
+def _numerators(row: dict) -> dict:
+    """Gaussian-integer numerators of a sparse Q(i) row, zero entries dropped."""
     _, re, im = clear_denominators(row.values())
-    content = gcd(*re, *im)
-    if content == 0:
-        return {}
-    return {
-        c: GaussianRational(Fraction(a // content), Fraction(b // content))
-        for c, a, b in zip(row, re, im)
-    }
+    return {c: (a, b) for c, a, b in zip(row, re, im) if a or b}
 
 
-class _Echelon:
-    """Incrementally maintained reduced echelon form over Q(i).
+def _primitive(row: dict) -> dict:
+    """A nonzero row divided by the gcd of all its real and imaginary parts."""
+    content = gcd(*[a for a, _ in row.values()], *[b for _, b in row.values()])
+    if content == 1:
+        return row
+    return {c: (a // content, b // content) for c, (a, b) in row.items()}
 
-    Rows arrive as sparse dicts (column -> scalar).  Pivoting is restricted to
-    the first ``pivot_limit`` columns; rows whose surviving support lies
-    entirely beyond that limit are kept aside (they witness inconsistency when
-    the trailing columns hold right-hand sides).  Insertion order makes the
-    result deterministic, and the pivot column set is the canonical leftmost
-    one because each incoming row is fully reduced before choosing its pivot.
+
+def _eliminate(row: dict, col: int, pivot: dict) -> dict:
+    """d row - row[col] pivot, which vanishes at col; d = pivot[col] is a positive int.
+
+    Both multipliers are first divided by their common integer factor.
     """
+    d = pivot[col][0]
+    x, y = row[col]
+    common = gcd(d, x, y)
+    if common > 1:
+        d, x, y = d // common, x // common, y // common
+    out = dict(row) if d == 1 else {c: (d * a, d * b) for c, (a, b) in row.items()}
+    for c, (u, v) in pivot.items():
+        a, b = out.get(c, (0, 0))
+        a -= x * u - y * v
+        b -= x * v + y * u
+        if a or b:
+            out[c] = (a, b)
+        else:
+            del out[c]
+    return out
+
+
+def _ratio(re: int, im: int, d: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+
+class Echelon:
+    """Incrementally maintained reduced row-echelon form over Q(i).
+
+    Rows arrive as sparse dicts (column -> scalar).  Only a row's direction
+    matters, so each is scaled once to Gaussian-integer numerators, a dict
+    column -> (re, im) of Python ints.  A pivot row has integer content one
+    and is scaled by the conjugate of its pivot, so its pivot entry is a
+    positive integer d; a row is reduced against it by cross-multiplying,
+    d row - row[c] pivot, with no division in Q(i).  Scalars are built only
+    for the outputs, each entry divided once by its pivot; since the reduced
+    row-echelon form is unique, they are the same exact values any Q(i)
+    elimination gives.
+
+    Pivoting is restricted to the first ``pivot_limit`` columns; rows whose
+    surviving support lies entirely beyond that limit are kept aside (they
+    witness inconsistency when the trailing columns hold right-hand sides).
+    The pivot column set is the canonical leftmost one because each incoming
+    row is fully reduced before choosing its pivot.
+    """
+
+    __slots__ = ("ncols", "pivot_limit", "_pivots", "_extra")
 
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self.pivot_rows: dict[int, dict] = {}
-        self.extra_rows: list[dict] = []
+        self._pivots: dict[int, dict] = {}
+        self._extra: list[dict] = []
 
-    def add(self, row: dict) -> None:
-        work = {c: gaussian(v) for c, v in row.items() if v}
+    def add(self, row: dict) -> bool:
+        """Reduce a sparse row into the form; True when the rank grew."""
+        work = _numerators(row)
         # A pivot row holds zeros at every other pivot column, so one pass
         # over the incoming row's pivoted columns fully reduces it.
-        for c in [c for c in work if c in self.pivot_rows]:
-            if c not in work:
-                continue
-            piv = self.pivot_rows[c]
-            factor = work[c] / piv[c]
-            for cc, vv in piv.items():
-                cur = work.get(cc, ZERO) - factor * vv
-                if cur:
-                    work[cc] = cur
-                else:
-                    work.pop(cc, None)
-        work = _content_normalize(work)
+        for c in [c for c in work if c in self._pivots]:
+            work = _eliminate(work, c, self._pivots[c])
         if not work:
-            return
-        lead_candidates = [c for c in work if c < self.pivot_limit]
-        if not lead_candidates:
-            self.extra_rows.append(work)
-            return
-        lead = min(lead_candidates)
-        for col, other in self.pivot_rows.items():
+            return False
+        lead = min((c for c in work if c < self.pivot_limit), default=None)
+        if lead is None:
+            self._extra.append(work)
+            return False
+        a, b = work[lead]
+        if b:
+            work = {c: (a * x + b * y, a * y - b * x) for c, (x, y) in work.items()}
+        elif a < 0:
+            work = {c: (-x, -y) for c, (x, y) in work.items()}
+        work = _primitive(work)
+        for col, other in self._pivots.items():
             if lead in other:
-                factor = other[lead] / work[lead]
-                for cc, vv in work.items():
-                    cur = other.get(cc, ZERO) - factor * vv
-                    if cur:
-                        other[cc] = cur
-                    else:
-                        other.pop(cc, None)
-                self.pivot_rows[col] = _content_normalize(other)
-        self.pivot_rows[lead] = work
+                self._pivots[col] = _primitive(_eliminate(other, lead, work))
+        self._pivots[lead] = work
+        return True
 
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._pivots)
 
     def pivot_columns(self) -> list:
-        return sorted(self.pivot_rows)
+        return sorted(self._pivots)
+
+    def basis(self) -> list:
+        """The reduced row-echelon basis as tuples (pivot entries 1), by pivot column."""
+        out = []
+        for c in self.pivot_columns():
+            row = self._pivots[c]
+            d = row[c][0]
+            vec = [ZERO] * self.ncols
+            for cc, (a, b) in row.items():
+                vec[cc] = _ratio(a, b, d)
+            out.append(tuple(vec))
+        return out
 
     def kernel_vectors(self) -> list:
         """Basis of the kernel (pivot_limit must equal ncols)."""
@@ -281,9 +324,10 @@ class _Echelon:
             vec = [ZERO] * self.ncols
             vec[f] = ONE
             for c in pivots:
-                row = self.pivot_rows[c]
+                row = self._pivots[c]
                 if f in row:
-                    vec[c] = -row[f] / row[c]
+                    a, b = row[f]
+                    vec[c] = _ratio(-a, -b, row[c][0])
             basis.append(tuple(vec))
         return basis
 
@@ -295,7 +339,7 @@ def _matrix_rows(m: ExactMatrix) -> Iterable[dict]:
 
 
 def rank_of_rows(ncols: int, rows: Iterable[dict]) -> int:
-    ech = _Echelon(ncols)
+    ech = Echelon(ncols)
     for row in rows:
         ech.add(row)
     return ech.rank()
@@ -303,7 +347,7 @@ def rank_of_rows(ncols: int, rows: Iterable[dict]) -> int:
 
 def kernel_from_rows(ncols: int, rows: Iterable[dict]) -> list:
     """Kernel basis (list of tuples) of a linear system given by sparse rows."""
-    ech = _Echelon(ncols)
+    ech = Echelon(ncols)
     for row in rows:
         ech.add(row)
     return ech.kernel_vectors()
@@ -331,25 +375,22 @@ def solve(m: ExactMatrix, rhs) -> "ExactMatrix | tuple | None":
         b = rhs
     if b.rows != m.rows:
         raise ValueError("right-hand side height mismatch")
-    ech = _Echelon(m.cols + b.cols, pivot_limit=m.cols)
+    ech = Echelon(m.cols + b.cols, pivot_limit=m.cols)
     for i in range(m.rows):
         row = {j: m.entry(i, j) for j in range(m.cols) if m.entry(i, j)}
         for t in range(b.cols):
             if b.entry(i, t):
                 row[m.cols + t] = b.entry(i, t)
         ech.add(row)
-    bad_cols = set()
-    for row in ech.extra_rows:
-        for c in row:
-            bad_cols.add(c - m.cols)
-    if bad_cols:
+    if ech._extra:
         return None
     out = [[ZERO] * b.cols for _ in range(m.cols)]
-    for c, row in ech.pivot_rows.items():
+    for c, row in ech._pivots.items():
+        d = row[c][0]
         for t in range(b.cols):
             val = row.get(m.cols + t)
             if val:
-                out[c][t] = val / row[c]
+                out[c][t] = _ratio(val[0], val[1], d)
     x = ExactMatrix(out)
     if vector_input:
         return x.column(0)
@@ -368,32 +409,47 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 
 def det(m: ExactMatrix) -> GaussianRational:
-    """Exact determinant via elimination with pivot tracking."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Each row is scaled to Gaussian-integer numerators, and step k replaces
+    every entry of the trailing block by (p_k a - b c) / p_(k-1), where p_k is
+    the k-th pivot; the division is exact in Z[i], because each entry is then
+    a minor of the scaled matrix.  The last pivot is that matrix's
+    determinant, which the row scales divide out.
+    """
     if not m.is_square():
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    work = m.to_rows()
+    scale = 1
+    work = []
+    for i in range(n):
+        d, re, im = clear_denominators(m.row(i))
+        scale *= d
+        work.append(list(zip(re, im)))
     sign = 1
-    result = ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot_row = r
-                break
+    prev_re, prev_im = 1, 0
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if work[r][k] != (0, 0)), None)
         if pivot_row is None:
             return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
-        piv = work[col][col]
-        result = result * piv
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / piv
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[col][c]
-    return result if sign == 1 else -result
+        row_k = work[k]
+        a, b = row_k[k]
+        norm = prev_re * prev_re + prev_im * prev_im
+        for r in range(k + 1, n):
+            row_r = work[r]
+            x, y = row_r[k]
+            for c in range(k + 1, n):
+                u, v = row_r[c]
+                s, t = row_k[c]
+                re = a * u - b * v - x * s + y * t
+                im = a * v + b * u - x * t - y * s
+                # divide by the previous pivot: multiply by its conjugate over its norm
+                row_r[c] = ((re * prev_re + im * prev_im) // norm, (im * prev_re - re * prev_im) // norm)
+        prev_re, prev_im = a, b
+    return _ratio(sign * prev_re, sign * prev_im, scale)
 
 
 def random_invertible(n: int, rng, complex_entries: bool = True, span: int = 2) -> ExactMatrix:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from chernflat.acs import AlmostComplexStructure
 from chernflat.cli import main
 from chernflat.constructions import catalog
 from chernflat.fileio import dump_model, loads_model
+from chernflat.linalg import ExactMatrix, inverse
 
 
 def run(capsys, *argv):
@@ -29,6 +31,23 @@ def test_verify_failing_model(capsys):
     assert code == 1
     assert "qk-chern-flat-witness" in out
     assert "verdict" in out
+
+
+def test_verify_witness_rows_are_one_based(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "@complex_heisenberg_bicomplex")
+    assert code == 1
+    table = dict(line.split(None, 1) for line in out.strip().splitlines())
+    # the library witness is ("holomorphic-component", 0, 1): [Z_1, Z_2]
+    assert table["qk-chern-flat-witness"] == "('holomorphic-component', 1, 2)"
+    # J sheared by P = I + E_12 fails Chern-flatness at the 0-based pair (1, 1)
+    entry = catalog("iwasawa_j3")
+    n = entry.algebra.dim
+    p = ExactMatrix([[1 if (r, c) in ((r, r), (0, 1)) else 0 for c in range(n)] for r in range(n)])
+    path = tmp_path / "sheared.json"
+    dump_model(str(path), entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p)))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["chern-flat-witness"] == "('basis-pair', 2, 2)"
 
 
 def test_verify_json_output(capsys):

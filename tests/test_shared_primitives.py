@@ -18,6 +18,7 @@ from chernflat.acs import (
     AdaptedConstants,
     AlmostComplexStructure,
     Verdict,
+    check_center_j_invariant,
     is_chern_flat,
     is_qk_chern_flat,
     nijenhuis,
@@ -248,6 +249,21 @@ def test_predicates_match_the_dense_oracle(label, g, acs):
     assert is_chern_flat(g, acs, s) == _dense_is_chern_flat(g, acs, s)
     assert is_qk_chern_flat(g, acs, s) == _dense_is_qk_chern_flat(g, acs, s)
     assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
+
+
+def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
+    # the predicates of one verify job, nijenhuis first: it must split before reading
+    entry = catalog("iwasawa_j3")
+    g, acs = entry.algebra, entry.acs
+    s = split(g, acs)
+    calls = []
+    sweep = LieAlgebra._ad_columns
+    monkeypatch.setattr(LieAlgebra, "_ad_columns", lambda self, x: calls.append(x) or sweep(self, x))
+    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
+    assert is_chern_flat(g, acs, s)
+    assert is_qk_chern_flat(g, acs, s)
+    assert check_center_j_invariant(g, acs, s)
+    assert calls == [acs.j.column(i) for i in range(g.dim)]
 
 
 def test_seeded_pairs_include_failures_of_every_predicate():
