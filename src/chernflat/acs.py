@@ -11,6 +11,7 @@ disagreement raises immediately instead of returning a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, center, is_two_step
@@ -96,13 +97,25 @@ class ComplexSplitting:
     """Eigenspace data of (g, J): frames, sectors, complexified constants.
 
     The +i eigenvectors are Z_k = x_k - i J x_k for a deterministic rational
-    basis {x_k} chosen greedily so that {x_k, J x_k} is a real basis.  The
-    combined frame is (Z_1..Z_m, conj Z_1..conj Z_m); structure constants are
-    stored for combined index pairs alpha < beta as coefficient vectors in
-    that frame.
+    basis {x_k} chosen greedily so that R = [x_1..x_m, J x_1..J x_m] is a real
+    basis.  The combined frame is (Z_1..Z_m, conj Z_1..conj Z_m) =
+    R [[I, I], [-iI, iI]], so its inverse is (1/2) [[I, iI], [I, -iI]] R^-1 and
+    only the rational R is inverted.  Structure constants are stored for
+    combined index pairs alpha < beta as coefficient vectors in that frame.
+
+    They are a change of basis of the real structure tensor: B_pq =
+    R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
+    arithmetic, each bracket of the frame is a combination of four B_pq, and
+    the (0,1)x(0,1) block is the conjugate of the (1,0)x(1,0) block.  The
+    contraction reads ``g.brackets`` only, never the ``ad`` sweep behind the
+    real-basis checks, so the two sides of every cross-check evaluate
+    brackets by independent code.
     """
 
-    __slots__ = ("g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants", "_dtheta", "_ad_j")
+    __slots__ = (
+        "g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants",
+        "_dtheta", "_ad_j", "_chern_flat",
+    )
 
     def __init__(self, g: LieAlgebra, acs: AlmostComplexStructure):
         if g.field != "Q":
@@ -127,14 +140,22 @@ class ComplexSplitting:
         if len(chosen) != m:
             raise AssertionError("could not complete an adapted real basis")
 
-        onezero = []
-        for x in chosen:
-            jx = acs.apply(x)
-            onezero.append(tuple(gaussian(a) - I * b for a, b in zip(x, jx)))
+        j_chosen = [acs.apply(x) for x in chosen]
+        onezero = [
+            tuple(GaussianRational(a.re, -b.re) for a, b in zip(x, jx))
+            for x, jx in zip(chosen, j_chosen)
+        ]
         combined = ExactMatrix.from_columns(
             [list(z) for z in onezero] + [[c.conjugate() for c in z] for z in onezero]
         )
-        combined_inv = inverse(combined)
+        r = ExactMatrix.from_columns(chosen + j_chosen)
+        r_inv = inverse(r)
+        # (1/2) [[I, iI], [I, -iI]] R^-1, entry by entry
+        top, bottom = [], []
+        for k in range(m):
+            row_x, row_jx = r_inv.row(k), r_inv.row(m + k)
+            top.append([_half(a.re, b.re) for a, b in zip(row_x, row_jx)])
+            bottom.append([_half(a.re, -b.re) for a, b in zip(row_x, row_jx)])
 
         self.g = g
         self.acs = acs
@@ -142,9 +163,10 @@ class ComplexSplitting:
         self.real_basis = chosen
         self.onezero = onezero
         self.combined = combined
-        self.combined_inv = combined_inv
+        self.combined_inv = ExactMatrix(top + bottom)
         self._dtheta = None
         self._ad_j = None
+        self._chern_flat = None
 
         for z in onezero:
             jz = acs.j.matvec(z)
@@ -152,13 +174,7 @@ class ComplexSplitting:
             if jz != iz:
                 raise AssertionError("eigenvector check failed: J Z != i Z")
 
-        constants = {}
-        basis_vectors = [combined.column(alpha) for alpha in range(n)]
-        for alpha in range(n):
-            for beta in range(alpha + 1, n):
-                v = g.bracket(basis_vectors[alpha], basis_vectors[beta])
-                constants[(alpha, beta)] = combined_inv.matvec(v)
-        self.constants = constants
+        self.constants = _frame_constants(g, r, r_inv, m)
 
     # -- frame bookkeeping ---------------------------------------------------
 
@@ -209,6 +225,95 @@ class ComplexSplitting:
                 if any(self.c_pp_10(a, b)):
                     return Verdict(False, ("holomorphic-component", a, b))
         return Verdict(True)
+
+
+_HALF = Fraction(1, 2)
+
+
+def _half(re, im) -> GaussianRational:
+    """(re + i im) / 2 for rationals re and im."""
+    if not re and not im:
+        return ZERO
+    return GaussianRational(re * _HALF, im * _HALF)
+
+
+def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) -> dict:
+    """Constants of the combined frame of R = [x, J x], keyed alpha < beta in order.
+
+    B_pq = R^-1 [R_p, R_q] is the sum over i in supp R_p and j in supp R_q of
+    R_ip R_jq [e_i, e_j], read from the sparse table, in rationals.  Then
+    [Z_a, Z_b] = B(a,b) - B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and
+    [Z_a, conj Z_b] = B(a,b) + B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with
+    B_qp = -B_pq.  An R-coordinate vector w has coefficient (w_k + i w_{m+k}) / 2
+    on Z_k and (w_k - i w_{m+k}) / 2 on conj Z_k.  The algebra is real, so
+    [conj Z_a, conj Z_b] is the conjugate of [Z_a, Z_b] with its halves swapped.
+    """
+    n = 2 * m
+    brackets = g.brackets
+    cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
+    inv_cols = [[(s, x.re) for s, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
+
+    real = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            image = {}
+            for i, a in cols[p]:
+                for j, b in cols[q]:
+                    # the table holds [e_i, e_j] for i < j only
+                    vec = brackets.get((i, j) if i < j else (j, i))
+                    if vec:
+                        ab = a * b if i < j else -a * b
+                        for k, c in vec.items():
+                            image[k] = image.get(k, 0) + ab * c.re
+            out = {}
+            for k, v in image.items():
+                if v:
+                    for s, x in inv_cols[k]:
+                        out[s] = out.get(s, 0) + x * v
+            real[(p, q)] = out
+
+    def combination(*terms) -> dict:
+        """The sum of sign * B_pq over terms (sign, p, q)."""
+        acc = {}
+        for sign, p, q in terms:
+            if p > q:
+                p, q, sign = q, p, -sign
+            if p == q:
+                continue
+            for s, v in real[(p, q)].items():
+                acc[s] = acc.get(s, 0) + v if sign > 0 else acc.get(s, 0) - v
+        return acc
+
+    def in_frame(re: dict, im: dict) -> tuple:
+        """Combined-frame coordinates of the R-coordinate vector re + i im."""
+        vec = [ZERO] * n
+        for k in range(m):
+            a, b = re.get(k, 0), im.get(k, 0)
+            c, d = re.get(m + k, 0), im.get(m + k, 0)
+            vec[k] = _half(a - d, b + c)
+            vec[m + k] = _half(a + d, b - c)
+        return tuple(vec)
+
+    constants = {}
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            if beta < m:
+                a, b = alpha, beta
+                vec = in_frame(
+                    combination((1, a, b), (-1, m + a, m + b)),
+                    combination((-1, a, m + b), (-1, m + a, b)),
+                )
+            elif alpha < m:
+                a, b = alpha, beta - m
+                vec = in_frame(
+                    combination((1, a, b), (1, m + a, m + b)),
+                    combination((1, a, m + b), (-1, m + a, b)),
+                )
+            else:
+                holo = constants[(alpha - m, beta - m)]
+                vec = tuple(z.conjugate() if z else ZERO for z in holo[m:] + holo[:m])
+            constants[(alpha, beta)] = vec
+    return constants
 
 
 def split(g: LieAlgebra, acs: AlmostComplexStructure) -> ComplexSplitting:
@@ -398,9 +503,12 @@ def is_chern_flat(
 
     (a) every [Z_a, conj Z_b] vanishes; (b) [J e_i, e_j] = [e_i, J e_j] for
     all basis pairs (the diagonal pair encodes [J x, x] = 0).  Both are
-    evaluated; disagreement raises.
+    evaluated; disagreement raises.  The verdict is kept on the splitting, so
+    a second call with the same s returns it without evaluating again.
     """
     s = s or split(g, acs)
+    if s._chern_flat is not None:
+        return s._chern_flat
     verdict_a = Verdict(True)
     for a in range(s.m):
         for b in range(s.m):
@@ -422,7 +530,8 @@ def is_chern_flat(
             break
     if verdict_a.ok != verdict_b.ok:
         raise AssertionError("Chern-flat characterizations disagree; internal inconsistency")
-    return verdict_b if not verdict_b.ok else verdict_a
+    s._chern_flat = verdict_b if not verdict_b.ok else verdict_a
+    return s._chern_flat
 
 
 def is_qk_chern_flat(

@@ -65,7 +65,7 @@ def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
 class LieAlgebra:
     """A Lie algebra over Q or Q(i), validated at construction time."""
 
-    __slots__ = ("dim", "field", "brackets")
+    __slots__ = ("dim", "field", "brackets", "_series", "_center")
 
     def __init__(self, dim: int, brackets: Mapping, field: str = "Q"):
         if dim < 1:
@@ -84,6 +84,9 @@ class LieAlgebra:
         self.dim = dim
         self.field = field
         self.brackets = table
+        # lower_central_series and center keep their results here
+        self._series = None
+        self._center = None
         defects = jacobi_defect(dim, table)
         if defects:
             raise JacobiError(defects)
@@ -263,7 +266,16 @@ class Subspace:
 
 
 def lower_central_series(g: LieAlgebra) -> list:
-    """Terms g ⊇ [g, g] ⊇ [[g, g], g] ⊇ ... until stabilization."""
+    """Terms g ⊇ [g, g] ⊇ [[g, g], g] ⊇ ... until stabilization.
+
+    The series is computed once per algebra and kept on it.
+    """
+    if g._series is None:
+        g._series = _compute_lower_central_series(g)
+    return list(g._series)
+
+
+def _compute_lower_central_series(g: LieAlgebra) -> list:
     full = [tuple(gaussian(1) if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
     series = [Subspace(g.dim, full)]
     current = series[0]
@@ -285,7 +297,16 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Kernel of the stacked adjoint: {x : [x, e_j] = 0 for all j}."""
+    """Kernel of the stacked adjoint: {x : [x, e_j] = 0 for all j}.
+
+    The center is computed once per algebra and kept on it.
+    """
+    if g._center is None:
+        g._center = _compute_center(g)
+    return g._center
+
+
+def _compute_center(g: LieAlgebra) -> Subspace:
     rows = []
     for j in range(g.dim):
         for k in range(g.dim):

@@ -190,10 +190,18 @@ def clear_denominators(values) -> tuple:
     degree t then holds for the values iff it holds, scaled by d**t, for the
     numerators, so exact checks can run on Python ints alone.
     """
-    values = [gaussian(v) for v in values]
-    d = lcm(*[z.re.denominator for z in values], *[z.im.denominator for z in values])
-    re = [z.re.numerator * (d // z.re.denominator) for z in values]
-    im = [z.im.numerator * (d // z.im.denominator) for z in values]
+    re_num, re_den, im_num, im_den = [], [], [], []
+    for v in values:
+        z = v if v.__class__ is GaussianRational else gaussian(v)
+        q = z.re
+        re_num.append(q.numerator)
+        re_den.append(q.denominator)
+        q = z.im
+        im_num.append(q.numerator)
+        im_den.append(q.denominator)
+    d = lcm(*re_den, *im_den)
+    re = [a * (d // b) for a, b in zip(re_num, re_den)]
+    im = [a * (d // b) for a, b in zip(im_num, im_den)]
     return d, re, im
 
 

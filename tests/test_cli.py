@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -238,3 +239,16 @@ def test_output_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "@dim5_irreducible", "--format", "json")
     code2, out2, _ = run(capsys, "verify", "@dim5_irreducible", "--format", "json")
     assert (code1, out1) == (code2, out2)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["name"] for case in GOLDEN_CASES])
+def test_output_matches_the_golden_files(capsys, case):
+    # tests/golden/generate.py writes these files; see its docstring
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["code"]
+    assert err == case["stderr"]
+    assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()

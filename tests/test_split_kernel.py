@@ -1,0 +1,116 @@
+"""Differential tests for the constants of ``ComplexSplitting``.
+
+The splitting contracts its constants from the sparse bracket table by a real
+change of basis.  The dense loop it replaced, ``LieAlgebra.bracket`` on every
+pair of combined-frame vectors mapped through the inverse of the complex
+combined frame, is kept below as the oracle.  The two must give the same
+constants, entry for entry and in the same key order, on flat pairs, on
+integrable (not quasi-Kaehler) doublings, on scrambled frames and on
+structures conjugated so that the columns of J are dense.
+"""
+
+import random
+
+import pytest
+
+from chernflat.acs import AlmostComplexStructure, split
+from chernflat.classify import random_frame_scramble
+from chernflat.constructions import catalog, complexification, random_two_step
+from chernflat.linalg import ExactMatrix, inverse, random_invertible
+from chernflat.scalars import ONE, ZERO
+
+from helpers import random_two_step_real_algebra
+
+CATALOG = [
+    "centro1_model(1)",
+    "centro1_model(2)",
+    "centro1_model(3)",
+    "complex_heisenberg_bicomplex",
+    "dim4_model",
+    "dim5_irreducible",
+    "iwasawa_e_frame",
+    "iwasawa_j3",
+]
+
+
+# -- oracle: the dense loop over LieAlgebra.bracket ---------------------------
+
+
+def _dense_constants(g, s) -> dict:
+    combined = s.combined
+    combined_inv = inverse(combined)
+    n = g.dim
+    constants = {}
+    basis_vectors = [combined.column(alpha) for alpha in range(n)]
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            v = g.bracket(basis_vectors[alpha], basis_vectors[beta])
+            constants[(alpha, beta)] = combined_inv.matvec(v)
+    return constants
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def _permutation(n: int, rng) -> ExactMatrix:
+    image = list(range(n))
+    rng.shuffle(image)
+    return ExactMatrix([[ONE if image[c] == r else ZERO for c in range(n)] for r in range(n)])
+
+
+def _pairs():
+    for name in CATALOG:
+        entry = catalog(name)
+        yield name, entry.algebra, entry.acs
+    for seed in range(4):
+        g, acs = random_two_step(random.Random(seed))
+        yield f"two-step-{seed}", g, acs
+    for seed in range(3):
+        g, acs = complexification(random_two_step_real_algebra(random.Random(seed), max_dim=5))
+        yield f"complexification-{seed}", g, acs
+    center_one = catalog("centro1_model(2)")
+    for seed in range(3):
+        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(seed))
+        yield f"scrambled-centro1-{seed}", g, acs
+    # P J P^-1 with a dense rational P: every column of J is dense; with a
+    # permutation P the greedy real basis skips indices
+    bases = ["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(2)"]
+    for seed, name in enumerate(bases):
+        entry = catalog(name)
+        g, j = entry.algebra, entry.acs.j
+        rng = random.Random(2000 + seed)
+        p = random_invertible(g.dim, rng, complex_entries=False, span=1)
+        yield f"{name}-dense", g, AlmostComplexStructure(p * j * inverse(p))
+        p = _permutation(g.dim, rng)
+        yield f"{name}-permuted", g, AlmostComplexStructure(p * j * inverse(p))
+    g, acs = complexification(random_two_step_real_algebra(random.Random(7), max_dim=4))
+    p = random_invertible(g.dim, random.Random(7), complex_entries=False, span=1)
+    yield "complexification-dense", g, AlmostComplexStructure(p * acs.j * inverse(p))
+
+
+PAIRS = list(_pairs())
+
+
+@pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
+def test_constants_match_the_dense_oracle(label, g, acs):
+    s = split(g, acs)
+    assert list(s.constants.items()) == list(_dense_constants(g, s).items())
+    identity = ExactMatrix.identity(g.dim)
+    assert s.combined * s.combined_inv == identity
+    assert s.combined_inv * s.combined == identity
+
+
+def test_inputs_cover_dense_columns_and_skipped_indices():
+    def support(acs):
+        return max(sum(1 for c in acs.j.column(i) if c) for i in range(acs.dim))
+
+    assert max(support(acs) for _, _, acs in PAIRS) >= 4
+    # a real basis other than the first m unit vectors
+    assert any(
+        [x.index(ONE) for x in split(g, acs).real_basis] != list(range(g.dim // 2))
+        for _, g, acs in PAIRS
+    )
+    # pairs that are not Chern-flat, and pairs that are not quasi-Kaehler
+    splittings = [split(g, acs) for _, g, acs in PAIRS]
+    assert any(any(s.c_pm(a, b)) for s in splittings for a in range(s.m) for b in range(s.m))
+    assert any(any(s.c_pp_10(a, b)) for s in splittings for a in range(s.m) for b in range(s.m))
