@@ -34,9 +34,13 @@ __all__ = [
 
 
 class AlmostComplexStructure:
-    """A rational matrix J with J^2 = -I acting on a real algebra."""
+    """A rational matrix J with J^2 = -I acting on a real algebra.
 
-    __slots__ = ("j",)
+    Its nonzero entries are listed once, in ascending order: the pairs
+    (c, J_rc) in ``_by_row[r]`` and (r, J_rc) in ``_by_col[c]``.
+    """
+
+    __slots__ = ("j", "_by_row", "_by_col")
 
     def __init__(self, j: ExactMatrix):
         if not j.is_square():
@@ -48,13 +52,20 @@ class AlmostComplexStructure:
         if j * j != -ExactMatrix.identity(j.rows):
             raise ValueError("J^2 = -I fails")
         self.j = j
+        n = j.rows
+        self._by_row = [[(c, x) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
+        self._by_col = [[(r, x) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
 
     @property
     def dim(self) -> int:
         return self.j.rows
 
     def apply(self, v) -> tuple:
-        return self.j.matvec(v)
+        """J v, summed over the nonzero entries of J only."""
+        v = [gaussian(x) for x in v]
+        if len(v) != len(self._by_row):
+            raise ValueError("vector length mismatch in matvec")
+        return tuple(sum((x * v[c] for c, x in row if v[c]), ZERO) for row in self._by_row)
 
     @classmethod
     def standard(cls, n: int) -> "AlmostComplexStructure":
@@ -62,15 +73,8 @@ class AlmostComplexStructure:
         if n % 2 != 0:
             raise ValueError("standard structure needs even dimension")
         m = n // 2
-        cols = []
-        for k in range(m):
-            col = [ZERO] * n
-            col[m + k] = ONE
-            cols.append(col)
-        for k in range(m):
-            col = [ZERO] * n
-            col[k] = -ONE
-            cols.append(col)
+        cols = [[ONE if r == m + k else ZERO for r in range(n)] for k in range(m)]
+        cols += [[-ONE if r == k else ZERO for r in range(n)] for k in range(m)]
         return cls(ExactMatrix.from_columns(cols))
 
     def __eq__(self, other):
@@ -168,11 +172,8 @@ class ComplexSplitting:
         self._ad_j = None
         self._chern_flat = None
 
-        for z in onezero:
-            jz = acs.j.matvec(z)
-            iz = tuple(I * c for c in z)
-            if jz != iz:
-                raise AssertionError("eigenvector check failed: J Z != i Z")
+        if any(acs.apply(z) != tuple(I * c for c in z) for z in onezero):
+            raise AssertionError("eigenvector check failed: J Z != i Z")
 
         self.constants = _frame_constants(g, r, r_inv, m)
 
@@ -466,13 +467,12 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     s = s or split(g, acs)
     n = g.dim
     ad_j = _ad_j_basis(s)
-    j_cols = [[(k, c) for k, c in enumerate(acs.j.column(j)) if c] for j in range(n)]
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
             # [J e_i, J e_j] = sum_k J_kj [J e_i, e_k]
             jj = [ZERO] * n
-            for k, c in j_cols[j]:
+            for k, c in acs._by_col[j]:
                 for r, x in enumerate(ad_j[i][k]):
                     if x:
                         jj[r] = jj[r] + c * x

@@ -23,7 +23,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, split
 from .lie import LieAlgebra
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, gaussian
+from .scalars import GaussianRational, ONE, ZERO, accumulate, gaussian
 
 __all__ = [
     "CatalogEntry",
@@ -51,11 +51,7 @@ def _doubling(g: LieAlgebra, conjugate_scaling: bool):
             sign = -sign
         row = brackets.setdefault((a, b), {})
         for k, c in vec.items():
-            cur = row.get(k, Fraction(0)) + sign * c
-            if cur:
-                row[k] = cur
-            else:
-                row.pop(k, None)
+            accumulate(row, k, sign * c)
 
     for (i, j), vec in g.brackets.items():
         real_part = {k: c for k, c in vec.items()}
@@ -142,14 +138,8 @@ def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
     brackets: dict = {}
 
     def add(a: int, b: int, k: int, c: Fraction):
-        if not c:
-            return
-        row = brackets.setdefault((a, b), {})
-        cur = row.get(k, Fraction(0)) + c
-        if cur:
-            row[k] = cur
-        else:
-            row.pop(k, None)
+        if c:
+            accumulate(brackets.setdefault((a, b), {}), k, c)
 
     half = Fraction(1, 2)
     for (i, j), vec in table.items():

@@ -9,6 +9,11 @@ The trivial directions come from the algebra itself: for two-step flat pairs
 every inner derivation satisfies both conditions, which this module checks by
 substitution rather than assuming.  The reported quotient dimension counts
 essential deformations modulo those.
+
+The rows are read from the nonzero entries of J and the sparse bracket table,
+not from a dense n^4 sweep.  Each row is substituted on Gaussian-integer
+numerators (scaling a row or a direction does not change whether it vanishes)
+and handed to the elimination as it is built, so the system is never held whole.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split
 from .lie import LieAlgebra, is_two_step
 from .linalg import ExactMatrix, kernel_from_rows, rank_of_rows
-from .scalars import ZERO, gaussian
+from .scalars import ONE, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
     "DeformationSpace",
@@ -29,71 +34,91 @@ __all__ = [
 ]
 
 
-def _flatten(mat: ExactMatrix) -> tuple:
-    return tuple(mat.entry(r, c) for r in range(mat.rows) for c in range(mat.cols))
-
-
-def _unflatten(vec, n: int) -> ExactMatrix:
-    return ExactMatrix([[gaussian(vec[r * n + c]) for c in range(n)] for r in range(n)])
-
-
 def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
-    """Sparse rows over the n^2 unknowns L_{rc} (row-major flattening)."""
+    """Yield the sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
+
+    Both conditions are read from sparse views: the nonzero entries of J,
+    full[i][j], the pairs (k, c_ij^k) of [e_i, e_j] in ascending k, and its
+    transpose into[j][k], the pairs (r, c_rj^k) in ascending r.
+    """
     n = g.dim
-    j = acs.j
-    rows = []
+    full = [[[] for _ in range(n)] for _ in range(n)]
+    into = [[[] for _ in range(n)] for _ in range(n)]
+    # pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending r
+    for (i, j), vec in sorted(g.brackets.items()):
+        for k, c in sorted(vec.items()):
+            full[i][j].append((k, c))
+            full[j][i].append((k, -c))
+            into[j][k].append((i, c))
+            into[i][k].append((j, -c))
     # anticommutation: (L J + J L)_{ab} = 0
     for a in range(n):
         for b in range(n):
             row: dict = {}
-            for c in range(n):
-                v = j.entry(c, b)
-                if v:
-                    key = a * n + c
-                    cur = row.get(key, ZERO) + v
-                    if cur:
-                        row[key] = cur
-                    else:
-                        row.pop(key, None)
-            for c in range(n):
-                v = j.entry(a, c)
-                if v:
-                    key = c * n + b
-                    cur = row.get(key, ZERO) + v
-                    if cur:
-                        row[key] = cur
-                    else:
-                        row.pop(key, None)
+            for c, v in acs._by_col[b]:
+                accumulate(row, a * n + c, v)
+            for c, v in acs._by_row[a]:
+                accumulate(row, c * n + b, v)
             if row:
-                rows.append(row)
+                yield row
     # bracket condition: (L [e_i, e_j] + [L e_i, e_j])_k = 0, ordered pairs
     for i in range(n):
         for jdx in range(n):
             if i == jdx:
                 continue
-            bij = g.basis_bracket(i, jdx)
+            bij = full[i][jdx]
             for k in range(n):
+                ck = into[jdx][k]
+                if not bij and not ck:
+                    continue
                 row = {}
-                for c in range(n):
-                    if bij[c]:
-                        key = k * n + c
-                        cur = row.get(key, ZERO) + bij[c]
-                        if cur:
-                            row[key] = cur
-                        else:
-                            row.pop(key, None)
-                for r in range(n):
-                    v = g.structure_constant(r, jdx, k)
-                    if v:
-                        key = r * n + i
-                        cur = row.get(key, ZERO) + v
-                        if cur:
-                            row[key] = cur
-                        else:
-                            row.pop(key, None)
+                for c, v in bij:
+                    accumulate(row, k * n + c, v)
+                for r, v in ck:
+                    accumulate(row, r * n + i, v)
                 if row:
-                    rows.append(row)
-    return rows
+                    yield row
+
+
+def _inner_vectors(g: LieAlgebra) -> list:
+    """The nonzero flattened ad_{e_i}, as sparse dicts in ascending key order.
+
+    They come from the ad sweep, not from the views behind _equation_rows, so
+    the substitution check compares two independent readings of the table.
+    """
+    n = g.dim
+    out = []
+    for i in range(n):
+        cols = g._ad_columns([ONE if t == i else ZERO for t in range(n)])
+        vec = {r * n + c: cols[c][r] for r in range(n) for c in range(n) if cols[c][r]}
+        if vec:
+            out.append(vec)
+    return out
+
+
+def _checked_rows(rows, vectors: list):
+    """Yield each row after asserting that it vanishes on every vector.
+
+    Each vector and each row is scaled once by its own common denominator,
+    so every sum runs on Gaussian-integer numerators.
+    """
+    # by_key[key] lists (vector index, re, im) of every vector entry at key
+    by_key: dict = {}
+    for t, vec in enumerate(vectors):
+        _, re, im = clear_denominators(vec.values())
+        for key, u, v in zip(vec, re, im):
+            by_key.setdefault(key, []).append((t, u, v))
+    for row in rows:
+        _, re, im = clear_denominators(row.values())
+        acc_re = [0] * len(vectors)
+        acc_im = [0] * len(vectors)
+        for key, x, y in zip(row, re, im):
+            for t, u, v in by_key.get(key, ()):
+                acc_re[t] += x * u - y * v
+                acc_im[t] += x * v + y * u
+        if any(acc_re) or any(acc_im):
+            raise AssertionError("inner derivation fails the deformation equations")
+        yield row
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,8 @@ class DeformationSpace:
         return len(self.kernel)
 
     def matrices(self) -> list:
-        return [_unflatten(v, self.n) for v in self.kernel]
+        n = self.n
+        return [ExactMatrix([[gaussian(v[r * n + c]) for c in range(n)] for r in range(n)]) for v in self.kernel]
 
 
 def deformation_space(
@@ -133,25 +159,9 @@ def deformation_space(
     if not is_two_step(g):
         raise ValueError("deformation space requires a two-step algebra")
     n = g.dim
-    rows = _equation_rows(g, acs)
-    kernel = kernel_from_rows(n * n, rows)
-
-    inner_vectors = []
-    for i in range(n):
-        vec = _flatten(g.basis_ad(i))
-        if any(vec):
-            inner_vectors.append(vec)
-    for vec in inner_vectors:
-        for row in rows:
-            acc = ZERO
-            for key, coeff in row.items():
-                if vec[key]:
-                    acc = acc + coeff * vec[key]
-            if acc:
-                raise AssertionError("inner derivation fails the deformation equations")
-    inner_rank = rank_of_rows(
-        n * n, [{k: c for k, c in enumerate(vec) if c} for vec in inner_vectors]
-    )
+    inner_vectors = _inner_vectors(g)
+    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(g, acs), inner_vectors))
+    inner_rank = rank_of_rows(n * n, inner_vectors)
     return DeformationSpace(
         n=n,
         kernel=tuple(kernel),
@@ -168,11 +178,10 @@ def satisfies_deformation_equations(
     if l_mat.rows != n or l_mat.cols != n:
         raise ValueError("matrix size does not match the algebra")
     anti = l_mat * acs.j + acs.j * l_mat
-    if not anti.is_zero():
-        for a in range(n):
-            for b in range(n):
-                if anti.entry(a, b):
-                    return Verdict(False, ("anticommutation", a, b))
+    for a in range(n):
+        for b in range(n):
+            if anti.entry(a, b):
+                return Verdict(False, ("anticommutation", a, b))
     # column jdx of ad_l[i] is [L e_i, e_jdx]
     ad_l = [g.ad(l_mat.column(k)) for k in range(n)]
     for i in range(n):

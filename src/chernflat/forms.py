@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .acs import ComplexSplitting
 from .linalg import ExactMatrix, det, kernel_from_rows
-from .scalars import GaussianRational, I, ONE, ZERO, format_scalar, gaussian, parse_scalar
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, format_scalar, gaussian, parse_scalar
 
 __all__ = [
     "InvariantForm",
@@ -135,11 +135,7 @@ class InvariantForm:
             raise ValueError("cannot add forms of different degree")
         out = dict(self.coeffs)
         for key, v in other.coeffs.items():
-            cur = out.get(key, ZERO) + v
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            accumulate(out, key, v)
         return InvariantForm(self.m, self.mbar, self.degree, out)
 
     def __sub__(self, other):
@@ -172,12 +168,7 @@ class InvariantForm:
                 merged, sign = _merge_keys(k1, k2)
                 if not sign:
                     continue
-                term = v1 * v2 if sign > 0 else -(v1 * v2)
-                cur = out.get(merged, ZERO) + term
-                if cur:
-                    out[merged] = cur
-                else:
-                    out.pop(merged, None)
+                accumulate(out, merged, v1 * v2 if sign > 0 else -(v1 * v2))
         return InvariantForm(self.m, self.mbar, self.degree + other.degree, out)
 
     def conjugate(self) -> "InvariantForm":
@@ -299,14 +290,7 @@ def exterior_d(s: ComplexSplitting, f: InvariantForm) -> InvariantForm:
                 merged, sign = _merge_keys((a, b), rest)
                 if not sign:
                     continue
-                term = v * c
-                if pos_sign * sign < 0:
-                    term = -term
-                cur = out.get(merged, ZERO) + term
-                if cur:
-                    out[merged] = cur
-                else:
-                    out.pop(merged, None)
+                accumulate(out, merged, v * c if pos_sign * sign > 0 else -(v * c))
     return InvariantForm(f.m, f.mbar, f.degree + 1, out)
 
 
@@ -576,9 +560,5 @@ def parse_form(text: str, m: int, mbar: int, center_split: Optional[int] = None)
             degree = len(indices)
         elif degree != len(indices):
             raise ValueError("terms of different degree in one form literal")
-        cur = coeffs.get(key, ZERO) + coeff
-        if cur:
-            coeffs[key] = cur
-        else:
-            coeffs.pop(key, None)
+        accumulate(coeffs, key, coeff)
     return InvariantForm(m, mbar, degree or 0, coeffs)

@@ -26,6 +26,7 @@ __all__ = [
     "I",
     "gaussian",
     "clear_denominators",
+    "accumulate",
     "parse_rational",
     "format_rational",
     "parse_scalar",
@@ -208,6 +209,20 @@ def clear_denominators(values) -> tuple:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """Add value into the sparse dict acc at key; drop the key if the sum is zero.
+
+    A new key stores value itself, not a copy: scalars are immutable, so a
+    sparse row can share the entries of the table it was read from.
+    """
+    cur = acc.get(key)
+    cur = value if cur is None else cur + value
+    if cur:
+        acc[key] = cur
+    else:
+        acc.pop(key, None)
 
 
 # -- text format ------------------------------------------------------------

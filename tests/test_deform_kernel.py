@@ -1,0 +1,294 @@
+"""Differential tests for the deformation system and its inner-direction check.
+
+``deform._equation_rows`` builds the rows from sparse views of J and of the
+bracket table, and ``deform._checked_rows`` substitutes the inner derivations
+into each row on Gaussian-integer numerators.  The dense loops they replaced,
+over all n^4 index tuples through ``structure_constant`` and ``J.entry`` and
+over dense flattened ``basis_ad`` matrices in GaussianRational arithmetic, are
+kept below as the oracle.  Both must give the same row list (the same dicts,
+values and key order), the same ``DeformationSpace`` and the same
+``AssertionError`` on a tampered vector or row.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from chernflat.acs import AlmostComplexStructure, is_qk_chern_flat
+from chernflat import deform
+from chernflat.constructions import catalog, random_two_step
+from chernflat.deform import (
+    DeformationSpace,
+    _checked_rows,
+    _equation_rows,
+    _inner_vectors,
+    deformation_space,
+)
+from chernflat.lie import LieAlgebra, is_two_step
+from chernflat.linalg import ExactMatrix, det, inverse, kernel_from_rows, rank_of_rows
+from chernflat.scalars import GaussianRational, ZERO
+
+from helpers import random_doubled_pair
+
+CATALOG = [
+    "abelian(2)",
+    "abelian(4)",
+    "abelian(6)",
+    "iwasawa_j3",
+    "dim4_model",
+    "dim5_irreducible",
+    "centro1_model(1)",
+    "centro1_model(2)",
+    "centro1_model(3)",
+]
+
+
+# -- oracle: the dense loops ----------------------------------------------------
+
+
+def _oracle_equation_rows(g, acs):
+    n = g.dim
+    j = acs.j
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row: dict = {}
+            for c in range(n):
+                v = j.entry(c, b)
+                if v:
+                    key = a * n + c
+                    cur = row.get(key, ZERO) + v
+                    if cur:
+                        row[key] = cur
+                    else:
+                        row.pop(key, None)
+            for c in range(n):
+                v = j.entry(a, c)
+                if v:
+                    key = c * n + b
+                    cur = row.get(key, ZERO) + v
+                    if cur:
+                        row[key] = cur
+                    else:
+                        row.pop(key, None)
+            if row:
+                rows.append(row)
+    for i in range(n):
+        for jdx in range(n):
+            if i == jdx:
+                continue
+            bij = g.basis_bracket(i, jdx)
+            for k in range(n):
+                row = {}
+                for c in range(n):
+                    if bij[c]:
+                        key = k * n + c
+                        cur = row.get(key, ZERO) + bij[c]
+                        if cur:
+                            row[key] = cur
+                        else:
+                            row.pop(key, None)
+                for r in range(n):
+                    v = g.structure_constant(r, jdx, k)
+                    if v:
+                        key = r * n + i
+                        cur = row.get(key, ZERO) + v
+                        if cur:
+                            row[key] = cur
+                        else:
+                            row.pop(key, None)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _oracle_inner_vectors(g):
+    n = g.dim
+    out = []
+    for i in range(n):
+        mat = g.basis_ad(i)
+        vec = tuple(mat.entry(r, c) for r in range(n) for c in range(n))
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def _oracle_check(rows, inner_vectors):
+    for vec in inner_vectors:
+        for row in rows:
+            acc = ZERO
+            for key, coeff in row.items():
+                if vec[key]:
+                    acc = acc + coeff * vec[key]
+            if acc:
+                raise AssertionError("inner derivation fails the deformation equations")
+
+
+def _oracle_deformation_space(g, acs):
+    n = g.dim
+    rows = _oracle_equation_rows(g, acs)
+    kernel = kernel_from_rows(n * n, rows)
+    inner = _oracle_inner_vectors(g)
+    _oracle_check(rows, inner)
+    inner_rank = rank_of_rows(n * n, [{k: c for k, c in enumerate(v) if c} for v in inner])
+    return DeformationSpace(n, tuple(kernel), inner_rank, len(kernel) - inner_rank)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def _dense_conjugator(j: ExactMatrix, rng) -> ExactMatrix:
+    """Rational P, no entry zero, for which P J P^-1 has no zero entry either."""
+    n = j.rows
+    while True:
+        p = ExactMatrix([[Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if det(p):
+            conjugate = p * j * inverse(p)
+            if all(conjugate.entry(r, c) for r in range(n) for c in range(n)):
+                return p
+
+
+def _transported(g: LieAlgebra, acs: AlmostComplexStructure, p: ExactMatrix):
+    """The pair (g, J) carried by x -> P x: [x, y]' = P[P^-1 x, P^-1 y], J' = P J P^-1."""
+    n = g.dim
+    p_inv = inverse(p)
+    cols = [p_inv.column(a) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            image = p.matvec(g.bracket(cols[a], cols[b]))
+            vec = {k: c for k, c in enumerate(image) if c}
+            if vec:
+                brackets[(a, b)] = vec
+    return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
+
+
+def _flat_pairs():
+    for name in CATALOG:
+        entry = catalog(name)
+        yield name, entry.algebra, entry.acs
+    for seed in range(4):
+        g, acs = random_two_step(random.Random(seed))
+        yield f"two-step-{seed}", g, acs
+    # the same tables listed in reverse order, pairs and targets alike
+    for name in ["dim5_irreducible", "centro1_model(2)"]:
+        entry = catalog(name)
+        table = {pair: dict(reversed(vec.items())) for pair, vec in reversed(entry.algebra.brackets.items())}
+        yield f"{name}-reversed", LieAlgebra(entry.algebra.dim, table), entry.acs
+    # dense J and a dense table: both carried by a dense rational P
+    for seed, name in enumerate(["iwasawa_j3", "dim4_model", "centro1_model(1)"]):
+        entry = catalog(name)
+        p = _dense_conjugator(entry.acs.j, random.Random(3000 + seed))
+        yield f"{name}-transported", *_transported(entry.algebra, entry.acs, p)
+    # the shear e_{m+k} -> e_k + e_{m+k} gives J_kk = 1 = -J_{m+k,m+k}, so the
+    # two anticommutation entries at key k n + (m + k) cancel
+    for name in ["iwasawa_j3", "centro1_model(1)"]:
+        entry = catalog(name)
+        n = entry.algebra.dim
+        m = n // 2
+        shear = ExactMatrix([[1 if r == c or c == r + m else 0 for c in range(n)] for r in range(n)])
+        yield f"{name}-sheared", *_transported(entry.algebra, entry.acs, shear)
+
+
+def _conjugated_pairs():
+    """(g, P J P^-1) with a dense rational P: J dense, the pair not flat."""
+    for seed, name in enumerate(["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(1)"]):
+        entry = catalog(name)
+        p = _dense_conjugator(entry.acs.j, random.Random(4000 + seed))
+        yield f"{name}-conjugated", entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p))
+    for seed in range(3):
+        g, acs = random_doubled_pair(random.Random(seed), max_dim=4)
+        p = _dense_conjugator(acs.j, random.Random(5000 + seed))
+        yield f"doubled-{seed}-conjugated", g, AlmostComplexStructure(p * acs.j * inverse(p))
+
+
+FLAT = list(_flat_pairs())
+ALL = FLAT + list(_conjugated_pairs())
+
+
+def _assert_same_rows(new, old):
+    assert new == old
+    # dict equality ignores order; the key order of every row must match too
+    assert [list(row) for row in new] == [list(row) for row in old]
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+def test_inputs_cover_dense_structures_and_cancelling_rows():
+    dense = [acs for label, _, acs in ALL if label.endswith(("transported", "conjugated"))]
+    assert dense and all(all(acs.j.entry(r, c) for r in range(acs.dim) for c in range(acs.dim)) for acs in dense)
+    # an anticommutation row where J_bb and J_aa meet at key a n + b
+    assert any(
+        acs.j.entry(a, a) and acs.j.entry(b, b) and (acs.j.entry(b, b) + acs.j.entry(a, a)) == 0
+        for _, _, acs in ALL
+        for a in range(acs.dim)
+        for b in range(acs.dim)
+    )
+    assert all(is_qk_chern_flat(g, acs) and is_two_step(g) for _, g, acs in FLAT)
+    assert not any(is_qk_chern_flat(g, acs) for label, g, acs in ALL if "conjugated" in label)
+
+
+@pytest.mark.parametrize("label, g, acs", ALL, ids=[label for label, _, _ in ALL])
+def test_rows_match_the_dense_oracle(label, g, acs):
+    _assert_same_rows(list(_equation_rows(g, acs)), _oracle_equation_rows(g, acs))
+
+
+@pytest.mark.parametrize("label, g, acs", FLAT, ids=[label for label, _, _ in FLAT])
+def test_deformation_space_matches_the_dense_oracle(label, g, acs):
+    assert deformation_space(g, acs) == _oracle_deformation_space(g, acs)
+    sparse = [{k: c for k, c in enumerate(v) if c} for v in _oracle_inner_vectors(g)]
+    assert [list(v.items()) for v in _inner_vectors(g)] == [list(v.items()) for v in sparse]
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [GaussianRational(Fraction(1, 3)), GaussianRational(0, Fraction(1, 5)), GaussianRational(Fraction(-2, 7), 3)],
+    ids=["real", "imaginary", "complex"],
+)
+@pytest.mark.parametrize("name", ["iwasawa_j3", "dim5_irreducible", "centro1_model(2)"])
+def test_a_tampered_vector_or_row_fails_both_checks(name, delta):
+    entry = catalog(name)
+    g, acs = entry.algebra, entry.acs
+    rows = list(_equation_rows(g, acs))
+    vectors = _inner_vectors(g)
+    dense = _oracle_inner_vectors(g)
+    assert list(_checked_rows(rows, vectors)) == rows
+    _oracle_check(rows, dense)
+
+    # one entry of one inner vector, at a key that some row reads
+    t, key = next((t, key) for t, vec in enumerate(vectors) for key in vec if any(key in row for row in rows))
+    bad_vectors = [dict(vec) for vec in vectors]
+    bad_vectors[t][key] = vectors[t][key] + delta
+    bad_dense = list(dense)
+    bad_dense[t] = tuple(c + delta if k == key else c for k, c in enumerate(dense[t]))
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        list(_checked_rows(rows, bad_vectors))
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        _oracle_check(rows, bad_dense)
+
+    # one entry of one row, at a key that some inner vector holds
+    r, key = next((r, key) for r, row in enumerate(rows) for key in row if any(key in vec for vec in vectors))
+    bad_rows = [dict(row) for row in rows]
+    bad_rows[r][key] = rows[r][key] + delta
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        list(_checked_rows(bad_rows, vectors))
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        _oracle_check(bad_rows, dense)
+
+
+def test_deformation_space_substitutes_every_inner_direction(monkeypatch):
+    # every flattened key lies in some anticommutation row, since no column of J is zero
+    entry = catalog("iwasawa_j3")
+    sweep = deform._inner_vectors
+
+    def tampered(g):
+        vectors = sweep(g)
+        key = next(iter(vectors[-1]))
+        vectors[-1][key] = vectors[-1][key] + GaussianRational(0, 1)
+        return vectors
+
+    monkeypatch.setattr(deform, "_inner_vectors", tampered)
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        deformation_space(entry.algebra, entry.acs)

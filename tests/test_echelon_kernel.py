@@ -327,7 +327,7 @@ PAIRS = list(_structured_pairs())
 @pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
 def test_deformation_systems_match_the_fraction_oracle(label, g, acs):
     n = g.dim
-    rows = _equation_rows(g, acs)
+    rows = list(_equation_rows(g, acs))
     oracle = _FractionEchelon(n * n)
     for row in rows:
         oracle.add(row)

@@ -8,6 +8,7 @@ from chernflat.scalars import (
     I,
     ONE,
     ZERO,
+    accumulate,
     format_rational,
     format_scalar,
     gaussian,
@@ -97,3 +98,21 @@ def test_rational_helpers():
     assert format_rational(Fraction(4, 2)) == "2"
     with pytest.raises(ValueError):
         parse_rational("1+i")
+
+
+def test_accumulate_drops_cancelled_keys_and_shares_new_values():
+    acc: dict = {}
+    half = Fraction(1, 2)
+    accumulate(acc, "a", half)
+    accumulate(acc, "b", Fraction(1))
+    assert acc["a"] is half
+    accumulate(acc, "a", -half)
+    assert acc == {"b": 1}
+    accumulate(acc, "c", Fraction(0))
+    assert acc == {"b": 1}
+    # a cancelled key that comes back is inserted again at the end
+    accumulate(acc, "a", Fraction(3))
+    assert list(acc.items()) == [("b", 1), ("a", 3)]
+    acc = {0: GaussianRational(2)}
+    accumulate(acc, 0, I)
+    assert type(acc[0]) is GaussianRational and acc[0] == GaussianRational(2, 1)

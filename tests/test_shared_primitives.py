@@ -102,6 +102,31 @@ def test_ad_rejects_wrong_length():
         catalog("heisenberg3").algebra.ad([ONE, ZERO])
 
 
+def _structures() -> list:
+    """The standard J in dimensions 2..8, and P J P^-1 for dense rational P."""
+    out = [AlmostComplexStructure.standard(n) for n in (2, 4, 6, 8)]
+    for seed in range(4):
+        j = out[seed].j
+        p = random_invertible(j.rows, random.Random(3000 + seed), complex_entries=False, span=2)
+        out.append(AlmostComplexStructure(p * j * inverse(p)))
+    return out
+
+
+STRUCTURES = _structures()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_apply_matches_the_dense_matvec(data):
+    acs = data.draw(st.sampled_from(STRUCTURES))
+    entry = st.builds(GaussianRational, _rationals, _rationals) | st.just(ZERO)
+    v = data.draw(st.lists(entry, min_size=acs.dim, max_size=acs.dim))
+    assert acs.apply(v) == acs.j.matvec(v)
+    assert all(type(x) is GaussianRational for x in acs.apply(v))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        acs.apply(v[1:])
+
+
 # -- oracle: dense basis-pair loops over LieAlgebra.bracket -------------------
 
 
