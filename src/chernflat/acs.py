@@ -6,6 +6,11 @@ carries the complexified structure constants organized by type sector, which
 drives every flatness criterion in this package.  Each criterion that admits
 two independent characterizations evaluates both and insists they agree; a
 disagreement raises immediately instead of returning a guess.
+
+Under the quasi-Kaehler sector shape the pair is determined by its
+holomorphic constants.  They have one type, AdaptedConstants, which a
+splitting builds once (ComplexSplitting.holomorphic) and which frame
+changes (reframed_constants) and the normal forms read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "AdaptedConstants",
     "AlmostComplexStructure",
     "ComplexSplitting",
+    "SectorShapeError",
     "Verdict",
     "split",
     "nijenhuis",
@@ -97,6 +103,14 @@ class Verdict:
         return self.ok
 
 
+class SectorShapeError(ValueError):
+    """A pair without the quasi-Kaehler sector shape; witness locates the failure."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"adapted constants need the quasi-Kaehler sector shape; witness {witness}")
+
+
 class ComplexSplitting:
     """Eigenspace data of (g, J): frames, sectors, complexified constants.
 
@@ -118,7 +132,7 @@ class ComplexSplitting:
 
     __slots__ = (
         "g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants",
-        "_dtheta", "_ad_j", "_chern_flat",
+        "_dtheta", "_ad_j", "_chern_flat", "_holomorphic",
     )
 
     def __init__(self, g: LieAlgebra, acs: AlmostComplexStructure):
@@ -171,6 +185,7 @@ class ComplexSplitting:
         self._dtheta = None
         self._ad_j = None
         self._chern_flat = None
+        self._holomorphic = None
 
         if any(acs.apply(z) != tuple(I * c for c in z) for z in onezero):
             raise AssertionError("eigenvector check failed: J Z != i Z")
@@ -196,10 +211,6 @@ class ComplexSplitting:
 
     # -- sector views --------------------------------------------------------
 
-    def c_pp(self, a: int, b: int) -> tuple:
-        """[Z_a, Z_b] in combined coordinates (antisymmetric in a, b)."""
-        return self.combined_bracket(a, b)
-
     def c_pp_01(self, a: int, b: int) -> tuple:
         """(0,1)-components of [Z_a, Z_b]: the coefficients on conj Z_k."""
         return self.combined_bracket(a, b)[self.m :]
@@ -210,9 +221,6 @@ class ComplexSplitting:
     def c_pm(self, a: int, bbar: int) -> tuple:
         """[Z_a, conj Z_bbar] in combined coordinates."""
         return self.combined_bracket(a, self.m + bbar)
-
-    def c_mm(self, abar: int, bbar: int) -> tuple:
-        return self.combined_bracket(self.m + abar, self.m + bbar)
 
     def sector_relations_qk(self) -> Verdict:
         """Mixed sector vanishes and (1,0)x(1,0) brackets land in (0,1)."""
@@ -226,6 +234,21 @@ class ComplexSplitting:
                 if any(self.c_pp_10(a, b)):
                     return Verdict(False, ("holomorphic-component", a, b))
         return Verdict(True)
+
+    def holomorphic(self) -> "AdaptedConstants":
+        """The holomorphic constants of the pair, built on the first call and kept.
+
+        Raises SectorShapeError without the quasi-Kaehler sector shape; the
+        AdaptedConstants constructor checks the closure relations.
+        """
+        if self._holomorphic is None:
+            qk = self.sector_relations_qk()
+            if not qk:
+                raise SectorShapeError(qk.witness)
+            m = self.m
+            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+            self._holomorphic = AdaptedConstants(m, {p: dict(enumerate(self.c_pp_01(*p))) for p in pairs})
+        return self._holomorphic
 
 
 _HALF = Fraction(1, 2)
@@ -322,21 +345,19 @@ def split(g: LieAlgebra, acs: AlmostComplexStructure) -> ComplexSplitting:
     return ComplexSplitting(g, acs)
 
 
-def _closure_defect(c, pairs) -> Optional[tuple]:
+def _closure_defect(c: "AdaptedConstants") -> Optional[tuple]:
     """First (i, j, k, l) with sum_r c_ij^rbar conj(c_rk^lbar) != 0, else None.
 
-    c is a ComplexSplitting or an AdaptedConstants (anything with m and
-    c_pp_01); pairs lists the (i, j) to test, in the order they are tested.
-    The sum is the coefficient of Z_l in [[Z_i, Z_j], conj Z_k].  Under the
-    quasi-Kaehler sector shape it is the whole Jacobi sum of that triple, and
-    its vanishing for all indices says [[g, g], g] = 0.
+    The (i, j) run over the nonzero rows of c in table order.  The sum is the
+    coefficient of Z_l in [[Z_i, Z_j], conj Z_k].  Under the quasi-Kaehler
+    sector shape it is the whole Jacobi sum of that triple, and its vanishing
+    for all indices says [[g, g], g] = 0.
     """
     m = c.m
     conj_rows = [
         [tuple(x.conjugate() for x in c.c_pp_01(r, k)) for k in range(m)] for r in range(m)
     ]
-    for i, j in pairs:
-        cij = c.c_pp_01(i, j)
+    for (i, j), cij in c._rows.items():
         nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
         for k in range(m):
             for l in range(m):
@@ -350,14 +371,38 @@ def _closure_defect(c, pairs) -> Optional[tuple]:
     return None
 
 
+def _validated_table(m: int, table: Mapping) -> dict:
+    """Copy of {(i, j): {k: coeff}} with GaussianRational coefficients and no zeros.
+
+    Keys must satisfy 0 <= i < j < m and targets 0 <= k < m; rows keep the
+    order of the input.
+    """
+    out = {}
+    for (i, j), row in table.items():
+        if not (0 <= i < j < m):
+            raise ValueError(f"constants key ({i}, {j}) must satisfy 0 <= i < j < m")
+        vec = {}
+        for k, c in row.items():
+            if not 0 <= k < m:
+                raise ValueError(f"constants target index {k} out of range")
+            c = gaussian(c)
+            if c:
+                vec[k] = c
+        if vec:
+            out[(i, j)] = vec
+    return out
+
+
 class AdaptedConstants:
     """Holomorphic-sector structure constants, detached from the real algebra.
 
     For a pair with the quasi-Kaehler sector shape the only nonzero constants
     are the coefficients of [Z_i, Z_j] on the conjugate frame, so this table
-    determines the pair completely.  Frame changes and normal-form reductions
-    accept it in place of a full splitting, which keeps repeated reframing
-    loops cheap: no doubled real algebra is rebuilt along the way.
+    determines the pair completely.  It is the one input type of frame
+    changes (reframed_constants) and normal-form reductions, which keeps
+    repeated reframing loops cheap: no doubled real algebra is rebuilt along
+    the way.  A splitting gives its constants through
+    ComplexSplitting.holomorphic().
 
     The quadratic closure relations (the Jacobi identity specialized to this
     shape) are enforced eagerly; tables violating them are rejected.
@@ -366,26 +411,17 @@ class AdaptedConstants:
     __slots__ = ("m", "_rows", "_full")
 
     def __init__(self, m: int, table: Mapping):
-        self._install(m, table)
-        bad = _closure_defect(self, self._rows)
+        rows = _validated_table(m, table).items()
+        self._fill(m, {key: tuple(row.get(k, ZERO) for k in range(m)) for key, row in rows})
+        bad = _closure_defect(self)
         if bad is not None:
             raise ValueError(
                 "constants violate the quadratic closure relations at "
                 f"(i, j, k, l) = {bad}; no Lie algebra has this adapted table"
             )
 
-    def _install(self, m: int, table: Mapping):
-        rows = {}
-        for (i, j), row in table.items():
-            if not (0 <= i < j < m):
-                raise ValueError(f"constants key ({i}, {j}) must satisfy 0 <= i < j < m")
-            vec = [ZERO] * m
-            for k, c in row.items():
-                if not 0 <= k < m:
-                    raise ValueError(f"constants target index {k} out of range")
-                vec[k] = gaussian(c)
-            if any(vec):
-                rows[(i, j)] = tuple(vec)
+    def _fill(self, m: int, rows: dict):
+        """Keep the nonzero rows {(i, j): m-tuple} and the antisymmetric m x m lookup."""
         zero_row = tuple([ZERO] * m)
         full = [[zero_row] * m for _ in range(m)]
         for (i, j), vec in rows.items():
@@ -395,41 +431,9 @@ class AdaptedConstants:
         self._rows = rows
         self._full = full
 
-    @classmethod
-    def from_splitting(cls, s: ComplexSplitting) -> "AdaptedConstants":
-        qk = s.sector_relations_qk()
-        if not qk:
-            raise ValueError(
-                f"adapted constants need the quasi-Kaehler sector shape; witness {qk.witness}"
-            )
-        m = s.m
-        table = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                row = {k: c for k, c in enumerate(s.c_pp_01(a, b)) if c}
-                if row:
-                    table[(a, b)] = row
-        return cls(m, table)
-
-    @classmethod
-    def reframed(cls, base: "AdaptedConstants", frame: ExactMatrix) -> "AdaptedConstants":
-        """The same pair expressed in the holomorphic frame W = Z.frame.
-
-        An invertible frame change preserves the closure relations, so the
-        result inherits validity from base and the quadratic check is not
-        repeated; this keeps long scramble/reduce loops cheap.
-        """
-        if not isinstance(base, AdaptedConstants):
-            raise TypeError("reframed expects an AdaptedConstants base")
-        out = object.__new__(cls)
-        out._install(base.m, reframed_constants(base, frame))
-        return out
-
     def c_pp_01(self, a: int, b: int) -> tuple:
+        """The coefficients of [Z_a, Z_b] on conj Z_0..conj Z_{m-1}."""
         return self._full[a][b]
-
-    def sector_relations_qk(self) -> Verdict:
-        return Verdict(True)
 
     def table(self) -> dict:
         """Plain {(i, j): {k: coeff}} copy of the nonzero constants."""
@@ -595,37 +599,41 @@ def two_step_certificate(s: ComplexSplitting) -> bool:
     """Quadratic vanishing certificate for 2-step nilpotency.
 
     For each (i, j, k, l) the contraction over r of c_{ij}^{rbar} with the
-    conjugate constants c_{rbar kbar}^{l} must vanish; the verdict is
-    cross-checked against the lower central series of the real algebra.
+    conjugate constants c_{rbar kbar}^{l} must vanish: these are the closure
+    relations that s.holomorphic() checks when it builds the constants.  The
+    verdict is cross-checked against the lower central series of the real
+    algebra.  Raises SectorShapeError without the quasi-Kaehler sector shape.
     """
-    qk = s.sector_relations_qk()
-    if not qk:
-        raise ValueError(f"certificate requires quasi-Kaehler sector relations; witness {qk.witness}")
-    m = s.m
-    relations = _closure_defect(s, ((i, j) for i in range(m) for j in range(i + 1, m))) is None
+    try:
+        s.holomorphic()
+        relations = True
+    except SectorShapeError:
+        raise
+    except ValueError:
+        # the constructor rejected the table: the closure relations fail
+        relations = False
     series_two_step = is_two_step(s.g)
     if relations != series_two_step:
         raise AssertionError("quadratic certificate and lower central series disagree")
     return relations and series_two_step
 
 
-def reframed_constants(s, frame: ExactMatrix) -> dict:
-    """Holomorphic-sector constants after the (1,0)-frame change W = Z.frame.
+def reframed_constants(c: AdaptedConstants, frame: ExactMatrix) -> AdaptedConstants:
+    """The holomorphic constants after the (1,0)-frame change W = Z.frame.
 
     frame is an invertible m x m matrix whose column i expresses the new
-    frame vector W_i in terms of the current holomorphic frame.  s may be a
-    ComplexSplitting or an AdaptedConstants table.  Requires the quasi-Kaehler
-    sector shape, so the only data is [W_i, W_j] expressed on the conjugate
-    frame; returns {(i, j): {k: coeff}} for i < j.
+    frame vector W_i in terms of the current holomorphic frame; the result
+    holds [W_i, W_j] expressed on the conjugate frame.  An invertible frame
+    change preserves the closure relations, so the result is not checked
+    against them again.
     """
-    qk = s.sector_relations_qk()
-    if not qk:
-        raise ValueError("frame change of holomorphic constants requires quasi-Kaehler sector shape")
-    m = s.m
+    if not isinstance(c, AdaptedConstants):
+        raise TypeError("reframed_constants expects an AdaptedConstants table")
+    m = c.m
     if frame.rows != m or frame.cols != m:
         raise ValueError("frame matrix must be m x m")
     g_inv = inverse(frame.conj())
-    rows = [[s.c_pp_01(a, b) for b in range(m)] for a in range(m)]
+    rows = c._full
     cols = [[frame.entry(a, i) for a in range(m)] for i in range(m)]
     out = {}
     for i in range(m):
@@ -649,14 +657,15 @@ def reframed_constants(s, frame: ExactMatrix) -> dict:
                     for k in range(m):
                         if cab[k]:
                             tmp[k] = tmp[k] + coeff * cab[k]
-            vec = {}
+            vec = [ZERO] * m
             for l in range(m):
                 acc = ZERO
                 for k in range(m):
                     if tmp[k]:
                         acc = acc + g_inv.entry(l, k) * tmp[k]
-                if acc:
-                    vec[l] = acc
-            if vec:
-                out[(i, j)] = vec
-    return out
+                vec[l] = acc
+            if any(vec):
+                out[(i, j)] = tuple(vec)
+    reframed = object.__new__(AdaptedConstants)
+    reframed._fill(m, out)
+    return reframed

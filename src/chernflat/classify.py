@@ -1,8 +1,9 @@
 """Normal forms and frame-independent invariants for flat two-step pairs.
 
-The classification machinery works on the holomorphic frame of a splitting
-with the quasi-Kaehler sector shape.  Two families admit constructive normal
-forms:
+The classification machinery works on the holomorphic constants of a pair
+with the quasi-Kaehler sector shape: an AdaptedConstants table, which a
+splitting gives through ComplexSplitting.holomorphic().  Two families admit
+constructive normal forms:
 
   * complex dimension 4: every such non-abelian pair can be reframed so the
     only constant is c_{12} = 1 on the third conjugate direction (a counting
@@ -21,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .acs import AdaptedConstants, AlmostComplexStructure, ComplexSplitting, reframed_constants, split
+from .acs import (
+    AdaptedConstants,
+    AlmostComplexStructure,
+    ComplexSplitting,
+    SectorShapeError,
+    reframed_constants,
+    split,
+)
 from .lie import LieAlgebra, center, derived_subalgebra, is_two_step, lower_central_series
 from .linalg import Echelon, ExactMatrix, inverse, kernel_basis, kernel_from_rows, random_invertible, rank
 from .scalars import GaussianRational, ONE, ZERO, gaussian
@@ -155,9 +163,9 @@ def skew_to_all_ones(omega: ExactMatrix) -> ExactMatrix:
 # -- center computations -----------------------------------------------------
 
 
-def _holomorphic_center_kernel(s: ComplexSplitting):
+def _holomorphic_center_kernel(c: AdaptedConstants):
     """Kernel vectors of a -> [sum a_i Z_i, Z_j] over all (j, target)."""
-    m = s.m
+    m = c.m
     rows = []
     for j in range(m):
         for k in range(m):
@@ -165,9 +173,9 @@ def _holomorphic_center_kernel(s: ComplexSplitting):
             for i in range(m):
                 if i == j:
                     continue
-                c = s.c_pp_01(i, j)[k]
-                if c:
-                    row[i] = c
+                x = c.c_pp_01(i, j)[k]
+                if x:
+                    row[i] = x
             if row:
                 rows.append(row)
     return kernel_from_rows(m, rows)
@@ -186,12 +194,10 @@ def complex_center_dimension(s: ComplexSplitting) -> int:
 
     Computed from the holomorphic-frame kernel and cross-checked against the
     real center intersected with its image under the structure; the two
-    methods must agree.
+    methods must agree.  Raises SectorShapeError without the quasi-Kaehler
+    sector shape.
     """
-    qk = s.sector_relations_qk()
-    if not qk:
-        raise ValueError("holomorphic center computation requires the quasi-Kaehler sector shape")
-    kern = _holomorphic_center_kernel(s)
+    kern = _holomorphic_center_kernel(s.holomorphic())
     z_real = center(s.g)
     j_images = [s.acs.apply(v) for v in z_real.basis]
     inter = _intersection_dim(z_real.basis, j_images)
@@ -203,55 +209,45 @@ def complex_center_dimension(s: ComplexSplitting) -> int:
 # -- dimension-4 normal form -------------------------------------------------
 
 
-def _frame_rank(cols) -> int:
-    return rank(ExactMatrix.from_columns([list(c) for c in cols]))
+def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
+    """Reframe the constants of a non-abelian flat two-step pair of complex dimension 4.
 
-
-def dim4_normal_form(s) -> NormalFormResult:
-    """Reframe a non-abelian flat two-step pair of complex dimension 4.
-
-    s may be a ComplexSplitting or an AdaptedConstants table.  Output
-    constants are exactly {(0, 1): {2: 1}}: one bracket, coefficient one,
-    landing on the third conjugate direction, fourth direction central.
+    Output constants are exactly {(0, 1): {2: 1}}: one bracket, coefficient
+    one, landing on the third conjugate direction, fourth direction central.
     """
-    if s.m != 4:
+    if c.m != 4:
         raise NormalFormError("this normal form applies to complex dimension 4")
-    if not s.sector_relations_qk():
-        raise NormalFormError("normal form requires the quasi-Kaehler sector shape")
-    if isinstance(s, ComplexSplitting) and not is_two_step(s.g):
-        raise NormalFormError("normal form requires a two-step algebra")
-    view = s if isinstance(s, AdaptedConstants) else AdaptedConstants.from_splitting(s)
     m = 4
     nonzero = []
     for i in range(m):
         for j in range(i + 1, m):
-            vec = view.c_pp_01(i, j)
+            vec = c.c_pp_01(i, j)
             if any(vec):
                 nonzero.append(((i, j), vec))
     if not nonzero:
         raise NormalFormError("abelian algebra has no normal form in this family")
 
-    conj_images = [[c.conjugate() for c in vec] for _, vec in nonzero]
+    conj_images = [[x.conjugate() for x in vec] for _, vec in nonzero]
     if rank(ExactMatrix.from_columns(conj_images)) != 1:
         raise NormalFormError("bracket image spans more than one direction; preconditions violated")
 
     (i, j), vec = nonzero[0]
     w1 = [ONE if t == i else ZERO for t in range(m)]
     w2 = [ONE if t == j else ZERO for t in range(m)]
-    w3 = [c.conjugate() for c in vec]
+    w3 = [x.conjugate() for x in vec]
     fourth = None
     for r in range(m):
         if r in (i, j):
             continue
         cand = [ONE if t == r else ZERO for t in range(m)]
-        if _frame_rank([w1, w2, w3, cand]) == 4:
+        if rank(ExactMatrix.from_columns([w1, w2, w3, cand])) == 4:
             fourth = cand
             break
     if fourth is None:
         raise AssertionError("could not complete the frame; central direction missing")
 
     frame0 = ExactMatrix.from_columns([w1, w2, w3, fourth])
-    inter = AdaptedConstants.reframed(view, frame0)
+    inter = reframed_constants(c, frame0)
     c0 = inter.table()
     if c0.get((0, 1)) != {2: ONE}:
         raise AssertionError("conjugate-image substitution did not normalize the leading bracket")
@@ -270,7 +266,7 @@ def dim4_normal_form(s) -> NormalFormResult:
     ]
     shear_mat = ExactMatrix(shear)
     frame = frame0 * shear_mat
-    final = AdaptedConstants.reframed(inter, shear_mat).table()
+    final = reframed_constants(inter, shear_mat).table()
     if final != {(0, 1): {2: ONE}}:
         raise AssertionError("final constants do not match the normal form target")
     return NormalFormResult("dim4", frame, final, {})
@@ -279,31 +275,30 @@ def dim4_normal_form(s) -> NormalFormResult:
 # -- center-one normal form --------------------------------------------------
 
 
-def center_one_normal_form(s) -> NormalFormResult:
-    """Reframe a flat two-step pair whose complex center has dimension 1.
+def center_one_normal_form(c: AdaptedConstants) -> NormalFormResult:
+    """Reframe the constants of a flat two-step pair whose complex center has dimension 1.
 
-    s may be a ComplexSplitting or an AdaptedConstants table.  Output
-    constants are exactly {(i, j): {n-1: 1}} for all i < j < n-1: every pair
-    of the 2k non-central directions brackets onto the last conjugate
-    direction with coefficient one.
+    Output constants are exactly {(i, j): {n-1: 1}} for all i < j < n-1:
+    every pair of the 2k non-central directions brackets onto the last
+    conjugate direction with coefficient one.
     """
-    if not s.sector_relations_qk():
-        raise NormalFormError("normal form requires the quasi-Kaehler sector shape")
-    if isinstance(s, ComplexSplitting) and not is_two_step(s.g):
-        raise NormalFormError("normal form requires a two-step algebra")
-    view = s if isinstance(s, AdaptedConstants) else AdaptedConstants.from_splitting(s)
-    m = s.m
-    kern = _holomorphic_center_kernel(view)
+    kern = _holomorphic_center_kernel(c)
     if len(kern) != 1:
         raise NormalFormError(
             f"complex center dimension is {len(kern)}, this normal form needs exactly 1"
         )
-    gen = list(kern[0])
-    lead = next(t for t, c in enumerate(gen) if c)
-    gen = [c / gen[lead] for c in gen]
+    return _center_one_normal_form(c, kern[0])
+
+
+def _center_one_normal_form(c: AdaptedConstants, center_vector) -> NormalFormResult:
+    """center_one_normal_form, given the vector spanning the holomorphic center."""
+    m = c.m
+    gen = list(center_vector)
+    lead = next(t for t, x in enumerate(gen) if x)
+    gen = [x / gen[lead] for x in gen]
 
     ech = Echelon(m)
-    ech.add({t: c for t, c in enumerate(gen) if c})
+    ech.add({t: x for t, x in enumerate(gen) if x})
     complement = []
     for t in range(m):
         if len(complement) == m - 1:
@@ -314,7 +309,7 @@ def center_one_normal_form(s) -> NormalFormResult:
         raise AssertionError("could not complete the center generator to a frame")
 
     frame0 = ExactMatrix.from_columns(complement + [gen])
-    inter = AdaptedConstants.reframed(view, frame0)
+    inter = reframed_constants(c, frame0)
     omega_entries = [[ZERO] * (m - 1) for _ in range(m - 1)]
     for (a, b), row in inter.table().items():
         if m - 1 in (a, b):
@@ -336,7 +331,7 @@ def center_one_normal_form(s) -> NormalFormResult:
     ]
     block_mat = ExactMatrix(block)
     frame = frame0 * block_mat
-    final = AdaptedConstants.reframed(inter, block_mat).table()
+    final = reframed_constants(inter, block_mat).table()
     target = {(a, b): {m - 1: ONE} for a in range(m - 1) for b in range(a + 1, m - 1)}
     if final != target:
         raise AssertionError("final constants do not match the normal form target")
@@ -346,18 +341,21 @@ def center_one_normal_form(s) -> NormalFormResult:
 def normal_form(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> NormalFormResult:
     """Dispatch to the applicable normal form; raises NormalFormError outside."""
     s = s or split(g, acs)
-    if not s.sector_relations_qk():
-        raise NormalFormError("normal forms require the quasi-Kaehler sector shape")
+    try:
+        c = s.holomorphic()
+    except SectorShapeError:
+        raise NormalFormError("normal forms require the quasi-Kaehler sector shape") from None
     if g.is_abelian():
         raise NormalFormError("abelian algebras are their own normal form; nothing to do")
-    if s.m == 4:
-        return dim4_normal_form(s)
-    kern = _holomorphic_center_kernel(s)
-    if len(kern) == 1:
-        return center_one_normal_form(s)
-    raise NormalFormError(
-        f"no constructive normal form for complex dimension {s.m} with complex center dimension {len(kern)}"
-    )
+    if c.m != 4:
+        kern = _holomorphic_center_kernel(c)
+        if len(kern) != 1:
+            raise NormalFormError(
+                f"no constructive normal form for complex dimension {c.m} with complex center dimension {len(kern)}"
+            )
+    if not is_two_step(g):
+        raise NormalFormError("normal form requires a two-step algebra")
+    return dim4_normal_form(c) if c.m == 4 else _center_one_normal_form(c, kern[0])
 
 
 # -- invariants --------------------------------------------------------------
@@ -422,21 +420,20 @@ def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng, span:
     the new pair is isomorphic to the input through it.  Requires the
     quasi-Kaehler sector shape.
     """
-    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs), rng, span)
+    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng, span)
     return g2, acs2, frame
 
 
-def _scrambled_copy(c, rng, span: int = 2):
+def _scrambled_copy(c: AdaptedConstants, rng, span: int = 2):
     """random_frame_scramble from the holomorphic constants c of the input.
 
-    c is a ComplexSplitting or an AdaptedConstants table.  Returns
-    (g2, acs2, s2, frame), where s2 is the splitting of the rebuilt pair that
-    the round-trip assertion checked, so a caller can reuse it.
+    Returns (g2, acs2, s2, frame), where s2 is the splitting of the rebuilt
+    pair that the round-trip assertion checked, so a caller can reuse it.
     """
     from .constructions import _assert_round_trip, from_holomorphic_constants
 
     frame = random_invertible(c.m, rng, complex_entries=True, span=span)
-    constants = reframed_constants(c, frame)
+    constants = reframed_constants(c, frame).table()
     g2, acs2 = from_holomorphic_constants(c.m, constants, check=False)
     s2 = split(g2, acs2)
     _assert_round_trip(s2, constants)

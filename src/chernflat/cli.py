@@ -10,12 +10,13 @@ unknown catalog names, malformed arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from .acs import (
-    AdaptedConstants,
+    SectorShapeError,
     check_center_j_invariant,
     is_chern_flat,
     is_qk_chern_flat,
@@ -150,7 +151,7 @@ def _cmd_normal_form(args) -> int:
         # A trial reads only the holomorphic constants of the input; keeping
         # those instead of the real algebra and its splitting lowers the peak
         # memory while a trial's rebuilt copy is alive.
-        constants = AdaptedConstants.from_splitting(s)
+        constants = s.holomorphic()
         del g, acs, s
         rng = random.Random(args.seed)
         for _ in range(args.trials):
@@ -221,6 +222,13 @@ def _cmd_lemma(args) -> int:
         return 1
     try:
         report = coupled_two_form_solutions(split(g, acs))
+    except SectorShapeError as exc:
+        print(
+            "error: coupled system requires quasi-Kaehler sector relations; "
+            f"witness {_witness_text(exc.witness)}",
+            file=sys.stderr,
+        )
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -341,7 +349,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="chernflat",
         description="Exact computations for algebras with almost complex structures.",

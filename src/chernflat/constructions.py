@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .acs import AlmostComplexStructure, ComplexSplitting, split
+from .acs import AlmostComplexStructure, ComplexSplitting, SectorShapeError, _validated_table, split
 from .lie import LieAlgebra
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, ONE, ZERO, accumulate, gaussian
@@ -87,40 +87,18 @@ def conjugate_complexification(g: LieAlgebra):
     return _doubling(g, conjugate_scaling=True)
 
 
-def _holomorphic_table(m: int, constants: dict) -> dict:
-    """Validated copy of constants: GaussianRational coefficients, no zeros."""
-    table = {}
-    for (i, j), vec in constants.items():
-        if not (0 <= i < j < m):
-            raise ValueError(f"constant key ({i}, {j}) must satisfy 0 <= i < j < m")
-        row = {}
-        for k, c in vec.items():
-            if not (0 <= k < m):
-                raise ValueError(f"target index {k} out of range")
-            c = gaussian(c)
-            if c:
-                row[k] = c
-        if row:
-            table[(i, j)] = row
-    return table
-
-
-def _assert_round_trip(s: ComplexSplitting, constants: dict) -> None:
+def _assert_round_trip(s: ComplexSplitting, table: dict) -> None:
     """Raise AssertionError unless the splitting s has exactly these constants.
 
-    Every mixed and (1,0) component of s must vanish, and the (0,1)
-    components of [Z_a, Z_b] must equal constants, entry for entry.
+    table is a validated {(i, j): {k: coeff}}.  s must have the
+    quasi-Kaehler sector shape, and its holomorphic constants must equal
+    table, entry for entry.
     """
-    m = s.m
-    recovered = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            vec = {k: c for k, c in enumerate(s.c_pp_01(a, b)) if c}
-            if any(s.c_pp_10(a, b)) or any(s.c_pm(a, b)) or any(s.c_pm(b, a)):
-                raise AssertionError("reconstruction produced unexpected sector components")
-            if vec:
-                recovered[(a, b)] = vec
-    if recovered != _holomorphic_table(m, constants):
+    try:
+        recovered = s.holomorphic()
+    except SectorShapeError:
+        raise AssertionError("reconstruction produced unexpected sector components") from None
+    if recovered.table() != table:
         raise AssertionError("splitting does not reproduce the requested constants")
 
 
@@ -133,7 +111,7 @@ def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
     the constructor) and, when check is set, the splitting of the result is
     asserted to reproduce the input exactly.
     """
-    table = _holomorphic_table(m, constants)
+    table = _validated_table(m, constants)
 
     brackets: dict = {}
 

@@ -388,11 +388,10 @@ def coupled_two_form_solutions(s: ComplexSplitting) -> SolutionReport:
     Unknown coefficients are split into rational real and imaginary parts so
     the conjugate-coupled system is one exact linear system; every solution
     is then audited for d-closedness.  The reported dimension is the real
-    dimension of the solution space.
+    dimension of the solution space.  Raises SectorShapeError without the
+    quasi-Kaehler sector shape.
     """
-    qk = s.sector_relations_qk()
-    if not qk:
-        raise ValueError(f"coupled system requires quasi-Kaehler sector relations; witness {qk.witness}")
+    s.holomorphic()
     m = s.m
     keys20 = list(combinations(range(m), 2))
     unknowns = 2 * len(keys20)

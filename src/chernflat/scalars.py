@@ -227,7 +227,8 @@ def accumulate(acc: dict, key, value) -> None:
 
 # -- text format ------------------------------------------------------------
 
-_RAT = r"\d+(?:/\d+)?"
+# a denominator needs a nonzero digit: "1/0" is a malformed literal
+_RAT = r"\d+(?:/0*[1-9]\d*)?"
 _REAL_RE = _re.compile(rf"^([+-]?{_RAT})$")
 _IMAG_RE = _re.compile(rf"^([+-]?)(?:({_RAT})\*)?i$")
 _BOTH_RE = _re.compile(rf"^([+-]?{_RAT})([+-])(?:({_RAT})\*)?i$")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chernflat.acs import AdaptedConstants, reframed_constants, split
+from chernflat.acs import SectorShapeError, reframed_constants, split
 from chernflat.classify import (
     Fingerprint,
     NormalFormError,
@@ -97,7 +97,7 @@ def test_complex_center_dimension_needs_sector_shape():
 
 def test_dim4_normal_form_fixed_point():
     e = catalog("dim4_model")
-    result = dim4_normal_form(split(e.algebra, e.acs))
+    result = dim4_normal_form(split(e.algebra, e.acs).holomorphic())
     assert result.kind == "dim4"
     assert result.constants == {(0, 1): {2: ONE}}
 
@@ -108,31 +108,35 @@ def test_dim4_normal_form_under_scrambles():
     # a few full-pair rebuilds, then volume at the constants level
     for _ in range(3):
         g2, acs2, _ = random_frame_scramble(e.algebra, e.acs, rng)
-        result = dim4_normal_form(split(g2, acs2))
+        result = dim4_normal_form(split(g2, acs2).holomorphic())
         assert result.constants == {(0, 1): {2: ONE}}
-    base = AdaptedConstants.from_splitting(split(e.algebra, e.acs))
+    base = split(e.algebra, e.acs).holomorphic()
     for _ in range(25):
         f = random_invertible(4, rng, complex_entries=True, span=2)
-        scrambled = AdaptedConstants.reframed(base, f)
+        scrambled = reframed_constants(base, f)
         assert dim4_normal_form(scrambled).constants == {(0, 1): {2: ONE}}
 
 
 def test_dim4_normal_form_rejections():
     e = catalog("iwasawa_j3")
     with pytest.raises(NormalFormError):
-        dim4_normal_form(split(e.algebra, e.acs))
+        dim4_normal_form(split(e.algebra, e.acs).holomorphic())
     ab = catalog("abelian(8)")
     with pytest.raises(NormalFormError):
-        dim4_normal_form(split(ab.algebra, ab.acs))
+        dim4_normal_form(split(ab.algebra, ab.acs).holomorphic())
+    # without the sector shape there are no constants to reduce
     bic = catalog("complex_heisenberg_bicomplex")
-    with pytest.raises(NormalFormError):
-        dim4_normal_form(split(bic.algebra, bic.acs))
+    with pytest.raises(SectorShapeError):
+        split(bic.algebra, bic.acs).holomorphic()
+    # a splitting is not a constants table
+    with pytest.raises(TypeError):
+        dim4_normal_form(split(catalog("dim4_model").algebra, catalog("dim4_model").acs))
 
 
 def test_center_one_normal_form_on_models():
     for k in (1, 2):
         e = catalog(f"centro1_model({k})")
-        result = center_one_normal_form(split(e.algebra, e.acs))
+        result = center_one_normal_form(split(e.algebra, e.acs).holomorphic())
         assert result.kind == "center_one"
         n = 2 * k + 1
         target = {(a, b): {n - 1: ONE} for a in range(n - 1) for b in range(a + 1, n - 1)}
@@ -143,7 +147,7 @@ def test_center_one_normal_form_on_models():
 def test_center_one_normal_form_on_adapted_doubling():
     # complex dimension 3, one bracket of weight 2: rescaling one direction reaches all-ones
     e = catalog("iwasawa_j3")
-    result = center_one_normal_form(split(e.algebra, e.acs))
+    result = center_one_normal_form(split(e.algebra, e.acs).holomorphic())
     assert result.constants == {(0, 1): {2: ONE}}
     from fractions import Fraction
 
@@ -157,18 +161,18 @@ def test_center_one_normal_form_under_scrambles():
     target = {(a, b): {n - 1: ONE} for a in range(n - 1) for b in range(a + 1, n - 1)}
     for _ in range(2):
         g2, acs2, _ = random_frame_scramble(e.algebra, e.acs, rng)
-        assert center_one_normal_form(split(g2, acs2)).constants == target
-    base = AdaptedConstants.from_splitting(split(e.algebra, e.acs))
+        assert center_one_normal_form(split(g2, acs2).holomorphic()).constants == target
+    base = split(e.algebra, e.acs).holomorphic()
     for _ in range(15):
         f = random_invertible(n, rng, complex_entries=True, span=2)
-        scrambled = AdaptedConstants.reframed(base, f)
+        scrambled = reframed_constants(base, f)
         assert center_one_normal_form(scrambled).constants == target
 
 
 def test_center_one_rejects_larger_center():
     e = catalog("dim5_irreducible")
     with pytest.raises(NormalFormError):
-        center_one_normal_form(split(e.algebra, e.acs))
+        center_one_normal_form(split(e.algebra, e.acs).holomorphic())
 
 
 def test_normal_form_dispatcher():
@@ -218,6 +222,6 @@ def test_random_frame_scramble_consistency():
     g2, acs2, frame = random_frame_scramble(e.algebra, e.acs, rng)
     assert rank(frame) == 3
     s = split(e.algebra, e.acs)
-    g3, acs3 = from_holomorphic_constants(3, reframed_constants(s, frame))
+    g3, acs3 = from_holomorphic_constants(3, reframed_constants(s.holomorphic(), frame).table())
     assert g3 == g2
     assert acs3 == acs2

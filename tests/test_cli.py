@@ -1,12 +1,14 @@
+import gc
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
 from chernflat.acs import AlmostComplexStructure
 from chernflat.cli import main
 from chernflat.constructions import catalog
-from chernflat.fileio import dump_model, loads_model
+from chernflat.fileio import dump_model, dumps_model, loads_model
 from chernflat.linalg import ExactMatrix, inverse
 
 
@@ -171,6 +173,11 @@ def test_lemma_output(capsys):
 
     code, _, err = run(capsys, "lemma", "@complex_heisenberg_bicomplex")
     assert code == 1
+    # the library witness is ("holomorphic-component", 0, 1); the CLI shows it 1-based
+    assert err == (
+        "error: coupled system requires quasi-Kaehler sector relations; "
+        "witness ('holomorphic-component', 1, 2)\n"
+    )
 
 
 def test_construct_holomorphic_round_trip(capsys, tmp_path):
@@ -215,6 +222,62 @@ def test_construct_error_cases(capsys):
     code, _, err = run(capsys, "construct", "holomorphic", "2", "--set", "1,2,1:1")
     assert code == 2
     assert "error[jacobi]" in err
+
+
+def _verify_argv(tmp_path, coeff=None, j_entry=None, metric_entry=None):
+    """verify on iwasawa_j3's file, with its first coefficient, J[1][1] or metric H[1][1] replaced."""
+    entry = catalog("iwasawa_j3")
+    obj = json.loads(dumps_model(entry.algebra, entry.acs))
+    if coeff is not None:
+        obj["brackets"][0]["out"][0]["coeff"] = coeff
+    if j_entry is not None:
+        obj["J"][0][0] = j_entry
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    argv = ["verify", str(path)]
+    if metric_entry is not None:
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps([[metric_entry, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+        argv += ["--metric", str(metric)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv, expected",
+    [
+        (lambda tmp: _verify_argv(tmp, coeff="1/0"), "error[coeff]: bad coefficient '1/0'"),
+        (lambda tmp: _verify_argv(tmp, j_entry="1/0"), "error[j-shape]: bad 'J' entry '1/0'"),
+        (lambda tmp: _verify_argv(tmp, metric_entry="1/0"), "error[coeff]: bad metric entry '1/0'"),
+        (lambda tmp: ["construct", "holomorphic", "3", "--set", "1,2,3:1/0"], "error: not an exact scalar literal: '1/0'"),
+    ],
+    ids=["model-coefficient", "j-entry", "metric-entry", "construct-set"],
+)
+def test_zero_denominators_are_input_errors(capsys, tmp_path, make_argv, expected):
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(expected)
+
+
+def test_repeated_calls_retain_no_memory(capsys):
+    # the parser is built once per process; building one per call kept about
+    # 0.3 KB alive per call inside argparse
+    run(capsys, "catalog")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(100):
+            run(capsys, "catalog")
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ignore = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    retained = sum(
+        stat.size_diff for stat in after.filter_traces(ignore).compare_to(before.filter_traces(ignore), "filename")
+    )
+    assert retained < 8 * 1024
 
 
 def test_catalog_listing_and_entry(capsys):

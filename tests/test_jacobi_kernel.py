@@ -229,12 +229,12 @@ def _corrupted(original):
 def test_self_test_round_trip_assertion_catches_a_corrupted_reconstruction(monkeypatch):
     entry = catalog("dim4_model")
     s = split(entry.algebra, entry.acs)
-    g2, acs2, s2, frame = _scrambled_copy(s, random.Random(5))
+    g2, acs2, s2, frame = _scrambled_copy(s.holomorphic(), random.Random(5))
     assert (g2, acs2, frame) == random_frame_scramble(entry.algebra, entry.acs, random.Random(5))
     assert s2.g is g2
 
     monkeypatch.setattr(constructions, "from_holomorphic_constants", _corrupted(from_holomorphic_constants))
     with pytest.raises(AssertionError, match="does not reproduce the requested constants"):
-        _scrambled_copy(s, random.Random(5))
+        _scrambled_copy(s.holomorphic(), random.Random(5))
     with pytest.raises(AssertionError, match="does not reproduce the requested constants"):
         cli.main(["normal-form", "@dim4_model", "--trials", "1"])
