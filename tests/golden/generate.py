@@ -5,19 +5,23 @@ Run from the repository root, against the code whose output is to be pinned:
     PYTHONPATH=src python tests/golden/generate.py
 
 Each case runs ``chernflat.cli.main`` in-process and records its exit code,
-stdout and stderr.  ``cases.json`` lists every case; the stdout of case NAME
+stdout and stderr.  The models are the catalog names below and the model
+files in ``models/`` (written by ``models/build.py``), named by their path
+from the repository root.  ``cases.json`` lists every case; the stdout of case NAME
 is in ``NAME.out``.  ``tests/test_cli.py`` compares the CLI against them.
 """
 
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 
 from chernflat.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
 
 MODELS = [
     "complex_heisenberg_bicomplex",
@@ -40,10 +44,12 @@ COMMANDS = {
 
 
 def cases():
-    for model in MODELS:
+    specs = [(model, "@" + model) for model in MODELS]
+    specs += [(path.stem, path.relative_to(ROOT).as_posix()) for path in sorted((HERE / "models").glob("*.json"))]
+    for model, spec in specs:
         slug = re.sub(r"[^A-Za-z0-9]+", "_", model).strip("_")
         for tag, head in COMMANDS.items():
-            yield f"{slug}.{tag}", [head[0], "@" + model, *head[1:]]
+            yield f"{slug}.{tag}", [head[0], spec, *head[1:]]
 
 
 def run(argv):
@@ -54,6 +60,7 @@ def run(argv):
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     manifest = []
     for name, argv in cases():
         code, out, err = run(argv)

@@ -309,8 +309,10 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["name"] for case in GOLDEN_CASES])
-def test_output_matches_the_golden_files(capsys, case):
-    # tests/golden/generate.py writes these files; see its docstring
+def test_output_matches_the_golden_files(capsys, monkeypatch, case):
+    # tests/golden/generate.py writes these files; see its docstring.  Model
+    # files are named by their path from the repository root.
+    monkeypatch.chdir(GOLDEN.parents[1])
     code, out, err = run(capsys, *case["argv"])
     assert code == case["code"]
     assert err == case["stderr"]
