@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .lie import LieAlgebra, Subspace, center, is_two_step
+from .lie import LieAlgebra, center, is_two_step
 from .linalg import Echelon, ExactMatrix, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, gaussian
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, gaussian
 
 __all__ = [
     "AdaptedConstants",
@@ -125,14 +125,14 @@ class ComplexSplitting:
     R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
     arithmetic, each bracket of the frame is a combination of four B_pq, and
     the (0,1)x(0,1) block is the conjugate of the (1,0)x(1,0) block.  The
-    contraction reads ``g.brackets`` only, never the ``ad`` sweep behind the
-    real-basis checks, so the two sides of every cross-check evaluate
-    brackets by independent code.
+    contraction reads the signed views of ``g`` only, never the ``ad`` sweep
+    behind the real-basis checks, so the two sides of every cross-check
+    evaluate brackets by independent code.
     """
 
     __slots__ = (
         "g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants",
-        "_dtheta", "_ad_j", "_chern_flat", "_holomorphic",
+        "_dtheta", "_ad_j", "_sectors", "_chern_flat", "_holomorphic",
     )
 
     def __init__(self, g: LieAlgebra, acs: AlmostComplexStructure):
@@ -184,6 +184,7 @@ class ComplexSplitting:
         self.combined_inv = ExactMatrix(top + bottom)
         self._dtheta = None
         self._ad_j = None
+        self._sectors = None
         self._chern_flat = None
         self._holomorphic = None
 
@@ -224,16 +225,8 @@ class ComplexSplitting:
 
     def sector_relations_qk(self) -> Verdict:
         """Mixed sector vanishes and (1,0)x(1,0) brackets land in (0,1)."""
-        m = self.m
-        for a in range(m):
-            for b in range(m):
-                if any(self.c_pm(a, b)):
-                    return Verdict(False, ("mixed-bracket", a, b))
-        for a in range(m):
-            for b in range(a + 1, m):
-                if any(self.c_pp_10(a, b)):
-                    return Verdict(False, ("holomorphic-component", a, b))
-        return Verdict(True)
+        mixed, holomorphic, _ = _sector_scan(self)
+        return Verdict(mixed is None and holomorphic is None, mixed or holomorphic)
 
     def holomorphic(self) -> "AdaptedConstants":
         """The holomorphic constants of the pair, built on the first call and kept.
@@ -251,6 +244,30 @@ class ComplexSplitting:
         return self._holomorphic
 
 
+def _sector_scan(s: ComplexSplitting) -> tuple:
+    """(mixed, holomorphic, torsion) from one pass over s.constants, kept on s.
+
+    mixed is the witness ("mixed-bracket", a, b) of the first [Z_a, conj Z_b]
+    != 0 and holomorphic the witness ("holomorphic-component", a, b) of the
+    first a < b with a (1,0)-component in [Z_a, Z_b], or None; torsion is
+    whether some [Z_a, Z_b] has a (0,1)-component.  Keys ascend, so "first"
+    is row-major order.
+    """
+    if s._sectors is None:
+        m = s.m
+        mixed = holomorphic = None
+        torsion = False
+        for (alpha, beta), vec in s.constants.items():
+            if beta < m:
+                if holomorphic is None and any(vec[:m]):
+                    holomorphic = ("holomorphic-component", alpha, beta)
+                torsion = torsion or any(vec[m:])
+            elif alpha < m and mixed is None and any(vec):
+                mixed = ("mixed-bracket", alpha, beta - m)
+        s._sectors = (mixed, holomorphic, torsion)
+    return s._sectors
+
+
 _HALF = Fraction(1, 2)
 
 
@@ -265,7 +282,7 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
     """Constants of the combined frame of R = [x, J x], keyed alpha < beta in order.
 
     B_pq = R^-1 [R_p, R_q] is the sum over i in supp R_p and j in supp R_q of
-    R_ip R_jq [e_i, e_j], read from the sparse table, in rationals.  Then
+    R_ip R_jq [e_i, e_j], read from the signed view full[i][j], in rationals.  Then
     [Z_a, Z_b] = B(a,b) - B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and
     [Z_a, conj Z_b] = B(a,b) + B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with
     B_qp = -B_pq.  An R-coordinate vector w has coefficient (w_k + i w_{m+k}) / 2
@@ -273,7 +290,7 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
     [conj Z_a, conj Z_b] is the conjugate of [Z_a, Z_b] with its halves swapped.
     """
     n = 2 * m
-    brackets = g.brackets
+    full = g.signed_views()[0]
     cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
     inv_cols = [[(s, x.re) for s, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
 
@@ -283,12 +300,9 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
             image = {}
             for i, a in cols[p]:
                 for j, b in cols[q]:
-                    # the table holds [e_i, e_j] for i < j only
-                    vec = brackets.get((i, j) if i < j else (j, i))
-                    if vec:
-                        ab = a * b if i < j else -a * b
-                        for k, c in vec.items():
-                            image[k] = image.get(k, 0) + ab * c.re
+                    ab = a * b
+                    for k, c in full[i][j].items():
+                        image[k] = image.get(k, 0) + ab * c.re
             out = {}
             for k, v in image.items():
                 if v:
@@ -454,11 +468,21 @@ class AdaptedConstants:
 def _ad_j_basis(s: ComplexSplitting) -> list:
     """The columns of ad_{J e_i} for every basis index i: entry [i][j] is [J e_i, e_j].
 
-    Built once per splitting, from the sparse table, and kept on it.
+    Each column is a sparse dict {r: coefficient} in ascending r.  Built once
+    per splitting, by the ad sweep, and kept on it.
     """
     if s._ad_j is None:
-        s._ad_j = [s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim)]
+        sweeps = (s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim))
+        s._ad_j = [[{r: x for r, x in enumerate(col) if x} for col in cols] for cols in sweeps]
     return s._ad_j
+
+
+def _add_j_image(acc: dict, acs: AlmostComplexStructure, vec: dict) -> dict:
+    """Add J vec into the sparse dict acc, for a sparse vector vec; returns acc."""
+    for k, x in vec.items():
+        for r, y in acs._by_col[k]:
+            accumulate(acc, r, y * x)
+    return acc
 
 
 def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> dict:
@@ -470,32 +494,24 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     """
     s = s or split(g, acs)
     n = g.dim
+    full = g.signed_views()[0]
     ad_j = _ad_j_basis(s)
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
             # [J e_i, J e_j] = sum_k J_kj [J e_i, e_k]
-            jj = [ZERO] * n
+            term: dict = {}
             for k, c in acs._by_col[j]:
-                for r, x in enumerate(ad_j[i][k]):
-                    if x:
-                        jj[r] = jj[r] + c * x
+                for r, x in ad_j[i][k].items():
+                    accumulate(term, r, c * x)
+            for k, c in full[i][j].items():
+                accumulate(term, k, -c)
             # [e_i, J e_j] = -[J e_j, e_i], so its J-image enters with a plus sign
-            term = tuple(
-                t - b - jc + jd
-                for t, b, jc, jd in zip(
-                    jj,
-                    g.basis_bracket(i, j),
-                    acs.apply(ad_j[i][j]),
-                    acs.apply(ad_j[j][i]),
-                )
-            )
-            if any(term):
-                values[(i, j)] = term
-    splitting_zero = all(
-        not any(s.c_pp_01(a, b)) for a in range(s.m) for b in range(a + 1, s.m)
-    )
-    if splitting_zero != (not values):
+            _add_j_image(term, acs, ad_j[j][i])
+            _add_j_image(term, acs, {r: -x for r, x in ad_j[i][j].items()})
+            if term:
+                values[(i, j)] = tuple(term.get(r, ZERO) for r in range(n))
+    if _sector_scan(s)[2] == (not values):
         raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
     return values
 
@@ -513,21 +529,15 @@ def is_chern_flat(
     s = s or split(g, acs)
     if s._chern_flat is not None:
         return s._chern_flat
-    verdict_a = Verdict(True)
-    for a in range(s.m):
-        for b in range(s.m):
-            if any(s.c_pm(a, b)):
-                verdict_a = Verdict(False, ("mixed-bracket", a, b))
-                break
-        if not verdict_a:
-            break
+    mixed = _sector_scan(s)[0]
+    verdict_a = Verdict(mixed is None, mixed)
     verdict_b = Verdict(True)
     n = g.dim
     ad_j = _ad_j_basis(s)
     for i in range(n):
         for j in range(i, n):
             # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
-            if any(a != -b for a, b in zip(ad_j[i][j], ad_j[j][i])):
+            if ad_j[i][j] != {r: -x for r, x in ad_j[j][i].items()}:
                 verdict_b = Verdict(False, ("basis-pair", i, j))
                 break
         if not verdict_b:
@@ -567,11 +577,12 @@ def is_qk_chern_flat(
 
     v3 = Verdict(True)
     n = g.dim
+    full = g.signed_views()[0]
     ad_j = _ad_j_basis(s)
     for i in range(n):
         for j in range(n):
-            # J[e_i, e_j] against -[J e_i, e_j]
-            if any(a != -b for a, b in zip(acs.apply(g.basis_bracket(i, j)), ad_j[i][j])):
+            # J[e_i, e_j] + [J e_i, e_j] must vanish
+            if _add_j_image(dict(ad_j[i][j]), acs, full[i][j]):
                 v3 = Verdict(False, ("basis-pair", i, j))
                 break
         if not v3:

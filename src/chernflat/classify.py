@@ -27,6 +27,7 @@ from .acs import (
     AlmostComplexStructure,
     ComplexSplitting,
     SectorShapeError,
+    _sector_scan,
     reframed_constants,
     split,
 )
@@ -397,9 +398,7 @@ def fingerprint(g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) -> 
         return Fingerprint(g.dim, z.dim, d.dim, tuple(t.dim for t in series), meet)
     s = split(g, acs)
     qk = bool(s.sector_relations_qk())
-    torsion_free = all(
-        not any(s.c_pp_01(a, b)) for a in range(s.m) for b in range(a + 1, s.m)
-    )
+    torsion_free = not _sector_scan(s)[2]
     complex_center = complex_center_dimension(s) if qk else None
     return Fingerprint(
         g.dim,

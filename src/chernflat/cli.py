@@ -4,7 +4,8 @@ Subcommands: verify, normal-form, deform, lemma, construct, catalog.
 Models are JSON files or @name catalog references.  Exit codes: 0 when every
 checked predicate holds, 1 when a predicate fails or a computation's
 preconditions are not met, 2 for input errors (unreadable or invalid files,
-unknown catalog names, malformed arguments).
+unknown catalog names, malformed arguments), 3 for an internal inconsistency:
+two characterizations of one property disagree (an AssertionError).
 """
 
 from __future__ import annotations
@@ -420,6 +421,9 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error[internal]: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

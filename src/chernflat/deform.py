@@ -37,20 +37,11 @@ __all__ = [
 def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
     """Yield the sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
 
-    Both conditions are read from sparse views: the nonzero entries of J,
-    full[i][j], the pairs (k, c_ij^k) of [e_i, e_j] in ascending k, and its
-    transpose into[j][k], the pairs (r, c_rj^k) in ascending r.
+    Both conditions are read from sparse views: the nonzero entries of J and
+    the signed views of g, full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
     """
     n = g.dim
-    full = [[[] for _ in range(n)] for _ in range(n)]
-    into = [[[] for _ in range(n)] for _ in range(n)]
-    # pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending r
-    for (i, j), vec in sorted(g.brackets.items()):
-        for k, c in sorted(vec.items()):
-            full[i][j].append((k, c))
-            full[j][i].append((k, -c))
-            into[j][k].append((i, c))
-            into[i][k].append((j, -c))
+    full, into = g.signed_views()
     # anticommutation: (L J + J L)_{ab} = 0
     for a in range(n):
         for b in range(n):
@@ -72,9 +63,9 @@ def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
                 if not bij and not ck:
                     continue
                 row = {}
-                for c, v in bij:
+                for c, v in bij.items():
                     accumulate(row, k * n + c, v)
-                for r, v in ck:
+                for r, v in ck.items():
                     accumulate(row, r * n + i, v)
                 if row:
                     yield row

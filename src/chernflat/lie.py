@@ -1,9 +1,10 @@
 """Finite-dimensional Lie algebras given by exact structure constants.
 
 The bracket tensor is stored sparsely for basis pairs (i, j) with i < j only;
-antisymmetry supplies the rest.  Indices are 0-based throughout the library
-(file formats use 1-based indices and convert at the boundary).  Construction
-eagerly validates the Jacobi identity and reports every violating triple.
+LieAlgebra.signed_views supplies the rest by antisymmetry, once per algebra,
+for every reader.  Indices are 0-based throughout the library (file formats
+use 1-based indices and convert at the boundary).  Construction eagerly
+validates the Jacobi identity and reports every violating triple.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
 class LieAlgebra:
     """A Lie algebra over Q or Q(i), validated at construction time."""
 
-    __slots__ = ("dim", "field", "brackets", "_series", "_center")
+    __slots__ = ("dim", "field", "brackets", "_series", "_center", "_views")
 
     def __init__(self, dim: int, brackets: Mapping, field: str = "Q"):
         if dim < 1:
@@ -84,34 +85,42 @@ class LieAlgebra:
         self.dim = dim
         self.field = field
         self.brackets = table
-        # lower_central_series and center keep their results here
+        # lower_central_series, center and signed_views keep their results here
         self._series = None
         self._center = None
+        self._views = None
         defects = jacobi_defect(dim, table)
         if defects:
             raise JacobiError(defects)
 
     # -- bracket evaluation --------------------------------------------------
 
+    def signed_views(self) -> tuple:
+        """(full, into), built on the first call and kept.
+
+        full[i][j] is {k: c_ij^k} for every ordered pair, c_ji = -c_ij, and
+        into[j][k] is {i: c_ij^k}; both list their keys in ascending order.
+        Read-only: every caller shares them.
+        """
+        if self._views is None:
+            n = self.dim
+            full = [[{} for _ in range(n)] for _ in range(n)]
+            into = [[{} for _ in range(n)] for _ in range(n)]
+            # the pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending i
+            for (i, j), vec in sorted(self.brackets.items()):
+                for k, c in sorted(vec.items()):
+                    full[i][j][k] = into[j][k][i] = c
+                    full[j][i][k] = into[i][k][j] = -c
+            self._views = (full, into)
+        return self._views
+
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, ZERO)
-        return -self.brackets.get((j, i), {}).get(k, ZERO)
+        return self.signed_views()[0][i][j].get(k, ZERO)
 
     def basis_bracket(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coordinate tuple."""
-        out = [ZERO] * self.dim
-        if i == j:
-            return tuple(out)
-        if i < j:
-            for k, c in self.brackets.get((i, j), {}).items():
-                out[k] = c
-        else:
-            for k, c in self.brackets.get((j, i), {}).items():
-                out[k] = -c
-        return tuple(out)
+        vec = self.signed_views()[0][i][j]
+        return tuple(vec.get(k, ZERO) for k in range(self.dim))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the bracket to coordinate vectors."""
@@ -271,25 +280,21 @@ def lower_central_series(g: LieAlgebra) -> list:
     The series is computed once per algebra and kept on it.
     """
     if g._series is None:
-        g._series = _compute_lower_central_series(g)
+        full = [tuple(gaussian(1) if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
+        series = [Subspace(g.dim, full)]
+        current = series[0]
+        while True:
+            # streamed into the echelon, so only one ad_v is held at a time
+            images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
+            nxt = Subspace(g.dim, images)
+            series.append(nxt)
+            if nxt.dim == current.dim:
+                break
+            if nxt.dim == 0:
+                break
+            current = nxt
+        g._series = series
     return list(g._series)
-
-
-def _compute_lower_central_series(g: LieAlgebra) -> list:
-    full = [tuple(gaussian(1) if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
-    series = [Subspace(g.dim, full)]
-    current = series[0]
-    while True:
-        # streamed into the echelon, so only one ad_v is held at a time
-        images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
-        nxt = Subspace(g.dim, images)
-        series.append(nxt)
-        if nxt.dim == current.dim:
-            break
-        if nxt.dim == 0:
-            break
-        current = nxt
-    return series
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -302,22 +307,10 @@ def center(g: LieAlgebra) -> Subspace:
     The center is computed once per algebra and kept on it.
     """
     if g._center is None:
-        g._center = _compute_center(g)
+        # the row (j, k) of the stacked adjoint is into[j][k] = {i: c_ij^k}
+        rows = [row for col in g.signed_views()[1] for row in col if row]
+        g._center = Subspace(g.dim, kernel_from_rows(g.dim, rows))
     return g._center
-
-
-def _compute_center(g: LieAlgebra) -> Subspace:
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            row = {}
-            for i in range(g.dim):
-                c = g.structure_constant(i, j, k)
-                if c:
-                    row[i] = c
-            if row:
-                rows.append(row)
-    return Subspace(g.dim, kernel_from_rows(g.dim, rows))
 
 
 def nilpotency_step(g: LieAlgebra) -> int | None:

@@ -114,6 +114,17 @@ def test_verify_input_error_codes(capsys, tmp_path):
     assert "error[jacobi]" in err
 
 
+def test_internal_inconsistency_exits_with_code_3(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise AssertionError("Chern-flat characterizations disagree; internal inconsistency")
+
+    monkeypatch.setattr("chernflat.cli.is_chern_flat", disagree)
+    code, out, err = run(capsys, "verify", "@iwasawa_j3")
+    assert code == 3
+    assert out == ""
+    assert err == "error[internal]: Chern-flat characterizations disagree; internal inconsistency\n"
+
+
 def test_normal_form_table_and_selftest(capsys):
     code, out, _ = run(capsys, "normal-form", "@dim4_model", "--trials", "3", "--seed", "11")
     assert code == 0

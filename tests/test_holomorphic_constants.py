@@ -7,12 +7,19 @@ and a count of how often a normal-form run builds and checks the constants.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chernflat import acs, cli
 from chernflat.acs import AdaptedConstants, reframed_constants
-from chernflat.classify import NormalFormError, center_one_normal_form, dim4_normal_form
-from chernflat.constructions import catalog
+from chernflat.classify import (
+    NormalFormError,
+    center_one_normal_form,
+    dim4_normal_form,
+    fingerprint,
+    normal_form,
+    random_frame_scramble,
+)
+from chernflat.constructions import catalog, from_holomorphic_constants
 from chernflat.fileio import dump_model
 from chernflat.linalg import ExactMatrix, random_invertible
 from chernflat.scalars import GaussianRational
@@ -82,6 +89,27 @@ def test_dim4_normal_form_is_frame_independent(c, data):
 def test_center_one_normal_form_is_frame_independent(c, data):
     before = _outcome(center_one_normal_form, c)
     assert _outcome(center_one_normal_form, reframed_constants(c, _frame(data, c.m))) == before
+
+
+@settings(max_examples=10, deadline=None)
+@given(two_step_constants(), st.integers(0, 2**32 - 1))
+def test_fingerprint_is_unchanged_by_a_frame_scramble(c, seed):
+    g, j = from_holomorphic_constants(c.m, c.table())
+    g2, j2, _frame = random_frame_scramble(g, j, random.Random(seed))
+    assert fingerprint(g2, j2) == fingerprint(g, j)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 1)]).flatmap(lambda mq: two_step_constants(*mq)))
+def test_normal_forms_are_idempotent(c):
+    g, j = from_holomorphic_constants(c.m, c.table())
+    try:
+        result = normal_form(g, j)
+    except NormalFormError:
+        assume(False)
+    # rebuild the pair from the normal-form constants and reduce it again
+    again = normal_form(*from_holomorphic_constants(c.m, result.constants))
+    assert (again.constants, again.kind) == (result.constants, result.kind)
 
 
 @pytest.mark.parametrize("name", ["dim4_model", "centro1_model(1)"])

@@ -226,7 +226,7 @@ def _corrupted(original):
     return realize
 
 
-def test_self_test_round_trip_assertion_catches_a_corrupted_reconstruction(monkeypatch):
+def test_self_test_round_trip_assertion_catches_a_corrupted_reconstruction(monkeypatch, capsys):
     entry = catalog("dim4_model")
     s = split(entry.algebra, entry.acs)
     g2, acs2, s2, frame = _scrambled_copy(s.holomorphic(), random.Random(5))
@@ -236,5 +236,7 @@ def test_self_test_round_trip_assertion_catches_a_corrupted_reconstruction(monke
     monkeypatch.setattr(constructions, "from_holomorphic_constants", _corrupted(from_holomorphic_constants))
     with pytest.raises(AssertionError, match="does not reproduce the requested constants"):
         _scrambled_copy(s.holomorphic(), random.Random(5))
-    with pytest.raises(AssertionError, match="does not reproduce the requested constants"):
-        cli.main(["normal-form", "@dim4_model", "--trials", "1"])
+    # the CLI reports the internal inconsistency with exit code 3
+    assert cli.main(["normal-form", "@dim4_model", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error[internal]: splitting does not reproduce the requested constants\n"

@@ -26,6 +26,7 @@ from chernflat.acs import (
 )
 from chernflat.classify import random_frame_scramble
 from chernflat.constructions import catalog, random_two_step
+from chernflat.deform import deformation_space
 from chernflat.forms import coframe_element, exterior_d
 from chernflat.lie import LieAlgebra
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
@@ -289,6 +290,64 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
     assert is_qk_chern_flat(g, acs, s)
     assert check_center_j_invariant(g, acs, s)
     assert calls == [acs.j.column(i) for i in range(g.dim)]
+
+
+# -- the signed views of the bracket table ---------------------------------------
+
+
+def _view_algebras() -> list:
+    """(label, algebra) for every algebra of PAIRS and every catalog algebra, once each."""
+    out = []
+    for label, g in [(label, g) for label, g, _ in PAIRS] + [(name, catalog(name).algebra) for name in CATALOG]:
+        if all(g is not h for _, h in out):
+            out.append((label, g))
+    return out
+
+
+VIEW_ALGEBRAS = _view_algebras()
+
+
+@pytest.mark.parametrize("label, g", VIEW_ALGEBRAS, ids=[label for label, _ in VIEW_ALGEBRAS])
+def test_signed_views_match_the_dense_bracket(label, g):
+    full, into = g.signed_views()
+    n = g.dim
+    basis = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            dense = g.bracket(basis[i], basis[j])
+            assert full[i][j] == {k: c for k, c in enumerate(dense) if c}
+            assert list(full[i][j]) == sorted(full[i][j])
+            assert g.basis_bracket(i, j) == dense
+    for j in range(n):
+        for k in range(n):
+            assert into[j][k] == {i: full[i][j][k] for i in range(n) if k in full[i][j]}
+            assert list(into[j][k]) == sorted(into[j][k])
+
+
+def test_signed_views_are_built_once_per_algebra(monkeypatch):
+    # every reader of one verify and one deform job shares the views
+    entry = catalog("iwasawa_j3")
+    g, acs = LieAlgebra(entry.algebra.dim, entry.algebra.brackets), entry.acs
+    builds = []
+    slot = LieAlgebra._views
+
+    class CountingSlot:
+        def __get__(self, obj, owner=None):
+            return slot.__get__(obj, owner)
+
+        def __set__(self, obj, value):
+            if value is not None:
+                builds.append(obj)
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(LieAlgebra, "_views", CountingSlot())
+    s = split(g, acs)
+    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
+    assert is_chern_flat(g, acs, s) and is_qk_chern_flat(g, acs, s)
+    assert check_center_j_invariant(g, acs, s)
+    assert deformation_space(g, acs, s).dimension > 0
+    assert g.structure_constant(1, 0, 4) == -g.structure_constant(0, 1, 4)
+    assert builds == [g]
 
 
 def test_seeded_pairs_include_failures_of_every_predicate():
