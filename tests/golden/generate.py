@@ -7,8 +7,9 @@ Run from the repository root, against the code whose output is to be pinned:
 Each case runs ``chernflat.cli.main`` in-process and records its exit code,
 stdout and stderr.  The models are the catalog names below and the model
 files in ``models/`` (written by ``models/build.py``), named by their path
-from the repository root.  ``cases.json`` lists every case; the stdout of case NAME
-is in ``NAME.out``.  ``tests/test_cli.py`` compares the CLI against them.
+from the repository root.  ``cases.json`` lists every case; the stdout of
+case NAME is in ``NAME.out``.  ``tests/test_cli.py`` compares the CLI
+against them.
 """
 
 import contextlib

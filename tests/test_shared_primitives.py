@@ -1,11 +1,12 @@
-"""Differential tests for the bracket primitive the flatness predicates share.
+"""Differential tests for the bracket primitives the flatness predicates share.
 
 ``LieAlgebra.ad`` builds every [x, e_j] in one sweep over the sparse bracket
-table; the dense ``LieAlgebra.bracket`` is its reference.  The real-basis
-characterizations in ``acs`` read [J e_i, e_j] through ``ad``, so they are
-compared here with dense basis-pair loops over ``bracket``, kept below as the
-oracle, on flat pairs and on pairs whose structure is conjugated out of
-flatness.
+table, and ``LieAlgebra.signed_views`` reads that table in every order; the
+dense ``LieAlgebra.bracket`` is the reference of both.  The real-basis
+characterizations in ``acs`` read [J e_i, e_j] through ``ad`` and [e_i, e_j]
+through the views, so they are compared here with dense basis-pair loops over
+``bracket``, kept below as the oracle, on flat pairs and on pairs whose
+structure is conjugated out of flatness.
 """
 
 import random
@@ -298,7 +299,8 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
 def _view_algebras() -> list:
     """(label, algebra) for every algebra of PAIRS and every catalog algebra, once each."""
     out = []
-    for label, g in [(label, g) for label, g, _ in PAIRS] + [(name, catalog(name).algebra) for name in CATALOG]:
+    labelled = [(label, g) for label, g, _ in PAIRS] + [(name, catalog(name).algebra) for name in CATALOG]
+    for label, g in labelled:
         if all(g is not h for _, h in out):
             out.append((label, g))
     return out
@@ -346,7 +348,7 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch):
     assert is_chern_flat(g, acs, s) and is_qk_chern_flat(g, acs, s)
     assert check_center_j_invariant(g, acs, s)
     assert deformation_space(g, acs, s).dimension > 0
-    assert g.structure_constant(1, 0, 4) == -g.structure_constant(0, 1, 4)
+    assert g.structure_constant(1, 0, 2) == -g.structure_constant(0, 1, 2) == -ONE
     assert builds == [g]
 
 
