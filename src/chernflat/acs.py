@@ -27,6 +27,7 @@ __all__ = [
     "AdaptedConstants",
     "AlmostComplexStructure",
     "ComplexSplitting",
+    "JSquareError",
     "SectorShapeError",
     "Verdict",
     "split",
@@ -39,11 +40,21 @@ __all__ = [
 ]
 
 
+_MINUS_ONE = -ONE
+
+
+class JSquareError(ValueError):
+    """A square rational matrix of even size whose square is not -I."""
+
+
 class AlmostComplexStructure:
     """A rational matrix J with J^2 = -I acting on a real algebra.
 
     Its nonzero entries are listed once, in ascending order: the pairs
-    (c, J_rc) in ``_by_row[r]`` and (r, J_rc) in ``_by_col[c]``.
+    (c, J_rc) in ``_by_row[r]`` and (r, J_rc) in ``_by_col[c]``.  The
+    constructor proves J^2 = -I exactly, one row at a time over the nonzero
+    entries only: row r of J^2 is the sum of J_rc times row c of J, and it
+    must equal -e_r.  It raises JSquareError when that fails.
     """
 
     __slots__ = ("j", "_by_row", "_by_col")
@@ -55,11 +66,17 @@ class AlmostComplexStructure:
             raise ValueError("J needs even dimension")
         if not j.is_real():
             raise ValueError("J must have rational entries")
-        if j * j != -ExactMatrix.identity(j.rows):
-            raise ValueError("J^2 = -I fails")
-        self.j = j
         n = j.rows
-        self._by_row = [[(c, x) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
+        by_row = [[(c, x) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
+        for r, row in enumerate(by_row):
+            square: dict = {}
+            for c, x in row:
+                for k, y in by_row[c]:
+                    accumulate(square, k, x * y)
+            if len(square) != 1 or square.get(r) != _MINUS_ONE:
+                raise JSquareError("J^2 = -I fails")
+        self.j = j
+        self._by_row = by_row
         self._by_col = [[(r, x) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
 
     @property
@@ -215,13 +232,6 @@ class ComplexSplitting:
     def c_pp_01(self, a: int, b: int) -> tuple:
         """(0,1)-components of [Z_a, Z_b]: the coefficients on conj Z_k."""
         return self.combined_bracket(a, b)[self.m :]
-
-    def c_pp_10(self, a: int, b: int) -> tuple:
-        return self.combined_bracket(a, b)[: self.m]
-
-    def c_pm(self, a: int, bbar: int) -> tuple:
-        """[Z_a, conj Z_bbar] in combined coordinates."""
-        return self.combined_bracket(a, self.m + bbar)
 
     def sector_relations_qk(self) -> Verdict:
         """Mixed sector vanishes and (1,0)x(1,0) brackets land in (0,1)."""
@@ -607,26 +617,21 @@ def check_center_j_invariant(
 
 
 def two_step_certificate(s: ComplexSplitting) -> bool:
-    """Quadratic vanishing certificate for 2-step nilpotency.
+    """Quadratic vanishing certificate for 2-step nilpotency: returns True or raises.
 
     For each (i, j, k, l) the contraction over r of c_{ij}^{rbar} with the
     conjugate constants c_{rbar kbar}^{l} must vanish: these are the closure
-    relations that s.holomorphic() checks when it builds the constants.  The
-    verdict is cross-checked against the lower central series of the real
-    algebra.  Raises SectorShapeError without the quasi-Kaehler sector shape.
+    relations that s.holomorphic() checks when it builds the constants.
+    Under the sector shape they are the Jacobi identity on (Z_i, Z_j,
+    conj Z_k), which every LieAlgebra satisfies, so they hold for every
+    splitting.  The certificate is cross-checked against the lower central
+    series of the real algebra, and AssertionError reports a disagreement.
+    Raises SectorShapeError without the quasi-Kaehler sector shape.
     """
-    try:
-        s.holomorphic()
-        relations = True
-    except SectorShapeError:
-        raise
-    except ValueError:
-        # the constructor rejected the table: the closure relations fail
-        relations = False
-    series_two_step = is_two_step(s.g)
-    if relations != series_two_step:
+    s.holomorphic()
+    if not is_two_step(s.g):
         raise AssertionError("quadratic certificate and lower central series disagree")
-    return relations and series_two_step
+    return True
 
 
 def reframed_constants(c: AdaptedConstants, frame: ExactMatrix) -> AdaptedConstants:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 from typing import Optional, Tuple
 
-from .acs import AlmostComplexStructure
+from .acs import AlmostComplexStructure, JSquareError
 from .constructions import UnknownCatalogNameError, catalog
 from .lie import JacobiError, LieAlgebra
 from .linalg import ExactMatrix
-from .scalars import format_rational, format_scalar, parse_scalar
+from .scalars import ZERO, format_rational, format_scalar, parse_scalar
 
 __all__ = [
     "ModelFormatError",
@@ -90,6 +90,9 @@ class StructureSquareError(ModelFormatError):
 
 class UnknownCatalogError(ModelFormatError):
     code = "unknown-catalog"
+
+
+_NOT_SQUARE = "'J' squared is not minus the identity"
 
 
 def loads_model(text: str) -> Tuple[LieAlgebra, Optional[AlmostComplexStructure]]:
@@ -170,6 +173,9 @@ def _from_object(obj) -> Tuple[LieAlgebra, Optional[AlmostComplexStructure]]:
         for row in raw_j:
             out_row = []
             for cell in row:
+                if cell == "0":   # most cells; parse_scalar would give ZERO too
+                    out_row.append(ZERO)
+                    continue
                 if not isinstance(cell, str):
                     raise StructureShapeError("'J' entries must be strings")
                 try:
@@ -180,13 +186,13 @@ def _from_object(obj) -> Tuple[LieAlgebra, Optional[AlmostComplexStructure]]:
                     raise StructureShapeError(f"'J' entry {cell!r} must be rational")
                 out_row.append(value)
             entries.append(out_row)
-        mat = ExactMatrix(entries)
-        if mat * mat != -ExactMatrix.identity(dim):
-            raise StructureSquareError("'J' squared is not minus the identity")
+        # no rational J of odd size squares to -I, since det(J)^2 = (-1)^dim
+        if dim % 2:
+            raise StructureSquareError(_NOT_SQUARE)
         try:
-            acs = AlmostComplexStructure(mat)
-        except ValueError as exc:
-            raise StructureShapeError(str(exc)) from None
+            acs = AlmostComplexStructure(ExactMatrix(entries))
+        except JSquareError:
+            raise StructureSquareError(_NOT_SQUARE) from None
     return algebra, acs
 
 

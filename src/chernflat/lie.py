@@ -277,22 +277,25 @@ class Subspace:
 def lower_central_series(g: LieAlgebra) -> list:
     """Terms g ⊇ [g, g] ⊇ [[g, g], g] ⊇ ... until stabilization.
 
-    The series is computed once per algebra and kept on it.
+    By bilinearity [g, g] is the span of the table's vectors [e_i, e_j],
+    i < j, read straight from g.brackets.  Each later term is spanned by the
+    columns [d, e_j] of ad_d for d in the basis of the term before.  The
+    series never reads the signed views, which the closure relations of
+    acs.two_step_certificate come through.  It is computed once per algebra
+    and kept on it.
     """
     if g._series is None:
-        full = [tuple(gaussian(1) if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
-        series = [Subspace(g.dim, full)]
-        current = series[0]
+        n = g.dim
+        current = Subspace(n, [tuple(gaussian(1) if i == j else ZERO for i in range(n)) for j in range(n)])
+        series = [current]
+        nxt = Subspace(n, [tuple(vec.get(k, ZERO) for k in range(n)) for vec in g.brackets.values()])
         while True:
-            # streamed into the echelon, so only one ad_v is held at a time
-            images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
-            nxt = Subspace(g.dim, images)
             series.append(nxt)
-            if nxt.dim == current.dim:
-                break
-            if nxt.dim == 0:
+            if nxt.dim in (current.dim, 0):
                 break
             current = nxt
+            # streamed into the echelon, so only one ad_d is held at a time
+            nxt = Subspace(n, (col for d in current.basis for col in g._ad_columns(d) if any(col)))
         g._series = series
     return list(g._series)
 

@@ -110,16 +110,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(not x for row in self._e for x in row)
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return ExactMatrix([self._e[i] + other._e[i] for i in range(self.rows)])
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return ExactMatrix(self._e + other._e)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

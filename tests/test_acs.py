@@ -65,7 +65,7 @@ def test_adapted_frame_holomorphic_constants():
     # mixed sector vanishes identically
     for a in range(3):
         for b in range(3):
-            assert not any(s.c_pm(a, b))
+            assert not any(s.constants[(a, 3 + b)])
 
 
 def test_splitting_works_for_any_rational_structure():

@@ -153,7 +153,3 @@ def test_from_columns_and_blocks():
     m = ExactMatrix.from_columns(cols)
     assert m.column(0) == (ONE, ZERO)
     assert m.column(1) == (I, ONE)
-    h = m.hstack(ExactMatrix.identity(2))
-    assert h.cols == 4
-    v = m.vstack(ExactMatrix.identity(2))
-    assert v.rows == 4

@@ -10,6 +10,7 @@ structure is conjugated out of flatness.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -29,9 +30,9 @@ from chernflat.classify import random_frame_scramble
 from chernflat.constructions import catalog, random_two_step
 from chernflat.deform import deformation_space
 from chernflat.forms import coframe_element, exterior_d
-from chernflat.lie import LieAlgebra
+from chernflat.lie import LieAlgebra, Subspace, lower_central_series
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
-from chernflat.scalars import GaussianRational, ONE, ZERO
+from chernflat.scalars import GaussianRational, ONE, ZERO, gaussian
 
 from helpers import random_doubled_pair
 
@@ -169,7 +170,7 @@ def _dense_is_chern_flat(g, acs, s=None):
     verdict_a = Verdict(True)
     for a in range(s.m):
         for b in range(s.m):
-            if any(s.c_pm(a, b)):
+            if any(s.constants[(a, s.m + b)]):
                 verdict_a = Verdict(False, ("mixed-bracket", a, b))
                 break
         if not verdict_a:
@@ -356,6 +357,77 @@ def test_seeded_pairs_include_failures_of_every_predicate():
     # a pair that is not Chern-flat is not quasi-Kaehler Chern-flat either
     failing = [label for label, g, acs in PAIRS if not is_chern_flat(g, acs) and nijenhuis(g, acs)]
     assert len(failing) >= len(PAIRS) // 3
+
+
+# -- the lower central series ------------------------------------------------------
+
+
+def _ad_sweep_series(g: LieAlgebra) -> list:
+    """The lower central series with every term, [g, g] included, from ad sweeps: the oracle.
+
+    Each term is the span of the columns [v, e_j] of ad_v for v in the basis
+    of the term before, starting from the standard basis of g.  Nothing is
+    kept on g.
+    """
+    full = [tuple(gaussian(1) if i == j else ZERO for i in range(g.dim)) for j in range(g.dim)]
+    series = [Subspace(g.dim, full)]
+    current = series[0]
+    while True:
+        images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
+        nxt = Subspace(g.dim, images)
+        series.append(nxt)
+        if nxt.dim == current.dim:
+            break
+        if nxt.dim == 0:
+            break
+        current = nxt
+    return series
+
+
+def _series_algebras() -> list:
+    """(label, algebra): those of the views, two that are not nilpotent, two over Q(i)."""
+    half = GaussianRational(Fraction(1, 2))
+    return VIEW_ALGEBRAS + [
+        # [e_1, e_2] = e_2: the series stops at span(e_2)
+        ("affine-line", LieAlgebra(2, {(0, 1): {1: ONE}})),
+        # sl(2): [g, g] = g
+        ("sl2", LieAlgebra(3, {(0, 1): {1: 2 * ONE}, (0, 2): {2: -2 * ONE}, (1, 2): {0: ONE}})),
+        # e_1 acts on span(e_2, e_3, e_4) with one Jordan block of eigenvalue 1/2, and e_5 is central
+        ("jordan-block", LieAlgebra(5, {(0, 1): {1: half, 2: ONE}, (0, 2): {2: half, 3: ONE}, (0, 3): {3: half}})),
+        ("qi-heisenberg", LieAlgebra(3, {(0, 1): {2: GaussianRational(1, 2)}}, field="Qi")),
+        ("qi-affine", LieAlgebra(3, {(0, 1): {1: GaussianRational(1, 1)}, (0, 2): {2: GaussianRational(0, -1)}}, field="Qi")),
+    ]
+
+
+SERIES_ALGEBRAS = _series_algebras()
+
+
+@pytest.mark.parametrize("label, g", SERIES_ALGEBRAS, ids=[label for label, _ in SERIES_ALGEBRAS])
+def test_lower_central_series_matches_the_ad_sweep(label, g):
+    fresh = LieAlgebra(g.dim, g.brackets, g.field)
+    assert lower_central_series(fresh) == _ad_sweep_series(g)
+
+
+def test_series_test_algebras_include_series_that_stop_at_a_nonzero_term():
+    stops = [label for label, g in SERIES_ALGEBRAS if _ad_sweep_series(g)[-1].dim]
+    assert stops == ["affine-line", "sl2", "jordan-block", "qi-affine"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lower_central_series_matches_the_ad_sweep_on_random_two_step_pairs(seed):
+    g, _ = random_two_step(random.Random(seed), max_generators=4, max_center=2)
+    series = lower_central_series(g)
+    assert series == _ad_sweep_series(g)
+    assert len(series) == 3 and series[-1].dim == 0
+
+
+def test_lower_central_series_reads_no_signed_view(monkeypatch):
+    # the closure relations of two_step_certificate come through the views
+    g = catalog("centro1_model(1)").algebra
+    g = LieAlgebra(g.dim, g.brackets)
+    monkeypatch.setattr(LieAlgebra, "signed_views", lambda self: pytest.fail("series read the signed views"))
+    assert lower_central_series(g) == _ad_sweep_series(g)
 
 
 # -- closure relations ----------------------------------------------------------

@@ -112,5 +112,5 @@ def test_inputs_cover_dense_columns_and_skipped_indices():
     )
     # pairs that are not Chern-flat, and pairs that are not quasi-Kaehler
     splittings = [split(g, acs) for _, g, acs in PAIRS]
-    assert any(any(s.c_pm(a, b)) for s in splittings for a in range(s.m) for b in range(s.m))
-    assert any(any(s.c_pp_10(a, b)) for s in splittings for a in range(s.m) for b in range(s.m))
+    assert any(any(s.constants[(a, s.m + b)]) for s in splittings for a in range(s.m) for b in range(s.m))
+    assert any(any(s.constants[(a, b)][: s.m]) for s in splittings for a in range(s.m) for b in range(a + 1, s.m))
