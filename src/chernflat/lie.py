@@ -262,9 +262,6 @@ class Subspace:
         rows.append({c: a for c, a in enumerate(vv) if a})
         return rank_of_rows(self.ambient_dim, rows) == self.dim
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -87,9 +87,6 @@ class ExactMatrix:
     def column(self, j: int) -> tuple:
         return tuple(self._e[i][j] for i in range(self.rows))
 
-    def to_rows(self) -> list:
-        return [list(row) for row in self._e]
-
     # -- structure ----------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":

@@ -135,7 +135,7 @@ def _oracle_solve(m, b):
 def _oracle_det(m):
     """The dividing elimination det used before Bareiss."""
     n = m.rows
-    work = m.to_rows()
+    work = [list(m.row(i)) for i in range(n)]
     sign = 1
     result = ONE
     for col in range(n):
