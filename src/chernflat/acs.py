@@ -148,7 +148,7 @@ class ComplexSplitting:
     """
 
     __slots__ = (
-        "g", "acs", "m", "real_basis", "onezero", "combined", "combined_inv", "constants",
+        "g", "acs", "m", "real_basis", "onezero", "combined_inv", "constants",
         "_dtheta", "_ad_j", "_sectors", "_chern_flat", "_holomorphic",
     )
 
@@ -166,12 +166,10 @@ class ComplexSplitting:
                 break
             if not ech.add({idx: ONE}):
                 continue
-            e = [ZERO] * n
-            e[idx] = ONE
-            je = acs.apply(e)
-            if not ech.add({c: v for c, v in enumerate(je) if v}):
+            # J e_idx is column idx of J
+            if not ech.add(dict(acs._by_col[idx])):
                 raise AssertionError("greedy eigenbasis extension failed; J is not a complex structure on Q^n")
-            chosen.append(tuple(e))
+            chosen.append(tuple(ONE if t == idx else ZERO for t in range(n)))
         if len(chosen) != m:
             raise AssertionError("could not complete an adapted real basis")
 
@@ -180,9 +178,6 @@ class ComplexSplitting:
             tuple(GaussianRational(a.re, -b.re) for a, b in zip(x, jx))
             for x, jx in zip(chosen, j_chosen)
         ]
-        combined = ExactMatrix.from_columns(
-            [list(z) for z in onezero] + [[c.conjugate() for c in z] for z in onezero]
-        )
         r = ExactMatrix.from_columns(chosen + j_chosen)
         r_inv = inverse(r)
         # (1/2) [[I, iI], [I, -iI]] R^-1, entry by entry
@@ -197,7 +192,6 @@ class ComplexSplitting:
         self.m = m
         self.real_basis = chosen
         self.onezero = onezero
-        self.combined = combined
         self.combined_inv = ExactMatrix(top + bottom)
         self._dtheta = None
         self._ad_j = None
@@ -249,8 +243,9 @@ class ComplexSplitting:
             if not qk:
                 raise SectorShapeError(qk.witness)
             m = self.m
-            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-            self._holomorphic = AdaptedConstants(m, {p: dict(enumerate(self.c_pp_01(*p))) for p in pairs})
+            self._holomorphic = AdaptedConstants(
+                m, {(a, b): dict(enumerate(vec[m:])) for (a, b), vec in self.constants.items() if b < m}
+            )
         return self._holomorphic
 
 
@@ -291,34 +286,19 @@ def _half(re, im) -> GaussianRational:
 def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) -> dict:
     """Constants of the combined frame of R = [x, J x], keyed alpha < beta in order.
 
-    B_pq = R^-1 [R_p, R_q] is the sum over i in supp R_p and j in supp R_q of
-    R_ip R_jq [e_i, e_j], read from the signed view full[i][j], in rationals.  Then
-    [Z_a, Z_b] = B(a,b) - B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and
+    B_pq = R^-1 [R_p, R_q] is _change_basis of a rational view of the signed
+    views.  Then [Z_a, Z_b] = B(a,b) - B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and
     [Z_a, conj Z_b] = B(a,b) + B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with
     B_qp = -B_pq.  An R-coordinate vector w has coefficient (w_k + i w_{m+k}) / 2
     on Z_k and (w_k - i w_{m+k}) / 2 on conj Z_k.  The algebra is real, so
     [conj Z_a, conj Z_b] is the conjugate of [Z_a, Z_b] with its halves swapped.
     """
     n = 2 * m
-    full = g.signed_views()[0]
+    # Fractions, not GaussianRationals: the splitting is verify's largest layer
+    full = [[{k: c.re for k, c in vec.items()} for vec in row] for row in g.signed_views()[0]]
     cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
     inv_cols = [[(s, x.re) for s, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
-
-    real = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            image = {}
-            for i, a in cols[p]:
-                for j, b in cols[q]:
-                    ab = a * b
-                    for k, c in full[i][j].items():
-                        image[k] = image.get(k, 0) + ab * c.re
-            out = {}
-            for k, v in image.items():
-                if v:
-                    for s, x in inv_cols[k]:
-                        out[s] = out.get(s, 0) + x * v
-            real[(p, q)] = out
+    real = _change_basis(full, cols, inv_cols)
 
     def combination(*terms) -> dict:
         """The sum of sign * B_pq over terms (sign, p, q)."""
@@ -326,9 +306,8 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
         for sign, p, q in terms:
             if p > q:
                 p, q, sign = q, p, -sign
-            if p == q:
-                continue
-            for s, v in real[(p, q)].items():
+            # B_pp = 0, and _change_basis drops zero rows
+            for s, v in real.get((p, q), {}).items():
                 acc[s] = acc.get(s, 0) + v if sign > 0 else acc.get(s, 0) - v
         return acc
 
@@ -364,6 +343,34 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
     return constants
 
 
+def _change_basis(full: list, cols: list, inv_cols: list) -> dict:
+    """{(p, q): {s: sum_k G_sk sum_{i,j} F_ip F_jq full[i][j][k]}} for p < q.
+
+    full[i][j] is the sparse signed bracket {k: c_ij^k}, cols[p] lists the
+    nonzero (i, F_ip) of column p of the new frame F and inv_cols[k] the
+    nonzero (s, G_sk) of column k of G, the inverse of the frame the images
+    are expressed in.  Pairs come in ascending order, keys ascend within a
+    row, and zero entries and rows are dropped.  It serves the splitting (on
+    rationals) and reframed_constants (on Q(i)).
+    """
+    out = {}
+    for p, col_p in enumerate(cols):
+        for q in range(p + 1, len(cols)):
+            image: dict = {}
+            for i, a in col_p:
+                for j, b in cols[q]:
+                    ab = a * b
+                    for k, c in full[i][j].items():
+                        accumulate(image, k, ab * c)
+            vec: dict = {}
+            for k, v in image.items():
+                for s, x in inv_cols[k]:
+                    accumulate(vec, s, x * v)
+            if vec:
+                out[(p, q)] = dict(sorted(vec.items()))
+    return out
+
+
 def split(g: LieAlgebra, acs: AlmostComplexStructure) -> ComplexSplitting:
     """Split the complexified algebra into J-eigenspaces."""
     return ComplexSplitting(g, acs)
@@ -372,26 +379,23 @@ def split(g: LieAlgebra, acs: AlmostComplexStructure) -> ComplexSplitting:
 def _closure_defect(c: "AdaptedConstants") -> Optional[tuple]:
     """First (i, j, k, l) with sum_r c_ij^rbar conj(c_rk^lbar) != 0, else None.
 
-    The (i, j) run over the nonzero rows of c in table order.  The sum is the
+    The (i, j) run over the nonzero rows of c in table order, then k
+    ascends, and l is the smallest index with a nonzero sum.  The sum is the
     coefficient of Z_l in [[Z_i, Z_j], conj Z_k].  Under the quasi-Kaehler
     sector shape it is the whole Jacobi sum of that triple, and its vanishing
-    for all indices says [[g, g], g] = 0.
+    for all indices says [[g, g], g] = 0.  It is the conjugate of
+    sum_r conj(c_ij^rbar) c_rk^lbar, which is what the sparse rows give.
     """
-    m = c.m
-    conj_rows = [
-        [tuple(x.conjugate() for x in c.c_pp_01(r, k)) for k in range(m)] for r in range(m)
-    ]
-    for (i, j), cij in c._rows.items():
-        nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
-        for k in range(m):
-            for l in range(m):
-                acc = ZERO
-                for r, cr in nonzero:
-                    d = conj_rows[r][k][l]
-                    if d:
-                        acc = acc + cr * d
-                if acc:
-                    return (i, j, k, l)
+    full = c._full
+    for (i, j), row in c._rows.items():
+        conj_row = [(r, x.conjugate()) for r, x in row.items()]
+        for k in range(c.m):
+            acc: dict = {}
+            for r, x in conj_row:
+                for l, d in full[r][k].items():
+                    accumulate(acc, l, x * d)
+            if acc:
+                return (i, j, k, min(acc))
     return None
 
 
@@ -399,7 +403,7 @@ def _validated_table(m: int, table: Mapping) -> dict:
     """Copy of {(i, j): {k: coeff}} with GaussianRational coefficients and no zeros.
 
     Keys must satisfy 0 <= i < j < m and targets 0 <= k < m; rows keep the
-    order of the input.
+    order of the input, and the targets of a row ascend.
     """
     out = {}
     for (i, j), row in table.items():
@@ -413,7 +417,7 @@ def _validated_table(m: int, table: Mapping) -> dict:
             if c:
                 vec[k] = c
         if vec:
-            out[(i, j)] = vec
+            out[(i, j)] = dict(sorted(vec.items()))
     return out
 
 
@@ -430,13 +434,17 @@ class AdaptedConstants:
 
     The quadratic closure relations (the Jacobi identity specialized to this
     shape) are enforced eagerly; tables violating them are rejected.
+
+    The table is kept sparse, with no zero coefficient: _rows is the
+    validated {(i, j): {k: coeff}}, and _full[i][j] is the signed sparse
+    {k: c_ij^kbar} for every ordered pair, keys ascending, the layout of
+    LieAlgebra.signed_views()[0].
     """
 
     __slots__ = ("m", "_rows", "_full")
 
     def __init__(self, m: int, table: Mapping):
-        rows = _validated_table(m, table).items()
-        self._fill(m, {key: tuple(row.get(k, ZERO) for k in range(m)) for key, row in rows})
+        self._fill(m, _validated_table(m, table))
         bad = _closure_defect(self)
         if bad is not None:
             raise ValueError(
@@ -445,26 +453,23 @@ class AdaptedConstants:
             )
 
     def _fill(self, m: int, rows: dict):
-        """Keep the nonzero rows {(i, j): m-tuple} and the antisymmetric m x m lookup."""
-        zero_row = tuple([ZERO] * m)
-        full = [[zero_row] * m for _ in range(m)]
+        """Keep the sparse rows {(i, j): {k: coeff}} and the signed m x m lookup."""
+        full = [[{} for _ in range(m)] for _ in range(m)]
         for (i, j), vec in rows.items():
             full[i][j] = vec
-            full[j][i] = tuple(-c for c in vec)
+            full[j][i] = {k: -c for k, c in vec.items()}
         self.m = m
         self._rows = rows
         self._full = full
 
     def c_pp_01(self, a: int, b: int) -> tuple:
-        """The coefficients of [Z_a, Z_b] on conj Z_0..conj Z_{m-1}."""
-        return self._full[a][b]
+        """The coefficients of [Z_a, Z_b] on conj Z_0..conj Z_{m-1}, as an m-tuple."""
+        row = self._full[a][b]
+        return tuple(row.get(k, ZERO) for k in range(self.m))
 
     def table(self) -> dict:
         """Plain {(i, j): {k: coeff}} copy of the nonzero constants."""
-        return {
-            pair: {k: c for k, c in enumerate(vec) if c}
-            for pair, vec in self._rows.items()
-        }
+        return {pair: dict(row) for pair, row in self._rows.items()}
 
     def __eq__(self, other):
         if not isinstance(other, AdaptedConstants):
@@ -478,12 +483,11 @@ class AdaptedConstants:
 def _ad_j_basis(s: ComplexSplitting) -> list:
     """The columns of ad_{J e_i} for every basis index i: entry [i][j] is [J e_i, e_j].
 
-    Each column is a sparse dict {r: coefficient} in ascending r.  Built once
-    per splitting, by the ad sweep, and kept on it.
+    Each column is a sparse dict {r: coefficient}, as LieAlgebra._ad_columns
+    gives it.  Built once per splitting, by the ad sweep, and kept on it.
     """
     if s._ad_j is None:
-        sweeps = (s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim))
-        s._ad_j = [[{r: x for r, x in enumerate(col) if x} for col in cols] for cols in sweeps]
+        s._ad_j = [s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim)]
     return s._ad_j
 
 
@@ -541,17 +545,14 @@ def is_chern_flat(
         return s._chern_flat
     mixed = _sector_scan(s)[0]
     verdict_a = Verdict(mixed is None, mixed)
-    verdict_b = Verdict(True)
     n = g.dim
     ad_j = _ad_j_basis(s)
-    for i in range(n):
-        for j in range(i, n):
-            # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
-            if ad_j[i][j] != {r: -x for r, x in ad_j[j][i].items()}:
-                verdict_b = Verdict(False, ("basis-pair", i, j))
-                break
-        if not verdict_b:
-            break
+    # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
+    bad = next(
+        ((i, j) for i in range(n) for j in range(i, n) if ad_j[i][j] != {r: -x for r, x in ad_j[j][i].items()}),
+        None,
+    )
+    verdict_b = Verdict(True) if bad is None else Verdict(False, ("basis-pair", *bad))
     if verdict_a.ok != verdict_b.ok:
         raise AssertionError("Chern-flat characterizations disagree; internal inconsistency")
     s._chern_flat = verdict_b if not verdict_b.ok else verdict_a
@@ -585,18 +586,12 @@ def is_qk_chern_flat(
             v2 = Verdict(False, ("coframe-d-11", k))
             break
 
-    v3 = Verdict(True)
     n = g.dim
     full = g.signed_views()[0]
     ad_j = _ad_j_basis(s)
-    for i in range(n):
-        for j in range(n):
-            # J[e_i, e_j] + [J e_i, e_j] must vanish
-            if _add_j_image(dict(ad_j[i][j]), acs, full[i][j]):
-                v3 = Verdict(False, ("basis-pair", i, j))
-                break
-        if not v3:
-            break
+    # J[e_i, e_j] + [J e_i, e_j] must vanish
+    bad = next(((i, j) for i in range(n) for j in range(n) if _add_j_image(dict(ad_j[i][j]), acs, full[i][j])), None)
+    v3 = Verdict(True) if bad is None else Verdict(False, ("basis-pair", *bad))
 
     if not (v1.ok == v2.ok == v3.ok):
         raise AssertionError("quasi-Kaehler Chern-flat characterizations disagree")
@@ -649,39 +644,8 @@ def reframed_constants(c: AdaptedConstants, frame: ExactMatrix) -> AdaptedConsta
     if frame.rows != m or frame.cols != m:
         raise ValueError("frame matrix must be m x m")
     g_inv = inverse(frame.conj())
-    rows = c._full
-    cols = [[frame.entry(a, i) for a in range(m)] for i in range(m)]
-    out = {}
-    for i in range(m):
-        col_i = cols[i]
-        for j in range(i + 1, m):
-            col_j = cols[j]
-            tmp = [ZERO] * m
-            for a in range(m):
-                fa = col_i[a]
-                if not fa:
-                    continue
-                row_a = rows[a]
-                for b in range(m):
-                    if a == b:
-                        continue
-                    fb = col_j[b]
-                    if not fb:
-                        continue
-                    cab = row_a[b]
-                    coeff = fa * fb
-                    for k in range(m):
-                        if cab[k]:
-                            tmp[k] = tmp[k] + coeff * cab[k]
-            vec = [ZERO] * m
-            for l in range(m):
-                acc = ZERO
-                for k in range(m):
-                    if tmp[k]:
-                        acc = acc + g_inv.entry(l, k) * tmp[k]
-                vec[l] = acc
-            if any(vec):
-                out[(i, j)] = tuple(vec)
+    cols = [[(a, x) for a, x in enumerate(frame.column(i)) if x] for i in range(m)]
+    inv_cols = [[(l, x) for l, x in enumerate(g_inv.column(k)) if x] for k in range(m)]
     reframed = object.__new__(AdaptedConstants)
-    reframed._fill(m, out)
+    reframed._fill(m, _change_basis(c._full, cols, inv_cols))
     return reframed

@@ -169,16 +169,12 @@ def _holomorphic_center_kernel(c: AdaptedConstants):
     m = c.m
     rows = []
     for j in range(m):
-        for k in range(m):
-            row = {}
-            for i in range(m):
-                if i == j:
-                    continue
-                x = c.c_pp_01(i, j)[k]
-                if x:
-                    row[i] = x
-            if row:
-                rows.append(row)
+        # by_target[k] is the row {i: c_ij^k}, i ascending
+        by_target: dict = {}
+        for i in range(m):
+            for k, x in c._full[i][j].items():
+                by_target.setdefault(k, {})[i] = x
+        rows += [by_target[k] for k in sorted(by_target)]
     return kernel_from_rows(m, rows)
 
 
@@ -219,12 +215,8 @@ def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
     if c.m != 4:
         raise NormalFormError("this normal form applies to complex dimension 4")
     m = 4
-    nonzero = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = c.c_pp_01(i, j)
-            if any(vec):
-                nonzero.append(((i, j), vec))
+    vecs = {(i, j): c.c_pp_01(i, j) for i in range(m) for j in range(i + 1, m)}
+    nonzero = [(pair, vec) for pair, vec in vecs.items() if any(vec)]
     if not nonzero:
         raise NormalFormError("abelian algebra has no normal form in this family")
 
@@ -253,7 +245,7 @@ def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
     if c0.get((0, 1)) != {2: ONE}:
         raise AssertionError("conjugate-image substitution did not normalize the leading bracket")
     for key, row in c0.items():
-        if 2 in (key[0], key[1]) and row:
+        if 2 in key:
             raise AssertionError("third frame direction is not central")
         if set(row) - {2}:
             raise AssertionError("bracket image left the expected direction")
@@ -283,6 +275,8 @@ def center_one_normal_form(c: AdaptedConstants) -> NormalFormResult:
     every pair of the 2k non-central directions brackets onto the last
     conjugate direction with coefficient one.
     """
+    if not isinstance(c, AdaptedConstants):
+        raise TypeError("center_one_normal_form expects an AdaptedConstants table")
     kern = _holomorphic_center_kernel(c)
     if len(kern) != 1:
         raise NormalFormError(
@@ -314,13 +308,10 @@ def _center_one_normal_form(c: AdaptedConstants, center_vector) -> NormalFormRes
     omega_entries = [[ZERO] * (m - 1) for _ in range(m - 1)]
     for (a, b), row in inter.table().items():
         if m - 1 in (a, b):
-            if row:
-                raise AssertionError("center generator is not central in the new frame")
-            continue
-        extra = set(row) - {m - 1}
-        if extra:
+            raise AssertionError("center generator is not central in the new frame")
+        if set(row) - {m - 1}:
             raise AssertionError("derived algebra is not contained in the center direction")
-        v = row.get(m - 1, ZERO)
+        v = row[m - 1]
         omega_entries[a][b] = v
         omega_entries[b][a] = -v
     omega = ExactMatrix(omega_entries)

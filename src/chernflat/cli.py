@@ -87,6 +87,9 @@ def _witness_text(witness: tuple) -> str:
 
 def _cmd_verify(args) -> int:
     g, acs, label = resolve_model(args.model)
+    if acs is None and args.metric:
+        print("error: --metric needs a model with a structure matrix J", file=sys.stderr)
+        return 2
     rows = [
         ("model", label),
         ("dim", g.dim),

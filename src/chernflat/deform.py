@@ -81,7 +81,7 @@ def _inner_vectors(g: LieAlgebra) -> list:
     out = []
     for i in range(n):
         cols = g._ad_columns([ONE if t == i else ZERO for t in range(n)])
-        vec = {r * n + c: cols[c][r] for r in range(n) for c in range(n) if cols[c][r]}
+        vec = dict(sorted((r * n + c, x) for c, col in enumerate(cols) for r, x in col.items()))
         if vec:
             out.append(vec)
     return out
@@ -173,15 +173,15 @@ def satisfies_deformation_equations(
         for b in range(n):
             if anti.entry(a, b):
                 return Verdict(False, ("anticommutation", a, b))
-    # column jdx of ad_l[i] is [L e_i, e_jdx]
-    ad_l = [g.ad(l_mat.column(k)) for k in range(n)]
     for i in range(n):
+        # column jdx is the sparse [L e_i, e_jdx]
+        cols = g._ad_columns(l_mat.column(i))
         for jdx in range(n):
             if i == jdx:
                 continue
             lhs = l_mat.matvec(g.basis_bracket(i, jdx))
-            rhs = ad_l[i].column(jdx)
-            if any(a + b for a, b in zip(lhs, rhs)):
+            rhs = cols[jdx]
+            if any(a + rhs.get(k, ZERO) for k, a in enumerate(lhs)):
                 return Verdict(False, ("bracket", i, jdx))
     return Verdict(True)
 

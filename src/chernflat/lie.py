@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, ExactMatrix, kernel_from_rows, rank_of_rows
-from .scalars import GaussianRational, ZERO, clear_denominators, gaussian
+from .scalars import ONE, GaussianRational, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
     "LieAlgebra",
@@ -138,29 +138,32 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> ExactMatrix:
         """Matrix of ad_x = [x, .] in the standard basis; see _ad_columns."""
-        return ExactMatrix.from_columns(self._ad_columns(x))
+        n = self.dim
+        return ExactMatrix.from_columns([[col.get(k, ZERO) for k in range(n)] for col in self._ad_columns(x)])
 
     def _ad_columns(self, x: Sequence) -> list:
-        """The columns [x, e_j] of ad_x, as lists.
+        """The columns [x, e_j] of ad_x, as sparse dicts {k: [x, e_j]_k} with no zero value.
 
         They are built in one sweep over the sparse table: the pair (i, j)
-        adds x_i c_ij to column j and -x_j c_ij to column i.
+        adds x_i c_ij to column j and -x_j c_ij to column i.  Keys come in
+        the order the sweep reaches them, not sorted.
         """
         xv = [gaussian(a) for a in x]
         if len(xv) != self.dim:
             raise ValueError("vector length must match the algebra dimension")
-        cols = [[ZERO] * self.dim for _ in range(self.dim)]
+        cols = [{} for _ in range(self.dim)]
         for (i, j), vec in self.brackets.items():
             xi = xv[i]
             if xi:
                 col = cols[j]
                 for k, c in vec.items():
-                    col[k] = col[k] + xi * c
+                    accumulate(col, k, xi * c)
             xj = xv[j]
             if xj:
+                xj = -xj
                 col = cols[i]
                 for k, c in vec.items():
-                    col[k] = col[k] - xj * c
+                    accumulate(col, k, xj * c)
         return cols
 
     def basis_ad(self, i: int) -> ExactMatrix:
@@ -234,19 +237,27 @@ def jacobi_defect(dim: int, brackets: Mapping) -> list:
 class Subspace:
     """A subspace of coordinate space with a canonical reduced basis.
 
-    The stored basis is the reduced row-echelon basis of the span (pivots
-    scaled to 1, sorted by pivot column), so two Subspace objects are equal
-    iff they describe the same subspace.
+    The spanning vectors are coordinate sequences of length ambient_dim or
+    sparse rows, Mappings {index: coefficient} with indices in
+    0..ambient_dim-1.  The stored basis is the reduced row-echelon basis of
+    the span (pivots scaled to 1, sorted by pivot column), so two Subspace
+    objects are equal iff they describe the same subspace.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
+    def __init__(self, ambient_dim: int, vectors: Iterable):
         ech = Echelon(ambient_dim)
         for v in vectors:
-            if len(v) != ambient_dim:
+            if isinstance(v, Mapping):
+                if not all(0 <= c < ambient_dim for c in v):
+                    raise ValueError("vector index out of range for ambient dimension")
+                items = v.items()
+            elif len(v) != ambient_dim:
                 raise ValueError("vector length must match ambient dimension")
-            ech.add({c: a for c, a in enumerate(v) if a})
+            else:
+                items = enumerate(v)
+            ech.add({c: a for c, a in items if a})
         self.ambient_dim = ambient_dim
         self.basis = ech.basis()
 
@@ -283,16 +294,16 @@ def lower_central_series(g: LieAlgebra) -> list:
     """
     if g._series is None:
         n = g.dim
-        current = Subspace(n, [tuple(gaussian(1) if i == j else ZERO for i in range(n)) for j in range(n)])
+        current = Subspace(n, [{j: ONE} for j in range(n)])
         series = [current]
-        nxt = Subspace(n, [tuple(vec.get(k, ZERO) for k in range(n)) for vec in g.brackets.values()])
+        nxt = Subspace(n, g.brackets.values())
         while True:
             series.append(nxt)
             if nxt.dim in (current.dim, 0):
                 break
             current = nxt
             # streamed into the echelon, so only one ad_d is held at a time
-            nxt = Subspace(n, (col for d in current.basis for col in g._ad_columns(d) if any(col)))
+            nxt = Subspace(n, (col for d in current.basis for col in g._ad_columns(d) if col))
         g._series = series
     return list(g._series)
 

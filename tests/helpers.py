@@ -40,6 +40,11 @@ def random_doubled_pair(rng, max_dim=6, span=2):
     return conjugate_complexification(random_two_step_real_algebra(rng, max_dim, span))
 
 
+def combined_frame(s) -> ExactMatrix:
+    """The frame (Z_1..Z_m, conj Z_1..conj Z_m) of a splitting, as matrix columns."""
+    return ExactMatrix.from_columns([list(z) for z in s.onezero] + [[c.conjugate() for c in z] for z in s.onezero])
+
+
 def random_gaussian(rng, span=3):
     return GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
 

@@ -20,7 +20,7 @@ from chernflat.lie import LieAlgebra
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
-from helpers import random_doubled_pair
+from helpers import combined_frame, random_doubled_pair
 
 
 def test_structure_validation():
@@ -50,7 +50,7 @@ def test_splitting_eigenvectors_and_frame():
     # combined frame transforms standard coordinates both ways
     for k in range(6):
         v = [Fraction(1 if t == k else 0) for t in range(6)]
-        assert s.combined.matvec(s.to_combined(v)) == tuple(gaussian(c) for c in v)
+        assert combined_frame(s).matvec(s.to_combined(v)) == tuple(gaussian(c) for c in v)
 
 
 def test_adapted_frame_holomorphic_constants():

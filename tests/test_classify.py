@@ -131,6 +131,9 @@ def test_dim4_normal_form_rejections():
     # a splitting is not a constants table
     with pytest.raises(TypeError):
         dim4_normal_form(split(catalog("dim4_model").algebra, catalog("dim4_model").acs))
+    for name in ("centro1_model(1)", "dim4_model"):
+        with pytest.raises(TypeError, match="expects an AdaptedConstants table"):
+            center_one_normal_form(split(catalog(name).algebra, catalog(name).acs))
 
 
 def test_center_one_normal_form_on_models():

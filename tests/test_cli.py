@@ -73,6 +73,14 @@ def test_verify_without_structure(capsys):
     assert "chern-flat" not in obj
 
 
+def test_verify_rejects_a_metric_for_a_model_without_structure(capsys):
+    # the file is never read: the model has no J for it to be a metric of
+    code, out, err = run(capsys, "verify", "@heisenberg3", "--metric", "/nonexistent/h.json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --metric needs a model with a structure matrix J\n"
+
+
 def test_verify_with_metric_file(capsys, tmp_path):
     path = tmp_path / "h.json"
     path.write_text(json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))

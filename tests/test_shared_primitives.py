@@ -373,7 +373,7 @@ def _ad_sweep_series(g: LieAlgebra) -> list:
     series = [Subspace(g.dim, full)]
     current = series[0]
     while True:
-        images = (col for v in current.basis for col in g._ad_columns(v) if any(col))
+        images = (col for v in current.basis for col in g._ad_columns(v) if col)
         nxt = Subspace(g.dim, images)
         series.append(nxt)
         if nxt.dim == current.dim:
