@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from .lie import LieAlgebra, center, is_two_step
 from .linalg import Echelon, ExactMatrix, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, gaussian
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, clear_denominators, gaussian
 
 __all__ = [
     "AdaptedConstants",
@@ -57,7 +57,7 @@ class AlmostComplexStructure:
     must equal -e_r.  It raises JSquareError when that fails.
     """
 
-    __slots__ = ("j", "_by_row", "_by_col")
+    __slots__ = ("j", "_by_row", "_by_col", "_numerators")
 
     def __init__(self, j: ExactMatrix):
         if not j.is_square():
@@ -78,10 +78,26 @@ class AlmostComplexStructure:
         self.j = j
         self._by_row = by_row
         self._by_col = [[(r, x) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
+        self._numerators = None
 
     @property
     def dim(self) -> int:
         return self.j.rows
+
+    def numerators(self) -> tuple:
+        """(d_J, by_row, by_col): the nonzero entries of J as ints over d_J, built on the first call and kept.
+
+        d_J is the least common denominator of J, and by_row and by_col list
+        the ints d_J J_rc in the layout of _by_row and _by_col.
+        """
+        if self._numerators is None:
+            d = clear_denominators(x for row in self._by_row for _, x in row)[0]
+            by_row, by_col = (
+                [[(t, (x.re * d).numerator) for t, x in line] for line in lines]
+                for lines in (self._by_row, self._by_col)
+            )
+            self._numerators = (d, by_row, by_col)
+        return self._numerators
 
     def apply(self, v) -> tuple:
         """J v, summed over the nonzero entries of J only."""
@@ -142,9 +158,9 @@ class ComplexSplitting:
     R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
     arithmetic, each bracket of the frame is a combination of four B_pq, and
     the (0,1)x(0,1) block is the conjugate of the (1,0)x(1,0) block.  The
-    contraction reads the signed views of ``g`` only, never the ``ad`` sweep
-    behind the real-basis checks, so the two sides of every cross-check
-    evaluate brackets by independent code.
+    contraction reads the signed views of ``g`` only, never the integer
+    sweep behind the real-basis checks (_ad_j_basis), so the two sides of
+    every cross-check evaluate brackets by independent code.
     """
 
     __slots__ = (
@@ -214,18 +230,7 @@ class ComplexSplitting:
         """Coordinates of a (complexified) vector in the combined frame."""
         return self.combined_inv.matvec(v)
 
-    def combined_bracket(self, alpha: int, beta: int) -> tuple:
-        if alpha == beta:
-            return tuple([ZERO] * self.dim)
-        if alpha < beta:
-            return self.constants[(alpha, beta)]
-        return tuple(-c for c in self.constants[(beta, alpha)])
-
     # -- sector views --------------------------------------------------------
-
-    def c_pp_01(self, a: int, b: int) -> tuple:
-        """(0,1)-components of [Z_a, Z_b]: the coefficients on conj Z_k."""
-        return self.combined_bracket(a, b)[self.m :]
 
     def sector_relations_qk(self) -> Verdict:
         """Mixed sector vanishes and (1,0)x(1,0) brackets land in (0,1)."""
@@ -481,21 +486,48 @@ class AdaptedConstants:
 
 
 def _ad_j_basis(s: ComplexSplitting) -> list:
-    """The columns of ad_{J e_i} for every basis index i: entry [i][j] is [J e_i, e_j].
+    """The columns of ad_{J e_i} on numerators: entry [i][j] is d_J D [J e_i, e_j].
 
-    Each column is a sparse dict {r: coefficient}, as LieAlgebra._ad_columns
-    gives it.  Built once per splitting, by the ad sweep, and kept on it.
+    d_J and D are the denominators of J.numerators() and g.numerators().
+    Each column is a sparse dict {r: (re, im)} of ints with no (0, 0) value.
+    One integer sweep over the i < j half of the numerator views builds them
+    all: [J e_i, e_b] is the sum of J_ai [e_a, e_b], so the pair (a, b),
+    a < b, adds J_ai c_ab to column b of ad_{J e_i} and -J_bi c_ab to column
+    a.  The sweep does its own negation, and the checks compare it with the
+    signed views, both halves.  Built once per splitting and kept on it.
     """
     if s._ad_j is None:
-        s._ad_j = [s.g._ad_columns(s.acs.j.column(i)) for i in range(s.dim)]
+        n = s.dim
+        full = s.g.numerators()[1]
+        by_row = s.acs.numerators()[1]
+        ad_j = [[{} for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                vec = full[a][b]
+                if vec:
+                    for i, v in by_row[a]:
+                        _add_multiple(ad_j[i][b], v, vec)
+                    for i, v in by_row[b]:
+                        _add_multiple(ad_j[i][a], -v, vec)
+        s._ad_j = ad_j
     return s._ad_j
 
 
-def _add_j_image(acc: dict, acs: AlmostComplexStructure, vec: dict) -> dict:
-    """Add J vec into the sparse dict acc, for a sparse vector vec; returns acc."""
-    for k, x in vec.items():
-        for r, y in acs._by_col[k]:
-            accumulate(acc, r, y * x)
+def _add_multiple(acc: dict, v: int, vec: dict) -> dict:
+    """Add v vec into acc, for an int v and a numerator dict vec {k: (re, im)}; returns acc."""
+    for k, (x, y) in vec.items():
+        accumulate_numerator(acc, k, v * x, v * y)
+    return acc
+
+
+def _add_j_image(acc: dict, by_col: list, vec: dict) -> dict:
+    """Add J vec into acc on numerators, for by_col from J.numerators(); returns acc.
+
+    With vec at scale t, the image is at scale d_J t.
+    """
+    for k, (x, y) in vec.items():
+        for r, v in by_col[k]:
+            accumulate_numerator(acc, r, v * x, v * y)
     return acc
 
 
@@ -505,26 +537,32 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY].  Vanishing is
     cross-checked against the splitting criterion ([10-sector brackets stay in
     the +i eigenspace]); disagreement raises.
+
+    Every term is summed on numerators at the one scale d_J^2 D, and only the
+    nonzero values are divided by it.
     """
     s = s or split(g, acs)
     n = g.dim
-    full = g.signed_views()[0]
+    denom, full, _ = g.numerators()
+    d_j, _, by_col = acs.numerators()
     ad_j = _ad_j_basis(s)
+    minus_dd = -d_j * d_j
+    scale = d_j * d_j * denom
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
             # [J e_i, J e_j] = sum_k J_kj [J e_i, e_k]
             term: dict = {}
-            for k, c in acs._by_col[j]:
-                for r, x in ad_j[i][k].items():
-                    accumulate(term, r, c * x)
-            for k, c in full[i][j].items():
-                accumulate(term, k, -c)
+            for k, v in by_col[j]:
+                _add_multiple(term, v, ad_j[i][k])
+            _add_multiple(term, minus_dd, full[i][j])
             # [e_i, J e_j] = -[J e_j, e_i], so its J-image enters with a plus sign
-            _add_j_image(term, acs, ad_j[j][i])
-            _add_j_image(term, acs, {r: -x for r, x in ad_j[i][j].items()})
+            _add_j_image(term, by_col, _add_multiple(dict(ad_j[j][i]), -1, ad_j[i][j]))
             if term:
-                values[(i, j)] = tuple(term.get(r, ZERO) for r in range(n))
+                vec = [ZERO] * n
+                for r, (x, y) in term.items():
+                    vec[r] = GaussianRational(Fraction(x, scale), Fraction(y, scale))
+                values[(i, j)] = tuple(vec)
     if _sector_scan(s)[2] == (not values):
         raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
     return values
@@ -547,9 +585,14 @@ def is_chern_flat(
     verdict_a = Verdict(mixed is None, mixed)
     n = g.dim
     ad_j = _ad_j_basis(s)
-    # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i]
+    # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i], both at scale d_J D
     bad = next(
-        ((i, j) for i in range(n) for j in range(i, n) if ad_j[i][j] != {r: -x for r, x in ad_j[j][i].items()}),
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i, n)
+            if ad_j[i][j] != {r: (-x, -y) for r, (x, y) in ad_j[j][i].items()}
+        ),
         None,
     )
     verdict_b = Verdict(True) if bad is None else Verdict(False, ("basis-pair", *bad))
@@ -587,10 +630,14 @@ def is_qk_chern_flat(
             break
 
     n = g.dim
-    full = g.signed_views()[0]
+    full = g.numerators()[1]
+    by_col = acs.numerators()[2]
     ad_j = _ad_j_basis(s)
-    # J[e_i, e_j] + [J e_i, e_j] must vanish
-    bad = next(((i, j) for i in range(n) for j in range(n) if _add_j_image(dict(ad_j[i][j]), acs, full[i][j])), None)
+    # J[e_i, e_j] + [J e_i, e_j] must vanish; both terms are at scale d_J D
+    bad = next(
+        ((i, j) for i in range(n) for j in range(n) if _add_j_image(dict(ad_j[i][j]), by_col, full[i][j])),
+        None,
+    )
     v3 = Verdict(True) if bad is None else Verdict(False, ("basis-pair", *bad))
 
     if not (v1.ok == v2.ok == v3.ok):

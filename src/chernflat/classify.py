@@ -212,6 +212,8 @@ def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
     Output constants are exactly {(0, 1): {2: 1}}: one bracket, coefficient
     one, landing on the third conjugate direction, fourth direction central.
     """
+    if not isinstance(c, AdaptedConstants):
+        raise TypeError("dim4_normal_form expects an AdaptedConstants table")
     if c.m != 4:
         raise NormalFormError("this normal form applies to complex dimension 4")
     m = 4

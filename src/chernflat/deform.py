@@ -11,9 +11,10 @@ substitution rather than assuming.  The reported quotient dimension counts
 essential deformations modulo those.
 
 The rows are read from the nonzero entries of J and the sparse bracket table,
-not from a dense n^4 sweep.  Each row is substituted on Gaussian-integer
-numerators (scaling a row or a direction does not change whether it vanishes)
-and handed to the elimination as it is built, so the system is never held whole.
+not from a dense n^4 sweep, and are built on Gaussian-integer numerators: each
+row is homogeneous, so scaling it changes neither its direction nor the kernel.
+Each row is substituted into the inner directions and handed to the
+elimination as it is built, so the system is never held whole.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Optional
 
 from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split
 from .lie import LieAlgebra, is_two_step
-from .linalg import ExactMatrix, kernel_from_rows, rank_of_rows
-from .scalars import ONE, ZERO, accumulate, clear_denominators, gaussian
+from .linalg import ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
+from .scalars import ONE, ZERO, accumulate_numerator, clear_denominators, gaussian
 
 __all__ = [
     "DeformationSpace",
@@ -37,19 +38,23 @@ __all__ = [
 def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
     """Yield the sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
 
-    Both conditions are read from sparse views: the nonzero entries of J and
-    the signed views of g, full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
+    Both conditions are read from sparse numerator views: the nonzero entries
+    of J over d_J (J.numerators()) and the signed views of g over D
+    (g.numerators()), full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
+    So an anticommutation row is d_J times its equation and a bracket row D
+    times its equation; each is a NumeratorRow.
     """
     n = g.dim
-    full, into = g.signed_views()
+    _, full, into = g.numerators()
+    _, by_row, by_col = acs.numerators()
     # anticommutation: (L J + J L)_{ab} = 0
     for a in range(n):
         for b in range(n):
-            row: dict = {}
-            for c, v in acs._by_col[b]:
-                accumulate(row, a * n + c, v)
-            for c, v in acs._by_row[a]:
-                accumulate(row, c * n + b, v)
+            row = NumeratorRow()
+            for c, v in by_col[b]:
+                accumulate_numerator(row, a * n + c, v, 0)
+            for c, v in by_row[a]:
+                accumulate_numerator(row, c * n + b, v, 0)
             if row:
                 yield row
     # bracket condition: (L [e_i, e_j] + [L e_i, e_j])_k = 0, ordered pairs
@@ -62,11 +67,11 @@ def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
                 ck = into[jdx][k]
                 if not bij and not ck:
                     continue
-                row = {}
-                for c, v in bij.items():
-                    accumulate(row, k * n + c, v)
-                for r, v in ck.items():
-                    accumulate(row, r * n + i, v)
+                row = NumeratorRow()
+                for c, (x, y) in bij.items():
+                    accumulate_numerator(row, k * n + c, x, y)
+                for r, (x, y) in ck.items():
+                    accumulate_numerator(row, r * n + i, x, y)
                 if row:
                     yield row
 
@@ -88,10 +93,10 @@ def _inner_vectors(g: LieAlgebra) -> list:
 
 
 def _checked_rows(rows, vectors: list):
-    """Yield each row after asserting that it vanishes on every vector.
+    """Yield each numerator row after asserting that it vanishes on every vector.
 
-    Each vector and each row is scaled once by its own common denominator,
-    so every sum runs on Gaussian-integer numerators.
+    Each vector is scaled once by its own common denominator, so every sum
+    runs on Gaussian-integer numerators.
     """
     # by_key[key] lists (vector index, re, im) of every vector entry at key
     by_key: dict = {}
@@ -100,10 +105,9 @@ def _checked_rows(rows, vectors: list):
         for key, u, v in zip(vec, re, im):
             by_key.setdefault(key, []).append((t, u, v))
     for row in rows:
-        _, re, im = clear_denominators(row.values())
         acc_re = [0] * len(vectors)
         acc_im = [0] * len(vectors)
-        for key, x, y in zip(row, re, im):
+        for key, (x, y) in row.items():
             for t, u, v in by_key.get(key, ()):
                 acc_re[t] += x * u - y * v
                 acc_im[t] += x * v + y * u

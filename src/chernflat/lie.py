@@ -66,7 +66,7 @@ def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
 class LieAlgebra:
     """A Lie algebra over Q or Q(i), validated at construction time."""
 
-    __slots__ = ("dim", "field", "brackets", "_series", "_center", "_views")
+    __slots__ = ("dim", "field", "brackets", "_series", "_center", "_views", "_numerators")
 
     def __init__(self, dim: int, brackets: Mapping, field: str = "Q"):
         if dim < 1:
@@ -85,10 +85,11 @@ class LieAlgebra:
         self.dim = dim
         self.field = field
         self.brackets = table
-        # lower_central_series, center and signed_views keep their results here
+        # lower_central_series, center, signed_views and numerators keep their results here
         self._series = None
         self._center = None
         self._views = None
+        self._numerators = None
         defects = jacobi_defect(dim, table)
         if defects:
             raise JacobiError(defects)
@@ -103,16 +104,29 @@ class LieAlgebra:
         Read-only: every caller shares them.
         """
         if self._views is None:
-            n = self.dim
-            full = [[{} for _ in range(n)] for _ in range(n)]
-            into = [[{} for _ in range(n)] for _ in range(n)]
-            # the pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending i
-            for (i, j), vec in sorted(self.brackets.items()):
-                for k, c in sorted(vec.items()):
-                    full[i][j][k] = into[j][k][i] = c
-                    full[j][i][k] = into[i][k][j] = -c
-            self._views = (full, into)
+            entries = self._sorted_entries()
+            self._views = _fill_views(self.dim, ((i, j, k, c, -c) for i, j, k, c in entries))
         return self._views
+
+    def numerators(self) -> tuple:
+        """(D, full, into): the signed views on Gaussian-integer numerators, built on the first call and kept.
+
+        D is the least common denominator of the table, and each coefficient
+        c of signed_views() is the pair (re, im) of ints with re + i im = D c,
+        at the same place and in the same key order.  Checks of expressions
+        linear in the table compare these at one scale and divide only what
+        they report.  Read-only, like the signed views.
+        """
+        if self._numerators is None:
+            entries = self._sorted_entries()
+            d, re, im = clear_denominators(c for _, _, _, c in entries)
+            pairs = ((i, j, k, (a, b), (-a, -b)) for (i, j, k, _), a, b in zip(entries, re, im))
+            self._numerators = (d, *_fill_views(self.dim, pairs))
+        return self._numerators
+
+    def _sorted_entries(self) -> list:
+        """(i, j, k, c_ij^k) for every table entry, in ascending (i, j, k)."""
+        return [(i, j, k, c) for (i, j), vec in sorted(self.brackets.items()) for k, c in sorted(vec.items())]
 
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:
         return self.signed_views()[0][i][j].get(k, ZERO)
@@ -185,6 +199,19 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, field={self.field!r}, nonzero_pairs={len(self.brackets)})"
+
+
+def _fill_views(n: int, entries) -> tuple:
+    """(full, into) from (i, j, k, c, -c) for the table entries in ascending (i, j, k).
+
+    The pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending i.
+    """
+    full = [[{} for _ in range(n)] for _ in range(n)]
+    into = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, k, c, minus_c in entries:
+        full[i][j][k] = into[j][k][i] = c
+        full[j][i][k] = into[i][k][j] = minus_c
+    return full, into
 
 
 def jacobi_defect(dim: int, brackets: Mapping) -> list:

@@ -22,6 +22,7 @@ from .scalars import GaussianRational, ZERO, ONE, clear_denominators, gaussian
 __all__ = [
     "Echelon",
     "ExactMatrix",
+    "NumeratorRow",
     "SingularMatrixError",
     "rank",
     "kernel_basis",
@@ -190,6 +191,18 @@ class ExactMatrix:
 # -- elimination engine ------------------------------------------------------
 
 
+class NumeratorRow(dict):
+    """A sparse row already in the engine's layout: {col: (re, im)} of ints, no (0, 0) value.
+
+    Only a row's direction matters, so a caller that has its row on
+    Gaussian-integer numerators at any scale hands it over as this type and
+    the engine skips the scaling step.  The engine may keep the row itself as
+    a pivot row, so it must not be changed afterwards.
+    """
+
+    __slots__ = ()
+
+
 def _numerators(row: dict) -> dict:
     """Gaussian-integer numerators of a sparse Q(i) row, zero entries dropped."""
     _, re, im = clear_denominators(row.values())
@@ -235,7 +248,8 @@ class Echelon:
 
     Rows arrive as sparse dicts (column -> scalar).  Only a row's direction
     matters, so each is scaled once to Gaussian-integer numerators, a dict
-    column -> (re, im) of Python ints.  A pivot row has integer content one
+    column -> (re, im) of Python ints; a NumeratorRow is in that layout
+    already and is taken as it is.  A pivot row has integer content one
     and is scaled by the conjugate of its pivot, so its pivot entry is a
     positive integer d; a row is reduced against it by cross-multiplying,
     d row - row[c] pivot, with no division in Q(i).  Scalars are built only
@@ -260,7 +274,7 @@ class Echelon:
 
     def add(self, row: dict) -> bool:
         """Reduce a sparse row into the form; True when the rank grew."""
-        work = _numerators(row)
+        work = row if isinstance(row, NumeratorRow) else _numerators(row)
         # A pivot row holds zeros at every other pivot column, so one pass
         # over the incoming row's pivoted columns fully reduces it.
         for c in [c for c in work if c in self._pivots]:
@@ -333,7 +347,10 @@ def rank_of_rows(ncols: int, rows: Iterable[dict]) -> int:
 
 
 def kernel_from_rows(ncols: int, rows: Iterable[dict]) -> list:
-    """Kernel basis (list of tuples) of a linear system given by sparse rows."""
+    """Kernel basis (list of tuples) of a linear system given by sparse rows.
+
+    Each row is a {col: scalar} dict or a NumeratorRow.
+    """
     ech = Echelon(ncols)
     for row in rows:
         ech.add(row)

@@ -27,6 +27,7 @@ __all__ = [
     "gaussian",
     "clear_denominators",
     "accumulate",
+    "accumulate_numerator",
     "parse_rational",
     "format_rational",
     "parse_scalar",
@@ -221,6 +222,18 @@ def accumulate(acc: dict, key, value) -> None:
     cur = value if cur is None else cur + value
     if cur:
         acc[key] = cur
+    else:
+        acc.pop(key, None)
+
+
+def accumulate_numerator(acc: dict, key, re: int, im: int) -> None:
+    """accumulate for Gaussian-integer numerators, kept as pairs (re, im) of ints."""
+    cur = acc.get(key)
+    if cur is not None:
+        re += cur[0]
+        im += cur[1]
+    if re or im:
+        acc[key] = (re, im)
     else:
         acc.pop(key, None)
 

@@ -56,11 +56,12 @@ def test_splitting_eigenvectors_and_frame():
 def test_adapted_frame_holomorphic_constants():
     e = catalog("iwasawa_j3")
     s = split(e.algebra, e.acs)
-    assert s.c_pp_01(0, 1) == (ZERO, ZERO, gaussian(2))
-    assert s.c_pp_01(0, 2) == (ZERO, ZERO, ZERO)
-    assert s.c_pp_01(1, 2) == (ZERO, ZERO, ZERO)
+    # the coefficients of [Z_a, Z_b] on conj Z_1..conj Z_3
+    assert s.constants[(0, 1)][3:] == (ZERO, ZERO, gaussian(2))
+    assert s.constants[(0, 2)][3:] == (ZERO, ZERO, ZERO)
+    assert s.constants[(1, 2)][3:] == (ZERO, ZERO, ZERO)
     # conjugate sector mirrors it: bracket of the two conjugate vectors gives 2 Z_3
-    conj_pair = s.combined_bracket(3, 4)
+    conj_pair = s.constants[(3, 4)]
     assert conj_pair == (ZERO, ZERO, gaussian(2), ZERO, ZERO, ZERO)
     # mixed sector vanishes identically
     for a in range(3):

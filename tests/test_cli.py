@@ -218,6 +218,20 @@ def test_construct_holomorphic_round_trip(capsys, tmp_path):
     assert acs == entry.acs
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/built.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_construct_reports_an_output_path_it_cannot_write(capsys, tmp_path, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "construct", "holomorphic", "3", "--set", "1,2,3:1", "-o", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path!r}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_construct_doubling_matches_catalog(capsys, tmp_path):
     h3 = tmp_path / "h3.json"
     entry = catalog("heisenberg3")

@@ -1,12 +1,13 @@
 """Differential tests for the deformation system and its inner-direction check.
 
-``deform._equation_rows`` builds the rows from sparse views of J and of the
-bracket table, and ``deform._checked_rows`` substitutes the inner derivations
-into each row on Gaussian-integer numerators.  The dense loops they replaced,
-over all n^4 index tuples through ``structure_constant`` and ``J.entry`` and
-over dense flattened ``basis_ad`` matrices in GaussianRational arithmetic, are
-kept below as the oracle.  Both must give the same row list (the same dicts,
-values and key order), the same ``DeformationSpace`` and the same
+``deform._equation_rows`` builds the rows from sparse numerator views of J
+(over d_J) and of the bracket table (over D), and ``deform._checked_rows``
+substitutes the inner derivations into each row on Gaussian-integer
+numerators.  The dense loops they replaced, over all n^4 index tuples through
+``structure_constant`` and ``J.entry`` and over dense flattened ``basis_ad``
+matrices in GaussianRational arithmetic, are kept below as the oracle.  Each
+row must be d_J (anticommutation) or D (bracket) times the oracle's row, with
+the same key order; both must give the same ``DeformationSpace`` and the same
 ``AssertionError`` on a tampered vector or row.
 """
 
@@ -26,8 +27,8 @@ from chernflat.deform import (
     deformation_space,
 )
 from chernflat.lie import LieAlgebra, is_two_step
-from chernflat.linalg import ExactMatrix, det, inverse, kernel_from_rows, rank_of_rows
-from chernflat.scalars import GaussianRational, ZERO
+from chernflat.linalg import ExactMatrix, NumeratorRow, det, inverse, kernel_from_rows, rank_of_rows
+from chernflat.scalars import GaussianRational, ZERO, clear_denominators
 
 from helpers import random_doubled_pair
 
@@ -48,7 +49,11 @@ CATALOG = [
 
 
 def _oracle_equation_rows(g, acs):
-    n = g.dim
+    return _oracle_anticommutation_rows(acs) + _oracle_bracket_rows(g)
+
+
+def _oracle_anticommutation_rows(acs):
+    n = acs.dim
     j = acs.j
     rows = []
     for a in range(n):
@@ -74,6 +79,12 @@ def _oracle_equation_rows(g, acs):
                         row.pop(key, None)
             if row:
                 rows.append(row)
+    return rows
+
+
+def _oracle_bracket_rows(g):
+    n = g.dim
+    rows = []
     for i in range(n):
         for jdx in range(n):
             if i == jdx:
@@ -207,8 +218,23 @@ FLAT = list(_flat_pairs())
 ALL = FLAT + list(_conjugated_pairs())
 
 
-def _assert_same_rows(new, old):
-    assert new == old
+def _numerator_row(row: dict, scale) -> dict:
+    """scale times a Q(i) row, in the numerator layout {key: (re, im)} with int parts."""
+    out = {}
+    for key, c in row.items():
+        z = c * scale
+        assert z.re.denominator == 1 and z.im.denominator == 1
+        out[key] = (z.re.numerator, z.im.numerator)
+    return out
+
+
+def _assert_scaled_rows(new, g, acs):
+    """new is d_J times each oracle anticommutation row, then D times each bracket row."""
+    anti = _oracle_anticommutation_rows(acs)
+    old = anti + _oracle_bracket_rows(g)
+    scales = [acs.numerators()[0]] * len(anti) + [g.numerators()[0]] * (len(old) - len(anti))
+    assert all(type(row) is NumeratorRow for row in new)
+    assert new == [_numerator_row(row, d) for row, d in zip(old, scales)]
     # dict equality ignores order; the key order of every row must match too
     assert [list(row) for row in new] == [list(row) for row in old]
 
@@ -232,7 +258,7 @@ def test_inputs_cover_dense_structures_and_cancelling_rows():
 
 @pytest.mark.parametrize("label, g, acs", ALL, ids=[label for label, _, _ in ALL])
 def test_rows_match_the_dense_oracle(label, g, acs):
-    _assert_same_rows(list(_equation_rows(g, acs)), _oracle_equation_rows(g, acs))
+    _assert_scaled_rows(list(_equation_rows(g, acs)), g, acs)
 
 
 @pytest.mark.parametrize("label, g, acs", FLAT, ids=[label for label, _, _ in FLAT])
@@ -252,10 +278,11 @@ def test_a_tampered_vector_or_row_fails_both_checks(name, delta):
     entry = catalog(name)
     g, acs = entry.algebra, entry.acs
     rows = list(_equation_rows(g, acs))
+    oracle_rows = _oracle_equation_rows(g, acs)
     vectors = _inner_vectors(g)
     dense = _oracle_inner_vectors(g)
     assert list(_checked_rows(rows, vectors)) == rows
-    _oracle_check(rows, dense)
+    _oracle_check(oracle_rows, dense)
 
     # one entry of one inner vector, at a key that some row reads
     t, key = next((t, key) for t, vec in enumerate(vectors) for key in vec if any(key in row for row in rows))
@@ -266,14 +293,18 @@ def test_a_tampered_vector_or_row_fails_both_checks(name, delta):
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
         list(_checked_rows(rows, bad_vectors))
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
-        _oracle_check(rows, bad_dense)
+        _oracle_check(oracle_rows, bad_dense)
 
-    # one entry of one row, at a key that some inner vector holds
+    # one entry of one row, at a key that some inner vector holds; the
+    # tampered oracle row goes to _checked_rows on its own numerators
     r, key = next((r, key) for r, row in enumerate(rows) for key in row if any(key in vec for vec in vectors))
-    bad_rows = [dict(row) for row in rows]
-    bad_rows[r][key] = rows[r][key] + delta
+    bad_rows = [dict(row) for row in oracle_rows]
+    bad_rows[r][key] = oracle_rows[r][key] + delta
+    _, re, im = clear_denominators(bad_rows[r].values())
+    bad_numerators = list(rows)
+    bad_numerators[r] = NumeratorRow((k, (a, b)) for k, a, b in zip(bad_rows[r], re, im))
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
-        list(_checked_rows(bad_rows, vectors))
+        list(_checked_rows(bad_numerators, vectors))
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
         _oracle_check(bad_rows, dense)
 

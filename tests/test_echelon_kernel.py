@@ -330,6 +330,7 @@ def test_deformation_systems_match_the_fraction_oracle(label, g, acs):
     rows = list(_equation_rows(g, acs))
     oracle = _FractionEchelon(n * n)
     for row in rows:
-        oracle.add(row)
+        # the rows come as Gaussian-integer numerators; the oracle takes Q(i) rows
+        oracle.add({c: GaussianRational(a, b) for c, (a, b) in row.items()})
     assert kernel_from_rows(n * n, rows) == oracle.kernel_vectors()
     assert rank_of_rows(n * n, rows) == len(oracle.pivot_rows)

@@ -16,6 +16,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chernflat import acs as acs_module
 from chernflat.acs import (
     AdaptedConstants,
     AlmostComplexStructure,
@@ -158,7 +159,7 @@ def _dense_nijenhuis(g, acs, s=None):
                 values[(i, j)] = term
     s = s or split(g, acs)
     splitting_zero = all(
-        not any(s.c_pp_01(a, b)) for a in range(s.m) for b in range(a + 1, s.m)
+        not any(s.constants[(a, b)][s.m :]) for a in range(s.m) for b in range(a + 1, s.m)
     )
     if splitting_zero != (not values):
         raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
@@ -284,14 +285,30 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
     entry = catalog("iwasawa_j3")
     g, acs = entry.algebra, entry.acs
     s = split(g, acs)
-    calls = []
+    sweeps, ad_calls = [], []
+    basis = acs_module._ad_j_basis
+
+    def counting(split_):
+        # the integer sweep runs when the splitting holds no columns yet
+        if split_._ad_j is None:
+            sweeps.append(split_)
+        return basis(split_)
+
+    monkeypatch.setattr(acs_module, "_ad_j_basis", counting)
     sweep = LieAlgebra._ad_columns
-    monkeypatch.setattr(LieAlgebra, "_ad_columns", lambda self, x: calls.append(x) or sweep(self, x))
+    monkeypatch.setattr(LieAlgebra, "_ad_columns", lambda self, x: ad_calls.append(x) or sweep(self, x))
     assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
     assert is_chern_flat(g, acs, s)
     assert is_qk_chern_flat(g, acs, s)
     assert check_center_j_invariant(g, acs, s)
-    assert calls == [acs.j.column(i) for i in range(g.dim)]
+    assert sweeps == [s]
+    # the GaussianRational ad sweep is no longer read by the real-basis checks
+    assert ad_calls == []
+    # a second splitting of the same pair sweeps once more, for itself
+    t = split(g, acs)
+    assert nijenhuis(g, acs, t) == nijenhuis(g, acs, s)
+    assert is_chern_flat(g, acs, t)
+    assert sweeps == [s, t]
 
 
 # -- the signed views of the bracket table ---------------------------------------
