@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
-from .lie import LieAlgebra, center, is_two_step
-from .linalg import Echelon, ExactMatrix, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, clear_denominators, gaussian
+from .lie import LieAlgebra, _clean_brackets, center, is_two_step
+from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, gaussian
 
 __all__ = [
     "AdaptedConstants",
@@ -40,9 +41,6 @@ __all__ = [
 ]
 
 
-_MINUS_ONE = -ONE
-
-
 class JSquareError(ValueError):
     """A square rational matrix of even size whose square is not -I."""
 
@@ -50,14 +48,14 @@ class JSquareError(ValueError):
 class AlmostComplexStructure:
     """A rational matrix J with J^2 = -I acting on a real algebra.
 
-    Its nonzero entries are listed once, in ascending order: the pairs
-    (c, J_rc) in ``_by_row[r]`` and (r, J_rc) in ``_by_col[c]``.  The
-    constructor proves J^2 = -I exactly, one row at a time over the nonzero
-    entries only: row r of J^2 is the sum of J_rc times row c of J, and it
-    must equal -e_r.  It raises JSquareError when that fails.
+    Besides the matrix j, the constructor keeps one sparse layout of it,
+    numerators(), and proves J^2 = -I exactly on that layout, one row at a
+    time over the nonzero entries only: row r of (d_J J)^2 is the sum of
+    d_J J_rc times row c of d_J J, and it must equal -d_J^2 e_r.  It raises
+    JSquareError when that fails.
     """
 
-    __slots__ = ("j", "_by_row", "_by_col", "_numerators")
+    __slots__ = ("j", "_numerators")
 
     def __init__(self, j: ExactMatrix):
         if not j.is_square():
@@ -67,44 +65,44 @@ class AlmostComplexStructure:
         if not j.is_real():
             raise ValueError("J must have rational entries")
         n = j.rows
-        by_row = [[(c, x) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
+        d = lcm(*(j.entry(r, c).re.denominator for r in range(n) for c in range(n)))
+        by_row = [[(c, (x.re * d).numerator) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
+        by_col = [[(r, (x.re * d).numerator) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
+        minus_dd = -d * d
         for r, row in enumerate(by_row):
             square: dict = {}
             for c, x in row:
                 for k, y in by_row[c]:
-                    accumulate(square, k, x * y)
-            if len(square) != 1 or square.get(r) != _MINUS_ONE:
+                    square[k] = square.get(k, 0) + x * y
+            if {k: v for k, v in square.items() if v} != {r: minus_dd}:
                 raise JSquareError("J^2 = -I fails")
         self.j = j
-        self._by_row = by_row
-        self._by_col = [[(r, x) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
-        self._numerators = None
+        self._numerators = (d, by_row, by_col)
 
     @property
     def dim(self) -> int:
         return self.j.rows
 
     def numerators(self) -> tuple:
-        """(d_J, by_row, by_col): the nonzero entries of J as ints over d_J, built on the first call and kept.
+        """(d_J, by_row, by_col): the nonzero entries of J as ints over d_J, built by the constructor.
 
-        d_J is the least common denominator of J, and by_row and by_col list
-        the ints d_J J_rc in the layout of _by_row and _by_col.
+        d_J is the least common denominator of J; by_row[r] lists the pairs
+        (c, d_J J_rc) and by_col[c] the pairs (r, d_J J_rc), both in
+        ascending order.  Read-only: every caller shares them.
         """
-        if self._numerators is None:
-            d = clear_denominators(x for row in self._by_row for _, x in row)[0]
-            by_row, by_col = (
-                [[(t, (x.re * d).numerator) for t, x in line] for line in lines]
-                for lines in (self._by_row, self._by_col)
-            )
-            self._numerators = (d, by_row, by_col)
         return self._numerators
 
     def apply(self, v) -> tuple:
-        """J v, summed over the nonzero entries of J only."""
+        """J v, summed over the nonzero entries of J only, with the int multipliers d_J J_rc."""
         v = [gaussian(x) for x in v]
-        if len(v) != len(self._by_row):
+        d, by_row, _ = self._numerators
+        if len(v) != len(by_row):
             raise ValueError("vector length mismatch in matvec")
-        return tuple(sum((x * v[c] for c, x in row if v[c]), ZERO) for row in self._by_row)
+        out = tuple(sum((v[c] * x for c, x in row if v[c]), ZERO) for row in by_row)
+        if d > 1:
+            scale = Fraction(1, d)
+            out = tuple(z * scale for z in out)
+        return out
 
     @classmethod
     def standard(cls, n: int) -> "AlmostComplexStructure":
@@ -158,7 +156,7 @@ class ComplexSplitting:
     R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
     arithmetic, each bracket of the frame is a combination of four B_pq, and
     the (0,1)x(0,1) block is the conjugate of the (1,0)x(1,0) block.  The
-    contraction reads the signed views of ``g`` only, never the integer
+    contraction reads the numerator views of ``g`` itself, never the integer
     sweep behind the real-basis checks (_ad_j_basis), so the two sides of
     every cross-check evaluate brackets by independent code.
     """
@@ -175,15 +173,16 @@ class ComplexSplitting:
             raise ValueError("J dimension does not match the algebra")
         n = g.dim
         m = n // 2
+        by_col = acs.numerators()[2]
         ech = Echelon(n)
         chosen = []
         for idx in range(n):
             if len(chosen) == m:
                 break
-            if not ech.add({idx: ONE}):
+            if not ech.add(NumeratorRow({idx: (1, 0)})):
                 continue
-            # J e_idx is column idx of J
-            if not ech.add(dict(acs._by_col[idx])):
+            # J e_idx is column idx of J, d_J times it is a numerator row
+            if not ech.add(NumeratorRow({r: (v, 0) for r, v in by_col[idx]})):
                 raise AssertionError("greedy eigenbasis extension failed; J is not a complex structure on Q^n")
             chosen.append(tuple(ONE if t == idx else ZERO for t in range(n)))
         if len(chosen) != m:
@@ -200,8 +199,8 @@ class ComplexSplitting:
         top, bottom = [], []
         for k in range(m):
             row_x, row_jx = r_inv.row(k), r_inv.row(m + k)
-            top.append([_half(a.re, b.re) for a, b in zip(row_x, row_jx)])
-            bottom.append([_half(a.re, -b.re) for a, b in zip(row_x, row_jx)])
+            top.append([_scaled(a.re, b.re, _HALF) for a, b in zip(row_x, row_jx)])
+            bottom.append([_scaled(a.re, -b.re, _HALF) for a, b in zip(row_x, row_jx)])
 
         self.g = g
         self.acs = acs
@@ -281,26 +280,31 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
 _HALF = Fraction(1, 2)
 
 
-def _half(re, im) -> GaussianRational:
-    """(re + i im) / 2 for rationals re and im."""
+def _scaled(re, im, t: Fraction) -> GaussianRational:
+    """(re + i im) t for rationals re and im."""
     if not re and not im:
         return ZERO
-    return GaussianRational(re * _HALF, im * _HALF)
+    return GaussianRational(re * t, im * t)
 
 
 def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) -> dict:
     """Constants of the combined frame of R = [x, J x], keyed alpha < beta in order.
 
-    B_pq = R^-1 [R_p, R_q] is _change_basis of a rational view of the signed
-    views.  Then [Z_a, Z_b] = B(a,b) - B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and
-    [Z_a, conj Z_b] = B(a,b) + B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with
-    B_qp = -B_pq.  An R-coordinate vector w has coefficient (w_k + i w_{m+k}) / 2
-    on Z_k and (w_k - i w_{m+k}) / 2 on conj Z_k.  The algebra is real, so
-    [conj Z_a, conj Z_b] is the conjugate of [Z_a, Z_b] with its halves swapped.
+    B_pq = R^-1 [R_p, R_q] is _change_basis of the table, run on its int
+    numerators over the denominator D (the algebra is real, so their
+    imaginary parts are 0); it gives D B_pq.  Then [Z_a, Z_b] = B(a,b) -
+    B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and [Z_a, conj Z_b] = B(a,b) +
+    B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with B_qp = -B_pq.  An R-coordinate
+    vector w has coefficient (w_k + i w_{m+k}) / 2 on Z_k and
+    (w_k - i w_{m+k}) / 2 on conj Z_k, so the division by D joins the
+    halving.  The algebra is real, so [conj Z_a, conj Z_b] is the conjugate
+    of [Z_a, Z_b] with its halves swapped.
     """
     n = 2 * m
-    # Fractions, not GaussianRationals: the splitting is verify's largest layer
-    full = [[{k: c.re for k, c in vec.items()} for vec in row] for row in g.signed_views()[0]]
+    # ints and Fractions, not GaussianRationals: the splitting is verify's largest layer
+    denom, numerators, _ = g.numerators()
+    full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
+    half = Fraction(1, 2 * denom)
     cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
     inv_cols = [[(s, x.re) for s, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
     real = _change_basis(full, cols, inv_cols)
@@ -317,13 +321,13 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
         return acc
 
     def in_frame(re: dict, im: dict) -> tuple:
-        """Combined-frame coordinates of the R-coordinate vector re + i im."""
+        """Combined-frame coordinates of the R-coordinate vector (re + i im) / D."""
         vec = [ZERO] * n
         for k in range(m):
             a, b = re.get(k, 0), im.get(k, 0)
             c, d = re.get(m + k, 0), im.get(m + k, 0)
-            vec[k] = _half(a - d, b + c)
-            vec[m + k] = _half(a + d, b - c)
+            vec[k] = _scaled(a - d, b + c, half)
+            vec[m + k] = _scaled(a + d, b - c, half)
         return tuple(vec)
 
     constants = {}
@@ -404,28 +408,6 @@ def _closure_defect(c: "AdaptedConstants") -> Optional[tuple]:
     return None
 
 
-def _validated_table(m: int, table: Mapping) -> dict:
-    """Copy of {(i, j): {k: coeff}} with GaussianRational coefficients and no zeros.
-
-    Keys must satisfy 0 <= i < j < m and targets 0 <= k < m; rows keep the
-    order of the input, and the targets of a row ascend.
-    """
-    out = {}
-    for (i, j), row in table.items():
-        if not (0 <= i < j < m):
-            raise ValueError(f"constants key ({i}, {j}) must satisfy 0 <= i < j < m")
-        vec = {}
-        for k, c in row.items():
-            if not 0 <= k < m:
-                raise ValueError(f"constants target index {k} out of range")
-            c = gaussian(c)
-            if c:
-                vec[k] = c
-        if vec:
-            out[(i, j)] = dict(sorted(vec.items()))
-    return out
-
-
 class AdaptedConstants:
     """Holomorphic-sector structure constants, detached from the real algebra.
 
@@ -441,15 +423,15 @@ class AdaptedConstants:
     shape) are enforced eagerly; tables violating them are rejected.
 
     The table is kept sparse, with no zero coefficient: _rows is the
-    validated {(i, j): {k: coeff}}, and _full[i][j] is the signed sparse
-    {k: c_ij^kbar} for every ordered pair, keys ascending, the layout of
-    LieAlgebra.signed_views()[0].
+    validated {(i, j): {k: coeff}}, and _full[i][j] is the sparse signed
+    {k: c_ij^kbar} for every ordered pair, keys ascending, as in the full
+    view of LieAlgebra.numerators() but on the coefficients themselves.
     """
 
     __slots__ = ("m", "_rows", "_full")
 
     def __init__(self, m: int, table: Mapping):
-        self._fill(m, _validated_table(m, table))
+        self._fill(m, _clean_brackets(m, table))
         bad = _closure_defect(self)
         if bad is not None:
             raise ValueError(
@@ -466,11 +448,6 @@ class AdaptedConstants:
         self.m = m
         self._rows = rows
         self._full = full
-
-    def c_pp_01(self, a: int, b: int) -> tuple:
-        """The coefficients of [Z_a, Z_b] on conj Z_0..conj Z_{m-1}, as an m-tuple."""
-        row = self._full[a][b]
-        return tuple(row.get(k, ZERO) for k in range(self.m))
 
     def table(self) -> dict:
         """Plain {(i, j): {k: coeff}} copy of the nonzero constants."""
@@ -494,7 +471,7 @@ def _ad_j_basis(s: ComplexSplitting) -> list:
     all: [J e_i, e_b] is the sum of J_ai [e_a, e_b], so the pair (a, b),
     a < b, adds J_ai c_ab to column b of ad_{J e_i} and -J_bi c_ab to column
     a.  The sweep does its own negation, and the checks compare it with the
-    signed views, both halves.  Built once per splitting and kept on it.
+    numerator views, both halves.  Built once per splitting and kept on it.
     """
     if s._ad_j is None:
         n = s.dim

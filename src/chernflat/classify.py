@@ -217,7 +217,7 @@ def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
     if c.m != 4:
         raise NormalFormError("this normal form applies to complex dimension 4")
     m = 4
-    vecs = {(i, j): c.c_pp_01(i, j) for i in range(m) for j in range(i + 1, m)}
+    vecs = {(i, j): tuple(c._full[i][j].get(k, ZERO) for k in range(m)) for i in range(m) for j in range(i + 1, m)}
     nonzero = [(pair, vec) for pair, vec in vecs.items() if any(vec)]
     if not nonzero:
         raise NormalFormError("abelian algebra has no normal form in this family")

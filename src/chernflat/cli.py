@@ -100,9 +100,6 @@ def _cmd_verify(args) -> int:
     ]
     ok = True
     if acs is not None:
-        if g.field != "Q":
-            print("error: structure checks need a rational model", file=sys.stderr)
-            return 1
         s = split(g, acs)
         cf = is_chern_flat(g, acs, s)
         qk = is_qk_chern_flat(g, acs, s)

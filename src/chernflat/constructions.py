@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .acs import AlmostComplexStructure, ComplexSplitting, SectorShapeError, _validated_table, split
-from .lie import LieAlgebra
+from .acs import AlmostComplexStructure, ComplexSplitting, SectorShapeError, split
+from .lie import LieAlgebra, _clean_brackets
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, ONE, ZERO, accumulate, gaussian
 
@@ -111,7 +111,7 @@ def from_holomorphic_constants(m: int, constants: dict, check: bool = True):
     the constructor) and, when check is set, the splitting of the result is
     asserted to reproduce the input exactly.
     """
-    table = _validated_table(m, constants)
+    table = _clean_brackets(m, constants)
 
     brackets: dict = {}
 

@@ -39,7 +39,7 @@ def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
     """Yield the sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
 
     Both conditions are read from sparse numerator views: the nonzero entries
-    of J over d_J (J.numerators()) and the signed views of g over D
+    of J over d_J (J.numerators()) and the table of g in every order over D
     (g.numerators()), full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
     So an anticommutation row is d_J times its equation and a bracket row D
     times its equation; each is a NumeratorRow.

@@ -1,10 +1,12 @@
 """Finite-dimensional Lie algebras given by exact structure constants.
 
 The bracket tensor is stored sparsely for basis pairs (i, j) with i < j only;
-LieAlgebra.signed_views supplies the rest by antisymmetry, once per algebra,
-for every reader.  Indices are 0-based throughout the library (file formats
-use 1-based indices and convert at the boundary).  Construction eagerly
-validates the Jacobi identity and reports every violating triple.
+the constructor also builds the table in every order once, on
+Gaussian-integer numerators (LieAlgebra.numerators), for every reader that
+needs [e_i, e_j] with i > j.  Indices are 0-based throughout the library
+(file formats use 1-based indices and convert at the boundary).
+Construction eagerly validates the Jacobi identity and reports every
+violating triple.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Echelon, ExactMatrix, kernel_from_rows, rank_of_rows
+from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
 from .scalars import ONE, GaussianRational, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
@@ -38,14 +40,14 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triples {triples}{more}")
 
 
-class _BracketTable(dict):
-    """A bracket table that _clean_brackets has validated and coerced."""
+def _clean_brackets(dim: int, raw: Mapping) -> dict:
+    """Copy of a table {(i, j): {k: coeff}} with GaussianRational coefficients and no zeros.
 
-    __slots__ = ()
-
-
-def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
-    table = _BracketTable()
+    Keys must satisfy 0 <= i < j < dim and targets 0 <= k < dim.  Pairs keep
+    the order of the input and the targets of a row ascend.  It validates
+    bracket tables and holomorphic-constants tables alike.
+    """
+    table = {}
     for (i, j), out in raw.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"bracket pair ({i}, {j}) out of range for dimension {dim}")
@@ -59,14 +61,27 @@ def _clean_brackets(dim: int, raw: Mapping) -> _BracketTable:
             if c:
                 vec[k] = c
         if vec:
-            table[(i, j)] = vec
+            table[(i, j)] = dict(sorted(vec.items()))
     return table
+
+
+def _numerator_views(dim: int, table: Mapping) -> tuple:
+    """(D, full, into) of a cleaned table; see LieAlgebra.numerators."""
+    entries = [(i, j, k, c) for (i, j), vec in sorted(table.items()) for k, c in vec.items()]
+    denom, re, im = clear_denominators(c for _, _, _, c in entries)
+    full = [[{} for _ in range(dim)] for _ in range(dim)]
+    into = [[{} for _ in range(dim)] for _ in range(dim)]
+    # ascending pairs (i, j), i < j, fill each into[j][k] in ascending i
+    for (i, j, k, _), a, b in zip(entries, re, im):
+        full[i][j][k] = into[j][k][i] = (a, b)
+        full[j][i][k] = into[i][k][j] = (-a, -b)
+    return denom, full, into
 
 
 class LieAlgebra:
     """A Lie algebra over Q or Q(i), validated at construction time."""
 
-    __slots__ = ("dim", "field", "brackets", "_series", "_center", "_views", "_numerators")
+    __slots__ = ("dim", "field", "brackets", "_series", "_center", "_numerators")
 
     def __init__(self, dim: int, brackets: Mapping, field: str = "Q"):
         if dim < 1:
@@ -85,56 +100,37 @@ class LieAlgebra:
         self.dim = dim
         self.field = field
         self.brackets = table
-        # lower_central_series, center, signed_views and numerators keep their results here
+        # lower_central_series and center keep their results here
         self._series = None
         self._center = None
-        self._views = None
-        self._numerators = None
-        defects = jacobi_defect(dim, table)
+        self._numerators = _numerator_views(dim, table)
+        defects = jacobi_defect(dim, self._numerators)
         if defects:
             raise JacobiError(defects)
 
     # -- bracket evaluation --------------------------------------------------
 
-    def signed_views(self) -> tuple:
-        """(full, into), built on the first call and kept.
-
-        full[i][j] is {k: c_ij^k} for every ordered pair, c_ji = -c_ij, and
-        into[j][k] is {i: c_ij^k}; both list their keys in ascending order.
-        Read-only: every caller shares them.
-        """
-        if self._views is None:
-            entries = self._sorted_entries()
-            self._views = _fill_views(self.dim, ((i, j, k, c, -c) for i, j, k, c in entries))
-        return self._views
-
     def numerators(self) -> tuple:
-        """(D, full, into): the signed views on Gaussian-integer numerators, built on the first call and kept.
+        """(D, full, into): the table in every order on Gaussian-integer numerators.
 
-        D is the least common denominator of the table, and each coefficient
-        c of signed_views() is the pair (re, im) of ints with re + i im = D c,
-        at the same place and in the same key order.  Checks of expressions
-        linear in the table compare these at one scale and divide only what
-        they report.  Read-only, like the signed views.
+        D is the least common denominator of the table; full[i][j] is
+        {k: (re, im)} with re + i im = D c_ij^k for every ordered pair, c_ji =
+        -c_ij, and into[j][k] is {i: (re, im)} for D c_ij^k.  Keys ascend,
+        and no value is (0, 0).  Checks of expressions linear in the table
+        compare these at one scale and divide only what they report.  Built
+        by the constructor, where the Jacobi check reads them; read-only,
+        since every caller shares them.
         """
-        if self._numerators is None:
-            entries = self._sorted_entries()
-            d, re, im = clear_denominators(c for _, _, _, c in entries)
-            pairs = ((i, j, k, (a, b), (-a, -b)) for (i, j, k, _), a, b in zip(entries, re, im))
-            self._numerators = (d, *_fill_views(self.dim, pairs))
         return self._numerators
 
-    def _sorted_entries(self) -> list:
-        """(i, j, k, c_ij^k) for every table entry, in ascending (i, j, k)."""
-        return [(i, j, k, c) for (i, j), vec in sorted(self.brackets.items()) for k, c in sorted(vec.items())]
-
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:
-        return self.signed_views()[0][i][j].get(k, ZERO)
+        if i > j:
+            return -self.structure_constant(j, i, k)
+        return self.brackets.get((i, j), {}).get(k, ZERO)
 
     def basis_bracket(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coordinate tuple."""
-        vec = self.signed_views()[0][i][j]
-        return tuple(vec.get(k, ZERO) for k in range(self.dim))
+        return tuple(self.structure_constant(i, j, k) for k in range(self.dim))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the bracket to coordinate vectors."""
@@ -201,43 +197,21 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, field={self.field!r}, nonzero_pairs={len(self.brackets)})"
 
 
-def _fill_views(n: int, entries) -> tuple:
-    """(full, into) from (i, j, k, c, -c) for the table entries in ascending (i, j, k).
-
-    The pairs (i, j), i < j, in ascending order fill each into[j][k] in ascending i.
-    """
-    full = [[{} for _ in range(n)] for _ in range(n)]
-    into = [[{} for _ in range(n)] for _ in range(n)]
-    for i, j, k, c, minus_c in entries:
-        full[i][j][k] = into[j][k][i] = c
-        full[j][i][k] = into[i][k][j] = minus_c
-    return full, into
-
-
-def jacobi_defect(dim: int, brackets: Mapping) -> list:
+def jacobi_defect(dim: int, brackets: Mapping | tuple) -> list:
     """All basis triples (i, j, k) where the Jacobi cyclic sum is nonzero.
 
     Accepts a raw bracket table (validated and cleaned first) so candidate
-    tensors can be screened without constructing a LieAlgebra; the table a
-    LieAlgebra has already cleaned is used as it is.  Each entry is
-    ((i, j, k), vector) with i < j < k, in lexicographic order.
+    tensors can be screened without constructing a LieAlgebra; the views
+    (D, full, into) a LieAlgebra constructor has built are used as they are.
+    Each entry is ((i, j, k), vector) with i < j < k, in lexicographic order.
 
     The sum over r of c_ab^r c_rc^s is homogeneous of degree 2, so it runs on
-    the Gaussian-integer numerators of the table over its common denominator
-    d, and each nonzero sum is divided by d**2 only when it is reported.
+    the numerator views over the common denominator D, and each nonzero sum
+    is divided by D**2 only when it is reported.
     """
-    table = brackets if isinstance(brackets, _BracketTable) else _clean_brackets(dim, brackets)
-    denom, re, im = clear_denominators(c for vec in table.values() for c in vec.values())
-    # full[a][b] is (targets, re, im): parallel lists of the numerators of
-    # [e_a, e_b], or () for a zero bracket
-    full = [[()] * dim for _ in range(dim)]
-    start = 0
-    for (i, j), vec in table.items():
-        stop = start + len(vec)
-        targets = list(vec)
-        full[i][j] = (targets, re[start:stop], im[start:stop])
-        full[j][i] = (targets, [-a for a in re[start:stop]], [-b for b in im[start:stop]])
-        start = stop
+    if isinstance(brackets, Mapping):
+        brackets = _numerator_views(dim, _clean_brackets(dim, brackets))
+    denom, full, _ = brackets
     scale = denom * denom
 
     defects = []
@@ -247,8 +221,8 @@ def jacobi_defect(dim: int, brackets: Mapping) -> list:
                 acc_re: dict = {}
                 acc_im: dict = {}
                 for ab, c_idx in ((full[i][j], k), (full[j][k], i), (full[k][i], j)):
-                    for r, x, y in zip(*ab):
-                        for s, u, v in zip(*full[r][c_idx]):
+                    for r, (x, y) in ab.items():
+                        for s, (u, v) in full[r][c_idx].items():
                             acc_re[s] = acc_re.get(s, 0) + x * u - y * v
                             acc_im[s] = acc_im.get(s, 0) + x * v + y * u
                 if any(acc_re.values()) or any(acc_im.values()):
@@ -315,7 +289,7 @@ def lower_central_series(g: LieAlgebra) -> list:
     By bilinearity [g, g] is the span of the table's vectors [e_i, e_j],
     i < j, read straight from g.brackets.  Each later term is spanned by the
     columns [d, e_j] of ad_d for d in the basis of the term before.  The
-    series never reads the signed views, which the closure relations of
+    series never reads the numerator views, which the closure relations of
     acs.two_step_certificate come through.  It is computed once per algebra
     and kept on it.
     """
@@ -345,8 +319,8 @@ def center(g: LieAlgebra) -> Subspace:
     The center is computed once per algebra and kept on it.
     """
     if g._center is None:
-        # the row (j, k) of the stacked adjoint is into[j][k] = {i: c_ij^k}
-        rows = [row for col in g.signed_views()[1] for row in col if row]
+        # the row (j, k) of the stacked adjoint is into[j][k], D c_ij^k at i
+        rows = [NumeratorRow(row) for col in g.numerators()[2] for row in col if row]
         g._center = Subspace(g.dim, kernel_from_rows(g.dim, rows))
     return g._center
 

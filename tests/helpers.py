@@ -45,6 +45,35 @@ def combined_frame(s) -> ExactMatrix:
     return ExactMatrix.from_columns([list(z) for z in s.onezero] + [[c.conjugate() for c in z] for z in s.onezero])
 
 
+def oracle_signed_views(g) -> tuple:
+    """(full, into): the table of g in every order, on its GaussianRational coefficients.
+
+    full[i][j] is {k: c_ij^k} for every ordered pair, c_ji = -c_ij, and
+    into[j][k] is {i: c_ij^k}; keys ascend.  Read from g.brackets, it is the
+    oracle of the numerator views that LieAlgebra builds.
+    """
+    n = g.dim
+    full = [[{} for _ in range(n)] for _ in range(n)]
+    into = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), vec in sorted(g.brackets.items()):
+        for k, c in sorted(vec.items()):
+            full[i][j][k] = into[j][k][i] = c
+            full[j][i][k] = into[i][k][j] = -c
+    return full, into
+
+
+def oracle_j_entries(acs) -> tuple:
+    """(by_row, by_col): the nonzero entries of J, read from acs.j.
+
+    by_row[r] lists the pairs (c, J_rc) and by_col[c] the pairs (r, J_rc),
+    in ascending order, as GaussianRationals.
+    """
+    n = acs.dim
+    by_row = [[(c, x) for c in range(n) if (x := acs.j.entry(r, c))] for r in range(n)]
+    by_col = [[(r, x) for r in range(n) if (x := acs.j.entry(r, c))] for c in range(n)]
+    return by_row, by_col
+
+
 def random_gaussian(rng, span=3):
     return GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
 

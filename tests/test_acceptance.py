@@ -182,7 +182,7 @@ def test_criterion_04_conjugate_doublings_are_flat_and_two_step():
                         acc = ZERO
                         for r in range(m):
                             if cij[r]:
-                                acc = acc + cij[r] * c.c_pp_01(r, k)[l].conjugate()
+                                acc = acc + cij[r] * c._full[r][k].get(l, ZERO).conjugate()
                         assert acc == ZERO
 
 

@@ -165,9 +165,9 @@ def test_adapted_constants_construction_and_lookup():
     table = {(0, 1): {2: gaussian(2)}}
     c = AdaptedConstants(3, table)
     assert c.m == 3
-    assert c.c_pp_01(0, 1) == (ZERO, ZERO, gaussian(2))
-    assert c.c_pp_01(1, 0) == (ZERO, ZERO, gaussian(-2))
-    assert c.c_pp_01(1, 1) == (ZERO, ZERO, ZERO)
+    assert c._full[0][1] == {2: gaussian(2)}
+    assert c._full[1][0] == {2: gaussian(-2)}
+    assert c._full[1][1] == {}
     assert c.table() == {(0, 1): {2: gaussian(2)}}
     with pytest.raises(ValueError):
         AdaptedConstants(3, {(1, 0): {2: 1}})

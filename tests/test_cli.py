@@ -292,6 +292,21 @@ def test_zero_denominators_are_input_errors(capsys, tmp_path, make_argv, expecte
     assert err.startswith(expected)
 
 
+def test_verify_rejects_a_structure_on_a_complex_model(capsys, tmp_path):
+    # a J is only read on a rational table, so a field 'Qi' model with J never reaches the splitting
+    entry = catalog("iwasawa_j3")
+    obj = json.loads(dumps_model(entry.algebra, entry.acs))
+    obj["field"] = "Qi"
+    obj["brackets"][0]["out"][0]["coeff"] = "1+i"
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["verify", str(path)], ["verify", str(path), "--format", "json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error[field]: a structure matrix requires field 'Q'\n"
+
+
 def test_repeated_calls_retain_no_memory(capsys):
     # the parser is built once per process; building one per call kept about
     # 0.3 KB alive per call inside argparse

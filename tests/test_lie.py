@@ -40,6 +40,17 @@ def test_constructor_validation():
         LieAlgebra(3, {}, field="R")
 
 
+def test_rows_given_out_of_order_are_stored_with_ascending_targets():
+    # the pairs keep their input order; the targets of each row ascend
+    raw = {(1, 2): {4: Fraction(3), 3: Fraction(-1)}, (0, 1): {4: Fraction(1, 2), 2: 0, 3: Fraction(2)}}
+    g = LieAlgebra(5, raw)
+    assert list(g.brackets) == [(1, 2), (0, 1)]
+    assert [list(vec) for vec in g.brackets.values()] == [[3, 4], [3, 4]]
+    assert g.brackets[(0, 1)] == {3: gaussian(2), 4: gaussian(Fraction(1, 2))}
+    assert list(raw[(1, 2)]) == [4, 3]
+    assert jacobi_defect(5, raw) == []
+
+
 def test_jacobi_enforced_with_witness():
     bad = {(0, 1): {2: 1}, (0, 2): {0: 1}}
     with pytest.raises(JacobiError) as err:

@@ -6,10 +6,12 @@
 views over the common denominator D of the table (``LieAlgebra.numerators``)
 and the nonzero entries of J over d_J (``AlmostComplexStructure.numerators``).
 Their earlier versions in GaussianRational arithmetic are kept below as the
-oracle.  The predicates must give the oracle's verdicts and witnesses, the
-Nijenhuis values entry by entry, and the same AssertionError on an
-inconsistent input; each deformation row must be d_J (anticommutation) or D
-(bracket) times the oracle's row, key for key, with the same kernel.
+oracle; they read the table and J through ``helpers.oracle_signed_views``
+and ``helpers.oracle_j_entries``, built from ``g.brackets`` and ``acs.j``.
+The predicates must give the oracle's verdicts and witnesses, the Nijenhuis
+values entry by entry, and the same AssertionError on an inconsistent input;
+each deformation row must be d_J (anticommutation) or D (bracket) times the
+oracle's row, key for key, with the same kernel.
 """
 
 import random
@@ -35,7 +37,7 @@ from chernflat.lie import JacobiError, LieAlgebra, is_two_step
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse, kernel_from_rows
 from chernflat.scalars import GaussianRational, ZERO, accumulate, clear_denominators
 
-from helpers import random_doubled_pair, random_two_step_real_algebra
+from helpers import oracle_j_entries, oracle_signed_views, random_doubled_pair, random_two_step_real_algebra
 
 
 # -- oracle: the predicates and rows in GaussianRational arithmetic ---------------
@@ -46,28 +48,29 @@ def _oracle_ad_j(g, acs):
     return [g._ad_columns(acs.j.column(i)) for i in range(g.dim)]
 
 
-def _oracle_add_j_image(acc, acs, vec):
+def _oracle_add_j_image(acc, by_col, vec):
     for k, x in vec.items():
-        for r, y in acs._by_col[k]:
+        for r, y in by_col[k]:
             accumulate(acc, r, y * x)
     return acc
 
 
 def _oracle_nijenhuis(g, acs, s):
     n = g.dim
-    full = g.signed_views()[0]
+    full = oracle_signed_views(g)[0]
+    by_col = oracle_j_entries(acs)[1]
     ad_j = _oracle_ad_j(g, acs)
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
             term: dict = {}
-            for k, c in acs._by_col[j]:
+            for k, c in by_col[j]:
                 for r, x in ad_j[i][k].items():
                     accumulate(term, r, c * x)
             for k, c in full[i][j].items():
                 accumulate(term, k, -c)
-            _oracle_add_j_image(term, acs, ad_j[j][i])
-            _oracle_add_j_image(term, acs, {r: -x for r, x in ad_j[i][j].items()})
+            _oracle_add_j_image(term, by_col, ad_j[j][i])
+            _oracle_add_j_image(term, by_col, {r: -x for r, x in ad_j[i][j].items()})
             if term:
                 values[(i, j)] = tuple(term.get(r, ZERO) for r in range(n))
     if _sector_scan(s)[2] == (not values):
@@ -102,10 +105,11 @@ def _oracle_is_qk_chern_flat(g, acs, s):
             v2 = Verdict(False, ("coframe-d-11", k))
             break
     n = g.dim
-    full = g.signed_views()[0]
+    full = oracle_signed_views(g)[0]
+    by_col = oracle_j_entries(acs)[1]
     ad_j = _oracle_ad_j(g, acs)
     bad = next(
-        ((i, j) for i in range(n) for j in range(n) if _oracle_add_j_image(dict(ad_j[i][j]), acs, full[i][j])),
+        ((i, j) for i in range(n) for j in range(n) if _oracle_add_j_image(dict(ad_j[i][j]), by_col, full[i][j])),
         None,
     )
     v3 = Verdict(True) if bad is None else Verdict(False, ("basis-pair", *bad))
@@ -119,12 +123,13 @@ def _oracle_is_qk_chern_flat(g, acs, s):
 
 def _oracle_anticommutation_rows(acs):
     n = acs.dim
+    by_row, by_col = oracle_j_entries(acs)
     for a in range(n):
         for b in range(n):
             row: dict = {}
-            for c, v in acs._by_col[b]:
+            for c, v in by_col[b]:
                 accumulate(row, a * n + c, v)
-            for c, v in acs._by_row[a]:
+            for c, v in by_row[a]:
                 accumulate(row, c * n + b, v)
             if row:
                 yield row
@@ -132,7 +137,7 @@ def _oracle_anticommutation_rows(acs):
 
 def _oracle_bracket_rows(g):
     n = g.dim
-    full, into = g.signed_views()
+    full, into = oracle_signed_views(g)
     for i in range(n):
         for jdx in range(n):
             if i == jdx:
@@ -296,9 +301,9 @@ def test_predicates_match_the_gaussian_rational_oracle(case):
 
 
 def _assert_numerator_views(g):
-    """g.numerators() is D times g.signed_views(), place for place and in the same key order."""
+    """g.numerators() is D times the oracle's signed views, place for place and in the same key order."""
     denom, full, into = g.numerators()
-    views = g.signed_views()
+    views = oracle_signed_views(g)
     for num_view, view in ((full, views[0]), (into, views[1])):
         for num_row, row in zip(num_view, view):
             for num_vec, vec in zip(num_row, row):
@@ -330,7 +335,7 @@ def test_numerator_views_and_ad_j_columns_scale_the_oracle(case):
     _assert_numerator_views(g)
     denom = g.numerators()[0]
     d_j, by_row, by_col = acs.numerators()
-    for num, exact in ((by_row, acs._by_row), (by_col, acs._by_col)):
+    for num, exact in zip((by_row, by_col), oracle_j_entries(acs)):
         assert [[(c, Fraction(v, d_j)) for c, v in row] for row in num] == [[(c, x.re) for c, x in row] for row in exact]
     scale = d_j * denom
     ad_j = _ad_j_basis(split(g, acs))

@@ -1,12 +1,13 @@
 """Differential tests for the bracket primitives the flatness predicates share.
 
 ``LieAlgebra.ad`` builds every [x, e_j] in one sweep over the sparse bracket
-table, and ``LieAlgebra.signed_views`` reads that table in every order; the
-dense ``LieAlgebra.bracket`` is the reference of both.  The real-basis
-characterizations in ``acs`` read [J e_i, e_j] through ``ad`` and [e_i, e_j]
-through the views, so they are compared here with dense basis-pair loops over
-``bracket``, kept below as the oracle, on flat pairs and on pairs whose
-structure is conjugated out of flatness.
+table, and ``LieAlgebra.numerators`` holds that table in every order, D
+times over on Gaussian-integer numerators; the dense ``LieAlgebra.bracket``
+is the reference of both.  The real-basis characterizations in ``acs`` read
+[J e_i, e_j] through ``ad`` and [e_i, e_j] through the views, so they are
+compared here with dense basis-pair loops over ``bracket``, kept below as the
+oracle, on flat pairs and on pairs whose structure is conjugated out of
+flatness.
 """
 
 import random
@@ -16,7 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernflat import acs as acs_module
+from chernflat import acs as acs_module, lie as lie_module
 from chernflat.acs import (
     AdaptedConstants,
     AlmostComplexStructure,
@@ -26,12 +27,15 @@ from chernflat.acs import (
     is_qk_chern_flat,
     nijenhuis,
     split,
+    two_step_certificate,
 )
 from chernflat.classify import random_frame_scramble
+from chernflat.cli import main
 from chernflat.constructions import catalog, random_two_step
 from chernflat.deform import deformation_space
+from chernflat.fileio import dumps_model
 from chernflat.forms import coframe_element, exterior_d
-from chernflat.lie import LieAlgebra, Subspace, lower_central_series
+from chernflat.lie import LieAlgebra, Subspace, center, lower_central_series
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
 from chernflat.scalars import GaussianRational, ONE, ZERO, gaussian
 
@@ -311,7 +315,7 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
     assert sweeps == [s, t]
 
 
-# -- the signed views of the bracket table ---------------------------------------
+# -- the numerator views of the bracket table ------------------------------------
 
 
 def _view_algebras() -> list:
@@ -327,47 +331,75 @@ def _view_algebras() -> list:
 VIEW_ALGEBRAS = _view_algebras()
 
 
-@pytest.mark.parametrize("label, g", VIEW_ALGEBRAS, ids=[label for label, _ in VIEW_ALGEBRAS])
+def _numerator_view_algebras() -> list:
+    """VIEW_ALGEBRAS and two algebras over Q(i) with imaginary parts of both signs."""
+    q = Fraction
+    table = {
+        (0, 1): {4: GaussianRational(q(1, 2), 3)}, (0, 2): {4: GaussianRational(0, q(-1, 5))},
+        (2, 3): {4: GaussianRational(q(-2, 3), -1)}, (1, 3): {4: GaussianRational(q(3, 4), q(5, 6))},
+    }
+    return VIEW_ALGEBRAS + [
+        ("qi-central", LieAlgebra(5, table, field="Qi")),
+        ("two-step-complexified", _complexified(*random_two_step(random.Random(1)))),
+    ]
+
+
+NUMERATOR_VIEW_ALGEBRAS = _numerator_view_algebras()
+
+
+@pytest.mark.parametrize("label, g", NUMERATOR_VIEW_ALGEBRAS, ids=[label for label, _ in NUMERATOR_VIEW_ALGEBRAS])
 def test_signed_views_match_the_dense_bracket(label, g):
-    full, into = g.signed_views()
+    # the signed views are the numerator views: D times the dense bracket
+    denom, full, into = g.numerators()
     n = g.dim
     basis = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             dense = g.bracket(basis[i], basis[j])
-            assert full[i][j] == {k: c for k, c in enumerate(dense) if c}
-            assert list(full[i][j]) == sorted(full[i][j])
             assert g.basis_bracket(i, j) == dense
+            assert full[i][j] == {k: ((c * denom).re, (c * denom).im) for k, c in enumerate(dense) if c}
+            assert all(type(x) is int and type(y) is int for x, y in full[i][j].values())
+            assert list(full[i][j]) == sorted(full[i][j])
+            for k in range(n):
+                assert g.structure_constant(i, j, k) == dense[k]
     for j in range(n):
         for k in range(n):
             assert into[j][k] == {i: full[i][j][k] for i in range(n) if k in full[i][j]}
             assert list(into[j][k]) == sorted(into[j][k])
 
 
-def test_signed_views_are_built_once_per_algebra(monkeypatch):
-    # every reader of one verify and one deform job shares the views
+def test_signed_view_algebras_include_complex_tables():
+    fields = {g.field for _, g in NUMERATOR_VIEW_ALGEBRAS}
+    assert fields == {"Q", "Qi"}
+    for _, g in NUMERATOR_VIEW_ALGEBRAS[-2:]:
+        assert {c.im > 0 for vec in g.brackets.values() for c in vec.values() if c.im} == {True, False}
+
+
+def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
+    # the constructor builds the numerator views once, clearing the table's
+    # denominators once, and every reader of one verify and one deform job
+    # shares them
     entry = catalog("iwasawa_j3")
+    calls = []
+    clear = lie_module.clear_denominators
+    monkeypatch.setattr(lie_module, "clear_denominators", lambda values: calls.append(1) or clear(values))
+    path = tmp_path / "iwasawa.json"
+    path.write_text(dumps_model(entry.algebra, entry.acs))
+    for argv in (["verify", str(path)], ["deform", str(path)]):
+        assert main(argv) == 0
+        assert len(calls) == 1
+        calls.clear()
+    capsys.readouterr()
     g, acs = LieAlgebra(entry.algebra.dim, entry.algebra.brackets), entry.acs
-    builds = []
-    slot = LieAlgebra._views
-
-    class CountingSlot:
-        def __get__(self, obj, owner=None):
-            return slot.__get__(obj, owner)
-
-        def __set__(self, obj, value):
-            if value is not None:
-                builds.append(obj)
-            slot.__set__(obj, value)
-
-    monkeypatch.setattr(LieAlgebra, "_views", CountingSlot())
     s = split(g, acs)
     assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
     assert is_chern_flat(g, acs, s) and is_qk_chern_flat(g, acs, s)
     assert check_center_j_invariant(g, acs, s)
+    assert two_step_certificate(s) and center(g).dim == 2
     assert deformation_space(g, acs, s).dimension > 0
     assert g.structure_constant(1, 0, 2) == -g.structure_constant(0, 1, 2) == -ONE
-    assert builds == [g]
+    assert len(calls) == 1
+    assert g.numerators() is g.numerators()
 
 
 def test_seeded_pairs_include_failures_of_every_predicate():
@@ -443,7 +475,7 @@ def test_lower_central_series_reads_no_signed_view(monkeypatch):
     # the closure relations of two_step_certificate come through the views
     g = catalog("centro1_model(1)").algebra
     g = LieAlgebra(g.dim, g.brackets)
-    monkeypatch.setattr(LieAlgebra, "signed_views", lambda self: pytest.fail("series read the signed views"))
+    monkeypatch.setattr(LieAlgebra, "numerators", lambda self: pytest.fail("series read the numerator views"))
     assert lower_central_series(g) == _ad_sweep_series(g)
 
 

@@ -149,7 +149,8 @@ def _assert_sparse(c: AdaptedConstants):
     for a in range(c.m):
         for b in range(c.m):
             assert all(c._full[a][b].values())
-            assert c.c_pp_01(a, b) == tuple(c._full[a][b].get(k, ZERO) for k in range(c.m))
+            row = c._rows.get((a, b), {}) if a < b else {k: -x for k, x in c._rows.get((b, a), {}).items()}
+            assert list(c._full[a][b].items()) == list(row.items())
 
 
 # -- reframing --------------------------------------------------------------------

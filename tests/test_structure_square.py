@@ -10,6 +10,7 @@ constructor and the loader reported their rejections.
 import json
 import pathlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -159,3 +160,46 @@ def test_loading_a_model_file_makes_no_dense_matrix_product(monkeypatch, name):
     g, acs, _ = resolve_model(str(MODELS / name))
     assert products == []
     assert acs.j * acs.j == -ExactMatrix.identity(g.dim)
+
+
+# -- the integer layout the constructor keeps ----------------------------------------
+
+
+def _denominator(j: ExactMatrix) -> int:
+    return lcm(*(j.entry(r, c).re.denominator for r in range(j.rows) for c in range(j.cols)))
+
+
+_entries = st.builds(GaussianRational, rationals, rationals) | st.just(GaussianRational(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures.filter(lambda j: _denominator(j) > 1), st.data())
+def test_the_numerator_layout_with_a_denominator_matches_the_dense_matrix(j, data):
+    acs = AlmostComplexStructure(j)
+    n = j.rows
+    d, by_row, by_col = acs.numerators()
+    assert d == _denominator(j) > 1
+    assert by_row == [[(c, int(j.entry(r, c).re * d)) for c in range(n) if j.entry(r, c)] for r in range(n)]
+    assert by_col == [[(r, int(j.entry(r, c).re * d)) for r in range(n) if j.entry(r, c)] for c in range(n)]
+    assert all(type(v) is int for row in by_row + by_col for _, v in row)
+    v = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    assert acs.apply(v) == j.matvec(v)
+    assert all(type(x) is GaussianRational for x in acs.apply(v))
+    # one tampered entry: the layout's proof fails exactly when the dense square is not -I
+    rows = [[j.entry(a, b) for b in range(n)] for a in range(n)]
+    r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[r][c] = rows[r][c] + GaussianRational(data.draw(rationals.filter(bool)))
+    tampered = ExactMatrix(rows)
+    rejected = _outcome(AlmostComplexStructure, tampered) == (JSquareError, "J^2 = -I fails")
+    assert rejected == (tampered * tampered != -ExactMatrix.identity(n))
+    assert rejected or _outcome(AlmostComplexStructure, tampered) is None
+
+
+def test_a_second_structure_with_a_denominator_keeps_its_layout():
+    # [[a, b], [c, -a]] squares to (a^2 + b c) I: moving b from -1 to -1/2 and
+    # c from 1 to 2 keeps J^2 = -I; moving b alone does not
+    half = GaussianRational(Fraction(-1, 2))
+    acs = AlmostComplexStructure(ExactMatrix([[0, half], [2, 0]]))
+    assert acs.numerators() == (2, [[(1, -1)], [(0, 4)]], [[(1, 4)], [(0, -1)]])
+    with pytest.raises(JSquareError):
+        AlmostComplexStructure(ExactMatrix([[0, half], [1, 0]]))
