@@ -149,8 +149,10 @@ class ComplexSplitting:
     basis {x_k} chosen greedily so that R = [x_1..x_m, J x_1..J x_m] is a real
     basis.  The combined frame is (Z_1..Z_m, conj Z_1..conj Z_m) =
     R [[I, I], [-iI, iI]], so its inverse is (1/2) [[I, iI], [I, -iI]] R^-1 and
-    only the rational R is inverted.  Structure constants are stored for
-    combined index pairs alpha < beta as coefficient vectors in that frame.
+    only the rational R is inverted.  The structure constants are the sparse
+    table {(alpha, beta): {gamma: c}} of the brackets of combined frame
+    vectors, as in g.brackets: alpha < beta in ascending order, gamma
+    ascending within a row, no zero value and no empty row.
 
     They are a change of basis of the real structure tensor: B_pq =
     R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
@@ -162,7 +164,7 @@ class ComplexSplitting:
     """
 
     __slots__ = (
-        "g", "acs", "m", "real_basis", "onezero", "combined_inv", "constants",
+        "g", "acs", "m", "real_basis", "constants", "_r_inv",
         "_dtheta", "_ad_j", "_sectors", "_chern_flat", "_holomorphic",
     )
 
@@ -189,32 +191,22 @@ class ComplexSplitting:
             raise AssertionError("could not complete an adapted real basis")
 
         j_chosen = [acs.apply(x) for x in chosen]
-        onezero = [
-            tuple(GaussianRational(a.re, -b.re) for a, b in zip(x, jx))
-            for x, jx in zip(chosen, j_chosen)
-        ]
         r = ExactMatrix.from_columns(chosen + j_chosen)
         r_inv = inverse(r)
-        # (1/2) [[I, iI], [I, -iI]] R^-1, entry by entry
-        top, bottom = [], []
-        for k in range(m):
-            row_x, row_jx = r_inv.row(k), r_inv.row(m + k)
-            top.append([_scaled(a.re, b.re, _HALF) for a, b in zip(row_x, row_jx)])
-            bottom.append([_scaled(a.re, -b.re, _HALF) for a, b in zip(row_x, row_jx)])
 
         self.g = g
         self.acs = acs
         self.m = m
         self.real_basis = chosen
-        self.onezero = onezero
-        self.combined_inv = ExactMatrix(top + bottom)
+        self._r_inv = r_inv
         self._dtheta = None
         self._ad_j = None
         self._sectors = None
         self._chern_flat = None
         self._holomorphic = None
 
-        if any(acs.apply(z) != tuple(I * c for c in z) for z in onezero):
+        # for Z = x - i J x, J Z = i Z says exactly J (J x) = -x
+        if any(acs.apply(jx) != tuple(-c for c in x) for x, jx in zip(chosen, j_chosen)):
             raise AssertionError("eigenvector check failed: J Z != i Z")
 
         self.constants = _frame_constants(g, r, r_inv, m)
@@ -226,8 +218,14 @@ class ComplexSplitting:
         return self.g.dim
 
     def to_combined(self, v) -> tuple:
-        """Coordinates of a (complexified) vector in the combined frame."""
-        return self.combined_inv.matvec(v)
+        """Coordinates of a (complexified) vector in the combined frame.
+
+        They are (1/2) [[I, iI], [I, -iI]] applied to the R-coordinates w = R^-1 v.
+        """
+        w = self._r_inv.matvec(v)
+        m = self.m
+        top = tuple((w[k] + I * w[m + k]) * _HALF for k in range(m))
+        return top + tuple((w[k] - I * w[m + k]) * _HALF for k in range(m))
 
     # -- sector views --------------------------------------------------------
 
@@ -246,9 +244,10 @@ class ComplexSplitting:
             qk = self.sector_relations_qk()
             if not qk:
                 raise SectorShapeError(qk.witness)
+            # the sector shape leaves [Z_a, Z_b] only conj Z_k keys, k + m
             m = self.m
             self._holomorphic = AdaptedConstants(
-                m, {(a, b): dict(enumerate(vec[m:])) for (a, b), vec in self.constants.items() if b < m}
+                m, {(a, b): {k - m: c for k, c in row.items()} for (a, b), row in self.constants.items() if b < m}
             )
         return self._holomorphic
 
@@ -259,19 +258,21 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
     mixed is the witness ("mixed-bracket", a, b) of the first [Z_a, conj Z_b]
     != 0 and holomorphic the witness ("holomorphic-component", a, b) of the
     first a < b with a (1,0)-component in [Z_a, Z_b], or None; torsion is
-    whether some [Z_a, Z_b] has a (0,1)-component.  Keys ascend, so "first"
-    is row-major order.
+    whether some [Z_a, Z_b] has a (0,1)-component.  Pairs ascend, so "first"
+    is row-major order; keys ascend within a row, so its first key tells
+    whether it has a (1,0)-component and its last key whether it has a
+    (0,1)-component.
     """
     if s._sectors is None:
         m = s.m
         mixed = holomorphic = None
         torsion = False
-        for (alpha, beta), vec in s.constants.items():
+        for (alpha, beta), row in s.constants.items():
             if beta < m:
-                if holomorphic is None and any(vec[:m]):
+                if holomorphic is None and next(iter(row)) < m:
                     holomorphic = ("holomorphic-component", alpha, beta)
-                torsion = torsion or any(vec[m:])
-            elif alpha < m and mixed is None and any(vec):
+                torsion = torsion or next(reversed(row)) >= m
+            elif alpha < m and mixed is None:
                 mixed = ("mixed-bracket", alpha, beta - m)
         s._sectors = (mixed, holomorphic, torsion)
     return s._sectors
@@ -280,15 +281,8 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
 _HALF = Fraction(1, 2)
 
 
-def _scaled(re, im, t: Fraction) -> GaussianRational:
-    """(re + i im) t for rationals re and im."""
-    if not re and not im:
-        return ZERO
-    return GaussianRational(re * t, im * t)
-
-
 def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) -> dict:
-    """Constants of the combined frame of R = [x, J x], keyed alpha < beta in order.
+    """Sparse constants {(alpha, beta): {gamma: c}} of the combined frame of R = [x, J x].
 
     B_pq = R^-1 [R_p, R_q] is _change_basis of the table, run on its int
     numerators over the denominator D (the algebra is real, so their
@@ -298,7 +292,8 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
     vector w has coefficient (w_k + i w_{m+k}) / 2 on Z_k and
     (w_k - i w_{m+k}) / 2 on conj Z_k, so the division by D joins the
     halving.  The algebra is real, so [conj Z_a, conj Z_b] is the conjugate
-    of [Z_a, Z_b] with its halves swapped.
+    of [Z_a, Z_b] with key k moved to (k + m) mod 2m.  Pairs and keys
+    ascend, and zero values and empty rows are dropped.
     """
     n = 2 * m
     # ints and Fractions, not GaussianRationals: the splitting is verify's largest layer
@@ -320,35 +315,39 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
                 acc[s] = acc.get(s, 0) + v if sign > 0 else acc.get(s, 0) - v
         return acc
 
-    def in_frame(re: dict, im: dict) -> tuple:
-        """Combined-frame coordinates of the R-coordinate vector (re + i im) / D."""
-        vec = [ZERO] * n
+    def in_frame(re: dict, im: dict) -> dict:
+        """Sparse combined-frame coordinates of the R-coordinate vector (re + i im) / D."""
+        top, bottom = {}, {}
         for k in range(m):
             a, b = re.get(k, 0), im.get(k, 0)
             c, d = re.get(m + k, 0), im.get(m + k, 0)
-            vec[k] = _scaled(a - d, b + c, half)
-            vec[m + k] = _scaled(a + d, b - c, half)
-        return tuple(vec)
+            if a - d or b + c:
+                top[k] = GaussianRational((a - d) * half, (b + c) * half)
+            if a + d or b - c:
+                bottom[m + k] = GaussianRational((a + d) * half, (b - c) * half)
+        return {**top, **bottom}
 
     constants = {}
     for alpha in range(n):
         for beta in range(alpha + 1, n):
             if beta < m:
                 a, b = alpha, beta
-                vec = in_frame(
+                row = in_frame(
                     combination((1, a, b), (-1, m + a, m + b)),
                     combination((-1, a, m + b), (-1, m + a, b)),
                 )
             elif alpha < m:
                 a, b = alpha, beta - m
-                vec = in_frame(
+                row = in_frame(
                     combination((1, a, b), (1, m + a, m + b)),
                     combination((1, a, m + b), (-1, m + a, b)),
                 )
             else:
-                holo = constants[(alpha - m, beta - m)]
-                vec = tuple(z.conjugate() if z else ZERO for z in holo[m:] + holo[:m])
-            constants[(alpha, beta)] = vec
+                holo = constants.get((alpha - m, beta - m), {})
+                row = {k - m: z.conjugate() for k, z in holo.items() if k >= m}
+                row.update((k + m, z.conjugate()) for k, z in holo.items() if k < m)
+            if row:
+                constants[(alpha, beta)] = row
     return constants
 
 

@@ -31,9 +31,9 @@ from .acs import (
     reframed_constants,
     split,
 )
-from .lie import LieAlgebra, center, derived_subalgebra, is_two_step, lower_central_series
-from .linalg import Echelon, ExactMatrix, inverse, kernel_basis, kernel_from_rows, random_invertible, rank
-from .scalars import GaussianRational, ONE, ZERO, gaussian
+from .lie import LieAlgebra, Subspace, center, derived_subalgebra, is_two_step, lower_central_series
+from .linalg import Echelon, ExactMatrix, inverse, kernel_from_rows, random_invertible, rank
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
     "NormalFormError",
@@ -179,11 +179,10 @@ def _holomorphic_center_kernel(c: AdaptedConstants):
 
 
 def _intersection_dim(basis1, basis2) -> int:
+    """dim (U meet V) = dim U + dim V - dim (U + V), for bases of U and V."""
     if not basis1 or not basis2:
         return 0
-    cols = [list(v) for v in basis1] + [[-c for c in v] for v in basis2]
-    stacked = ExactMatrix.from_columns(cols)
-    return len(kernel_basis(stacked))
+    return len(basis1) + len(basis2) - Subspace(len(basis1[0]), [*basis1, *basis2]).dim
 
 
 def complex_center_dimension(s: ComplexSplitting) -> int:

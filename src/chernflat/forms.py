@@ -263,15 +263,10 @@ def two_form_from_skew_matrix(mat: ExactMatrix, m: int, mbar: int = 0) -> Invari
 
 def _coframe_differentials(s: ComplexSplitting) -> list:
     if s._dtheta is None:
-        n = s.dim
-        table = []
-        for gamma in range(n):
-            d: dict = {}
-            for (alpha, beta), vec in s.constants.items():
-                c = vec[gamma]
-                if c:
-                    d[(alpha, beta)] = -c
-            table.append(d)
+        table = [{} for _ in range(s.dim)]
+        for pair, row in s.constants.items():
+            for gamma, c in row.items():
+                table[gamma][pair] = -c
         s._dtheta = table
     return s._dtheta
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
+from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows
 from .scalars import ONE, GaussianRational, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
@@ -266,13 +266,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence) -> bool:
-        vv = [gaussian(a) for a in v]
-        if len(vv) != self.ambient_dim:
-            raise ValueError("vector length must match ambient dimension")
-        rows = [{c: a for c, a in enumerate(b) if a} for b in self.basis]
-        rows.append({c: a for c, a in enumerate(vv) if a})
-        return rank_of_rows(self.ambient_dim, rows) == self.dim
+    def contains(self, v) -> bool:
+        """Whether v, a vector or sparse row as the constructor takes, lies in the span."""
+        return Subspace(self.ambient_dim, [*self.basis, v]).dim == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -7,7 +7,7 @@ from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
 from chernflat.linalg import ExactMatrix
-from chernflat.scalars import GaussianRational, gaussian
+from chernflat.scalars import GaussianRational, I, gaussian
 
 
 def random_two_step_real_algebra(rng, max_dim=6, span=2):
@@ -41,8 +41,13 @@ def random_doubled_pair(rng, max_dim=6, span=2):
 
 
 def combined_frame(s) -> ExactMatrix:
-    """The frame (Z_1..Z_m, conj Z_1..conj Z_m) of a splitting, as matrix columns."""
-    return ExactMatrix.from_columns([list(z) for z in s.onezero] + [[c.conjugate() for c in z] for z in s.onezero])
+    """The frame (Z_1..Z_m, conj Z_1..conj Z_m) of a splitting, as matrix columns.
+
+    Z_k = x_k - i J x_k is built from s.real_basis and the dense matrix
+    acs.j, apart from the splitting's own code.
+    """
+    holo = [[a - I * b for a, b in zip(x, s.acs.j.matvec(x))] for x in s.real_basis]
+    return ExactMatrix.from_columns(holo + [[c.conjugate() for c in z] for z in holo])
 
 
 def oracle_signed_views(g) -> tuple:

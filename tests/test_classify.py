@@ -14,9 +14,11 @@ from chernflat.classify import (
     normal_form,
     random_frame_scramble,
     skew_to_all_ones,
+    _intersection_dim,
 )
-from chernflat.constructions import catalog, from_holomorphic_constants
-from chernflat.linalg import ExactMatrix, rank, random_invertible
+from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
+from chernflat.lie import center, derived_subalgebra
+from chernflat.linalg import ExactMatrix, kernel_basis, rank, random_invertible
 from chernflat.scalars import ONE, ZERO, gaussian
 
 
@@ -228,3 +230,43 @@ def test_random_frame_scramble_consistency():
     g3, acs3 = from_holomorphic_constants(3, reframed_constants(s.holomorphic(), frame).table())
     assert g3 == g2
     assert acs3 == acs2
+
+
+# -- intersection dimension ----------------------------------------------------
+
+
+def _kernel_intersection_dim(basis1, basis2) -> int:
+    """The kernel formula: dim ker [U | -V] for bases U and V, the oracle."""
+    if not basis1 or not basis2:
+        return 0
+    cols = [list(v) for v in basis1] + [[-c for c in v] for v in basis2]
+    return len(kernel_basis(ExactMatrix.from_columns(cols)))
+
+
+def _intersection_pairs():
+    names = [
+        "abelian(4)", "centro1_model(1)", "centro1_model(2)", "centro1_model(3)",
+        "complex_heisenberg_bicomplex", "dim4_model", "dim5_irreducible",
+        "heisenberg(5)", "heisenberg3", "iwasawa_e_frame", "iwasawa_j3",
+    ]
+    pairs = [(catalog(name).algebra, catalog(name).acs) for name in names]
+    pairs += [random_two_step(random.Random(seed)) for seed in range(6)]
+    for seed, name in enumerate(["centro1_model(2)", "dim4_model", "iwasawa_j3"]):
+        entry = catalog(name)
+        pairs.append(random_frame_scramble(entry.algebra, entry.acs, random.Random(seed))[:2])
+    return pairs
+
+
+def test_intersection_dim_matches_the_kernel_formula():
+    checked = set()
+    for g, acs in _intersection_pairs():
+        z, d = center(g), derived_subalgebra(g)
+        cases = [(z.basis, d.basis), (d.basis, z.basis), (z.basis, [])]
+        if acs is not None:
+            cases += [(z.basis, [acs.apply(v) for v in z.basis]), (d.basis, [acs.apply(v) for v in d.basis])]
+        for u, v in cases:
+            dim = _intersection_dim(u, v)
+            assert dim == _kernel_intersection_dim(u, v)
+            checked.add(dim)
+    # the inputs meet in nothing, in part, and in all of a subspace
+    assert 0 in checked and len(checked) >= 3

@@ -78,8 +78,7 @@ def _max_bits(table) -> int:
 def _complexified(g, acs) -> LieAlgebra:
     """The complexified algebra in the eigenframe of (g, J), over Q(i)."""
     s = split(g, acs)
-    table = {pair: {k: c for k, c in enumerate(vec) if c} for pair, vec in s.constants.items()}
-    return LieAlgebra(s.dim, table, field="Qi")
+    return LieAlgebra(s.dim, s.constants, field="Qi")
 
 
 def _rescaled(g: LieAlgebra, scales) -> dict:

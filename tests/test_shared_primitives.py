@@ -67,8 +67,7 @@ def _max_bits(g: LieAlgebra) -> int:
 def _complexified(g: LieAlgebra, acs: AlmostComplexStructure) -> LieAlgebra:
     """The complexified algebra in the eigenframe of (g, J), over Q(i)."""
     s = split(g, acs)
-    table = {pair: {k: c for k, c in enumerate(vec) if c} for pair, vec in s.constants.items()}
-    return LieAlgebra(s.dim, table, field="Qi")
+    return LieAlgebra(s.dim, s.constants, field="Qi")
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +162,7 @@ def _dense_nijenhuis(g, acs, s=None):
                 values[(i, j)] = term
     s = s or split(g, acs)
     splitting_zero = all(
-        not any(s.constants[(a, b)][s.m :]) for a in range(s.m) for b in range(a + 1, s.m)
+        all(k < s.m for k in s.constants.get((a, b), {})) for a in range(s.m) for b in range(a + 1, s.m)
     )
     if splitting_zero != (not values):
         raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
@@ -175,7 +174,7 @@ def _dense_is_chern_flat(g, acs, s=None):
     verdict_a = Verdict(True)
     for a in range(s.m):
         for b in range(s.m):
-            if any(s.constants[(a, s.m + b)]):
+            if (a, s.m + b) in s.constants:
                 verdict_a = Verdict(False, ("mixed-bracket", a, b))
                 break
         if not verdict_a:

@@ -323,3 +323,28 @@ def test_subspace_still_rejects_dense_vectors_of_the_wrong_length():
     with pytest.raises(ValueError, match="vector length"):
         Subspace(3, [(ONE, ZERO)])
     assert Subspace(2, [{1: Fraction(1, 2)}]).basis == [(ZERO, ONE)]
+
+
+def test_subspace_contains_takes_the_rows_the_constructor_takes():
+    line = Subspace(2, [{0: ONE}])
+    # a dict inside the span, with and without an explicit zero value
+    assert line.contains({0: ONE, 1: ZERO})
+    assert line.contains({0: Fraction(-3, 2)})
+    assert line.contains({})
+    # a dict outside it
+    assert not line.contains({1: ONE})
+    assert not line.contains({0: ONE, 1: GaussianRational(0, 1)})
+    # dense vectors still work, and the two spellings agree
+    assert line.contains((gaussian(2), ZERO)) and not line.contains((ONE, ONE))
+    plane = Subspace(3, [{0: ONE, 1: ONE}, {2: ONE}])
+    for row in ({0: ONE, 1: ONE, 2: gaussian(5)}, {0: ONE}, {2: -ONE}):
+        dense = tuple(row.get(k, ZERO) for k in range(3))
+        assert plane.contains(row) == plane.contains(dense)
+
+
+@pytest.mark.parametrize("row", [{2: ONE}, {-1: ONE}, {0: ONE, 5: ZERO}], ids=["past-the-end", "negative", "zero-value"])
+def test_subspace_contains_rejects_sparse_keys_out_of_range(row):
+    with pytest.raises(ValueError, match="out of range"):
+        Subspace(2, [{0: ONE}]).contains(row)
+    with pytest.raises(ValueError, match="vector length"):
+        Subspace(2, [{0: ONE}]).contains((ONE,))

@@ -4,20 +4,22 @@ The splitting contracts its constants from the sparse bracket table by a real
 change of basis.  The dense loop it replaced, ``LieAlgebra.bracket`` on every
 pair of combined-frame vectors mapped through the inverse of the complex
 combined frame, is kept below as the oracle.  The two must give the same
-constants, entry for entry and in the same key order, on flat pairs, on
-integrable (not quasi-Kaehler) doublings, on scrambled frames and on
-structures conjugated so that the columns of J are dense.
+constants, entry for entry and in the same key order once the oracle's zero
+values and empty rows are dropped, on flat pairs, on integrable (not
+quasi-Kaehler) doublings, on scrambled frames and on structures conjugated so
+that the columns of J are dense.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chernflat.acs import AlmostComplexStructure, split
 from chernflat.classify import random_frame_scramble
 from chernflat.constructions import catalog, complexification, random_two_step
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
-from chernflat.scalars import ONE, ZERO
+from chernflat.scalars import GaussianRational, ONE, ZERO
 
 from helpers import combined_frame, random_two_step_real_algebra
 
@@ -47,6 +49,21 @@ def _dense_constants(g, s) -> dict:
             v = g.bracket(basis_vectors[alpha], basis_vectors[beta])
             constants[(alpha, beta)] = combined_inv.matvec(v)
     return constants
+
+
+def _without_zeros(dense: dict) -> dict:
+    """The dense oracle as a sparse table: zero values and empty rows dropped, order kept."""
+    out = {}
+    for pair, vec in dense.items():
+        row = {k: c for k, c in enumerate(vec) if c}
+        if row:
+            out[pair] = row
+    return out
+
+
+def _items(table: dict) -> list:
+    """The table as nested item lists, so that a comparison sees the key order too."""
+    return [(pair, list(row.items())) for pair, row in table.items()]
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -94,11 +111,25 @@ PAIRS = list(_pairs())
 @pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
 def test_constants_match_the_dense_oracle(label, g, acs):
     s = split(g, acs)
-    assert list(s.constants.items()) == list(_dense_constants(g, s).items())
-    identity = ExactMatrix.identity(g.dim)
-    combined = combined_frame(s)
-    assert combined * s.combined_inv == identity
-    assert s.combined_inv * combined == identity
+    assert list(s.constants) == sorted(s.constants)
+    assert all(row and list(row) == sorted(row) and all(row.values()) for row in s.constants.values())
+    assert _items(s.constants) == _items(_without_zeros(_dense_constants(g, s)))
+    combined_inv = inverse(combined_frame(s))
+    for k in range(g.dim):
+        assert s.to_combined([ONE if t == k else ZERO for t in range(g.dim)]) == combined_inv.column(k)
+
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_gaussians = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_to_combined_round_trips_gaussian_vectors(data):
+    _label, g, acs = data.draw(st.sampled_from(PAIRS))
+    s = split(g, acs)
+    v = tuple(data.draw(st.lists(_gaussians, min_size=g.dim, max_size=g.dim)))
+    assert combined_frame(s).matvec(s.to_combined(v)) == v
 
 
 def test_inputs_cover_dense_columns_and_skipped_indices():
@@ -113,5 +144,5 @@ def test_inputs_cover_dense_columns_and_skipped_indices():
     )
     # pairs that are not Chern-flat, and pairs that are not quasi-Kaehler
     splittings = [split(g, acs) for _, g, acs in PAIRS]
-    assert any(any(s.constants[(a, s.m + b)]) for s in splittings for a in range(s.m) for b in range(s.m))
-    assert any(any(s.constants[(a, b)][: s.m]) for s in splittings for a in range(s.m) for b in range(a + 1, s.m))
+    assert any(a < s.m <= b for s in splittings for a, b in s.constants)
+    assert any(b < s.m and min(row) < s.m for s in splittings for (_a, b), row in s.constants.items())
