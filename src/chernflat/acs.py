@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .lie import LieAlgebra, _clean_brackets, center, is_two_step
+from .lie import LieAlgebra, Subspace, _clean_brackets, center, is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
 from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, gaussian
 
@@ -631,7 +631,7 @@ def check_center_j_invariant(
     if not is_chern_flat(g, acs, s):
         raise ValueError("center J-invariance check requires a Chern-flat pair")
     z = center(g)
-    return all(z.contains(acs.apply(v)) for v in z.basis)
+    return Subspace(g.dim, [*z.basis, *map(acs.apply, z.basis)]).dim == z.dim
 
 
 def two_step_certificate(s: ComplexSplitting) -> bool:

@@ -404,18 +404,18 @@ def fingerprint(g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) -> 
     )
 
 
-def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng, span: int = 2):
+def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng):
     """Rebuild the pair from its constants in a random holomorphic frame.
 
     Returns (g2, acs2, frame); the frame is an invertible complex matrix and
     the new pair is isomorphic to the input through it.  Requires the
     quasi-Kaehler sector shape.
     """
-    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng, span)
+    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng)
     return g2, acs2, frame
 
 
-def _scrambled_copy(c: AdaptedConstants, rng, span: int = 2):
+def _scrambled_copy(c: AdaptedConstants, rng):
     """random_frame_scramble from the holomorphic constants c of the input.
 
     Returns (g2, acs2, s2, frame), where s2 is the splitting of the rebuilt
@@ -423,7 +423,7 @@ def _scrambled_copy(c: AdaptedConstants, rng, span: int = 2):
     """
     from .constructions import _assert_round_trip, from_holomorphic_constants
 
-    frame = random_invertible(c.m, rng, complex_entries=True, span=span)
+    frame = random_invertible(c.m, rng)
     constants = reframed_constants(c, frame).table()
     g2, acs2 = from_holomorphic_constants(c.m, constants, check=False)
     s2 = split(g2, acs2)

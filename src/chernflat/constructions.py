@@ -234,149 +234,99 @@ _J_FLAT_TRUE = {
     "quasi_kaehler_identity_metric": True,
 }
 
+
+def _abelian(n: int, name: str):
+    if n < 1:
+        raise ValueError(f"abelian dimension must be positive: {name}")
+    props = {"nilpotency_step": 1, "center_dim": n}
+    if n % 2:
+        return LieAlgebra(n, {}), None, "abelian algebra", props
+    # a zero bracket makes every structure integrable as well as flat
+    props.update(_J_FLAT_TRUE, nijenhuis_zero=True)
+    return LieAlgebra(n, {}), AlmostComplexStructure.standard(n), "abelian algebra", props
+
+
+# name -> (builder of (algebra, structure), description, documented properties)
+_MODELS = {
+    "heisenberg3": (
+        lambda: (_heisenberg(3), None),
+        "3-dimensional algebra with one central bracket",
+        {"nilpotency_step": 2, "center_dim": 1},
+    ),
+    "iwasawa_j3": (
+        _iwasawa_j3,
+        "conjugate doubling of heisenberg3 in its adapted frame",
+        {**_J_FLAT_TRUE, "coupled_solution_dim": 2, "center_complex_dim": 1},
+    ),
+    "iwasawa_e_frame": (
+        _iwasawa_e_frame,
+        "the same model in its customary alternate frame",
+        {**_J_FLAT_TRUE, "coupled_solution_dim": 2, "center_complex_dim": 1},
+    ),
+    "complex_heisenberg_bicomplex": (
+        _complex_heisenberg_bicomplex,
+        "ordinary doubling of heisenberg3: integrable, not quasi-Kaehler",
+        {
+            "chern_flat": True,
+            "qk_chern_flat": False,
+            "nijenhuis_zero": True,
+            "two_step": True,
+            "quasi_kaehler_identity_metric": False,
+        },
+    ),
+    "dim4_model": (
+        lambda: from_holomorphic_constants(4, {(0, 1): {2: 1}}),
+        "complex-dimension-4 model with one holomorphic bracket",
+        {**_J_FLAT_TRUE, "center_complex_dim": 2},
+    ),
+    "dim5_irreducible": (
+        lambda: from_holomorphic_constants(5, {(0, 1): {2: 1}, (1, 3): {4: 1}}),
+        "complex-dimension-5 model whose bracket image spans two directions",
+        {**_J_FLAT_TRUE, "center_complex_dim": 2},
+    ),
+}
+
+# family placeholder -> builder of (algebra, structure, description, properties)
+# from the parameter k and the name as typed; a ValueError rejects k
+_FAMILIES = {
+    "abelian(n)": _abelian,
+    "heisenberg(2k+1)": lambda k, _name: (
+        _heisenberg(k),
+        None,
+        "odd-dimensional two-step algebra with 1-dimensional center",
+        {"nilpotency_step": 2, "center_dim": 1},
+    ),
+    "centro1_model(k)": lambda k, _name: (
+        *_centro1(k),
+        "complex dimension 2k+1, every generator pair bracketing onto the last conjugate direction",
+        {**_J_FLAT_TRUE, "center_complex_dim": 1},
+    ),
+}
+
 _PARAM_RE = _re.compile(r"^([a-z0-9_]+)\((\d+)\)$")
 
 
 def catalog(name: str) -> CatalogEntry:
     """Fetch a model by name; parametrized families use name(k) syntax."""
-    base, arg = name, None
+    if name in _MODELS:
+        build, description, props = _MODELS[name]
+        return CatalogEntry(name, *build(), description, dict(props))
     match = _PARAM_RE.match(name.strip())
     if match:
         base, arg = match.group(1), int(match.group(2))
-
-    if base == "abelian" and arg is not None:
-        if arg < 1:
-            raise UnknownCatalogNameError(f"abelian dimension must be positive: {name}")
-        g = LieAlgebra(arg, {})
-        acs = AlmostComplexStructure.standard(arg) if arg % 2 == 0 else None
-        props = {"nilpotency_step": 1 if arg else 0, "center_dim": arg}
-        if acs is not None:
-            props.update(
-                chern_flat=True,
-                qk_chern_flat=True,
-                nijenhuis_zero=True,
-                two_step=True,
-                quasi_kaehler_identity_metric=True,
-            )
-        return CatalogEntry(name, g, acs, "abelian algebra", props)
-
-    if base == "heisenberg3" and arg is None:
-        return CatalogEntry(
-            name,
-            _heisenberg(3),
-            None,
-            "3-dimensional algebra with one central bracket",
-            {"nilpotency_step": 2, "center_dim": 1},
-        )
-
-    if base == "heisenberg" and arg is not None:
-        try:
-            g = _heisenberg(arg)
-        except ValueError as exc:
-            raise UnknownCatalogNameError(str(exc)) from None
-        return CatalogEntry(
-            name,
-            g,
-            None,
-            "odd-dimensional two-step algebra with 1-dimensional center",
-            {"nilpotency_step": 2, "center_dim": 1},
-        )
-
-    if base == "iwasawa_j3" and arg is None:
-        g, acs = _iwasawa_j3()
-        props = dict(_J_FLAT_TRUE)
-        props.update(coupled_solution_dim=2, center_complex_dim=1)
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "conjugate doubling of heisenberg3 in its adapted frame",
-            props,
-        )
-
-    if base == "iwasawa_e_frame" and arg is None:
-        g, acs = _iwasawa_e_frame()
-        props = dict(_J_FLAT_TRUE)
-        props.update(coupled_solution_dim=2, center_complex_dim=1)
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "the same model in its customary alternate frame",
-            props,
-        )
-
-    if base == "complex_heisenberg_bicomplex" and arg is None:
-        g, acs = _complex_heisenberg_bicomplex()
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "ordinary doubling of heisenberg3: integrable, not quasi-Kaehler",
-            {
-                "chern_flat": True,
-                "qk_chern_flat": False,
-                "nijenhuis_zero": True,
-                "two_step": True,
-                "quasi_kaehler_identity_metric": False,
-            },
-        )
-
-    if base == "dim4_model" and arg is None:
-        g, acs = from_holomorphic_constants(4, {(0, 1): {2: 1}})
-        props = dict(_J_FLAT_TRUE)
-        props.update(center_complex_dim=2)
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "complex-dimension-4 model with one holomorphic bracket",
-            props,
-        )
-
-    if base == "dim5_irreducible" and arg is None:
-        g, acs = from_holomorphic_constants(5, {(0, 1): {2: 1}, (1, 3): {4: 1}})
-        props = dict(_J_FLAT_TRUE)
-        props.update(center_complex_dim=2)
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "complex-dimension-5 model whose bracket image spans two directions",
-            props,
-        )
-
-    if base == "centro1_model" and arg is not None:
-        try:
-            g, acs = _centro1(arg)
-        except ValueError as exc:
-            raise UnknownCatalogNameError(str(exc)) from None
-        props = dict(_J_FLAT_TRUE)
-        props.update(center_complex_dim=1)
-        return CatalogEntry(
-            name,
-            g,
-            acs,
-            "complex dimension 2k+1, every generator pair bracketing onto the last conjugate direction",
-            props,
-        )
-
+        for placeholder, build in _FAMILIES.items():
+            if placeholder.startswith(base + "("):
+                try:
+                    parts = build(arg, name)
+                except ValueError as exc:
+                    raise UnknownCatalogNameError(str(exc)) from None
+                return CatalogEntry(name, *parts)
     raise UnknownCatalogNameError(f"unknown catalog name {name!r}")
 
 
 def catalog_names() -> list:
     """Available names; parametrized families shown with a placeholder."""
-    return [
-        "abelian(n)",
-        "centro1_model(k)",
-        "complex_heisenberg_bicomplex",
-        "dim4_model",
-        "dim5_irreducible",
-        "heisenberg(2k+1)",
-        "heisenberg3",
-        "iwasawa_e_frame",
-        "iwasawa_j3",
-    ]
+    return sorted([*_MODELS, *_FAMILIES])
 
 
 def iwasawa_frame_correspondence() -> ExactMatrix:

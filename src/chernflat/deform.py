@@ -25,7 +25,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split
 from .lie import LieAlgebra, is_two_step
 from .linalg import ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
-from .scalars import ONE, ZERO, accumulate_numerator, clear_denominators, gaussian
+from .scalars import ZERO, accumulate_numerator, clear_denominators, gaussian
 
 __all__ = [
     "DeformationSpace",
@@ -79,17 +79,18 @@ def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
 def _inner_vectors(g: LieAlgebra) -> list:
     """The nonzero flattened ad_{e_i}, as sparse dicts in ascending key order.
 
-    They come from the ad sweep, not from the views behind _equation_rows, so
-    the substitution check compares two independent readings of the table.
+    They are read from g.brackets in one pass, not from the views behind
+    _equation_rows, so the substitution check compares two independent
+    readings of the table: the pair (i, j) puts c_ij^k at key k n + j of
+    ad_{e_i} and -c_ij^k at key k n + i of ad_{e_j}.
     """
     n = g.dim
-    out = []
-    for i in range(n):
-        cols = g._ad_columns([ONE if t == i else ZERO for t in range(n)])
-        vec = dict(sorted((r * n + c, x) for c, col in enumerate(cols) for r, x in col.items()))
-        if vec:
-            out.append(vec)
-    return out
+    ads = [{} for _ in range(n)]
+    for (i, j), vec in g.brackets.items():
+        for k, c in vec.items():
+            ads[i][k * n + j] = c
+            ads[j][k * n + i] = -c
+    return [dict(sorted(ad.items())) for ad in ads if ad]
 
 
 def _checked_rows(rows, vectors: list):

@@ -13,8 +13,9 @@ Conventions (fixed once; the identity-metric fixture on the standard
     and extends as an antiderivation.
 
 Forms over an abstract coordinate coframe (no conjugate block) are supported
-with mbar = 0; they feed the nondegeneracy computations of the normal-form
-module.
+with mbar = 0: the 2-form of a skew matrix (two_form_from_skew_matrix) is
+nondegenerate exactly when its top wedge power is nonzero.  The normal-form
+module does not use them.
 """
 
 from __future__ import annotations
@@ -461,21 +462,10 @@ def real_coframe_coefficients(s: ComplexSplitting, f: InvariantForm, basis: Sequ
 
 # -- text format -------------------------------------------------------------
 
-_TOKEN_RE = _re.compile(r"^(zb|z|nb|n)(\d+)$")
+_TOKEN_RE = _re.compile(r"^(zb|z)(\d+)$")
 
 
-def _token_for_index(idx: int, m: int, center_split: Optional[int]) -> str:
-    if idx < m:
-        if center_split is not None and idx >= center_split:
-            return f"n{idx - center_split + 1}"
-        return f"z{idx + 1}"
-    idx -= m
-    if center_split is not None and idx >= center_split:
-        return f"nb{idx - center_split + 1}"
-    return f"zb{idx + 1}"
-
-
-def format_form(f: InvariantForm, center_split: Optional[int] = None) -> str:
+def format_form(f: InvariantForm) -> str:
     """Canonical text rendering; round-trips through parse_form."""
     if not f.coeffs:
         return "0"
@@ -486,14 +476,14 @@ def format_form(f: InvariantForm, center_split: Optional[int] = None) -> str:
         if coeff.re and coeff.im:
             cs = f"({cs})"
         if key:
-            mono = "^".join(_token_for_index(idx, f.m, center_split) for idx in key)
+            mono = "^".join(f"z{idx + 1}" if idx < f.m else f"zb{idx - f.m + 1}" for idx in key)
             terms.append(f"{cs}*{mono}")
         else:
             terms.append(cs)
     return " + ".join(terms)
 
 
-def parse_form(text: str, m: int, mbar: int, center_split: Optional[int] = None) -> InvariantForm:
+def parse_form(text: str, m: int, mbar: int) -> InvariantForm:
     """Parse the form text format; all terms must share one degree."""
     s = text.strip()
     if s == "0":
@@ -505,7 +495,8 @@ def parse_form(text: str, m: int, mbar: int, center_split: Optional[int] = None)
         if not term:
             raise ValueError("empty term in form literal")
         # A coefficient string never contains the letters z or n, so the
-        # coefficient/monomial boundary is the first '*' followed by one.
+        # coefficient/monomial boundary is the first '*' followed by one;
+        # an n there starts a token that the check below rejects.
         split_at = None
         for pos, ch in enumerate(term):
             if ch == "*" and pos + 1 < len(term) and term[pos + 1] in "zn":
@@ -528,23 +519,9 @@ def parse_form(text: str, m: int, mbar: int, center_split: Optional[int] = None)
                 if not mt:
                     raise ValueError(f"bad coframe token {token!r}")
                 kind, num = mt.group(1), int(mt.group(2)) - 1
-                if num < 0:
+                if not 0 <= num < (m if kind == "z" else mbar):
                     raise ValueError(f"coframe token {token!r} out of range")
-                if kind in ("n", "nb"):
-                    if center_split is None:
-                        raise ValueError("center-relative token used without a center split")
-                    base = center_split + num
-                else:
-                    base = num
-                if kind in ("z", "n"):
-                    if base >= m:
-                        raise ValueError(f"coframe token {token!r} out of range")
-                    idx = base
-                else:
-                    if base >= mbar:
-                        raise ValueError(f"coframe token {token!r} out of range")
-                    idx = m + base
-                indices.append(idx)
+                indices.append(num if kind == "z" else m + num)
         key, sign = _sort_key(indices)
         if not sign:
             continue

@@ -5,7 +5,7 @@ straightforward representation is fine.  Elimination is fraction-free
 Gauss-Jordan on Python ints: the engine, :class:`Echelon`, stores each row as
 Gaussian-integer numerators with integer content one and a positive integer
 pivot, and reduces by cross-multiplying instead of dividing.  Scalars are
-built only for the results (kernel vectors, reduced bases, solutions), each
+built only for the results (kernel vectors, reduced bases, inverses), each
 divided once by its pivot.  The determinant is Bareiss elimination on the
 same numerators.  The engine works on sparse row dictionaries so that the
 larger stacked systems (deformation equations) stay cheap as well.
@@ -26,7 +26,6 @@ __all__ = [
     "SingularMatrixError",
     "rank",
     "kernel_basis",
-    "solve",
     "inverse",
     "det",
     "kernel_from_rows",
@@ -257,20 +256,15 @@ class Echelon:
     row-echelon form is unique, they are the same exact values any Q(i)
     elimination gives.
 
-    Pivoting is restricted to the first ``pivot_limit`` columns; rows whose
-    surviving support lies entirely beyond that limit are kept aside (they
-    witness inconsistency when the trailing columns hold right-hand sides).
     The pivot column set is the canonical leftmost one because each incoming
     row is fully reduced before choosing its pivot.
     """
 
-    __slots__ = ("ncols", "pivot_limit", "_pivots", "_extra")
+    __slots__ = ("ncols", "_pivots")
 
-    def __init__(self, ncols: int, pivot_limit: int | None = None):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         self._pivots: dict[int, dict] = {}
-        self._extra: list[dict] = []
 
     def add(self, row: dict) -> bool:
         """Reduce a sparse row into the form; True when the rank grew."""
@@ -281,10 +275,7 @@ class Echelon:
             work = _eliminate(work, c, self._pivots[c])
         if not work:
             return False
-        lead = min((c for c in work if c < self.pivot_limit), default=None)
-        if lead is None:
-            self._extra.append(work)
-            return False
+        lead = min(work)
         a, b = work[lead]
         if b:
             work = {c: (a * x + b * y, a * y - b * x) for c, (x, y) in work.items()}
@@ -316,7 +307,7 @@ class Echelon:
         return out
 
     def kernel_vectors(self) -> list:
-        """Basis of the kernel (pivot_limit must equal ncols)."""
+        """Basis of the kernel."""
         pivots = self.pivot_columns()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
@@ -366,50 +357,21 @@ def kernel_basis(m: ExactMatrix) -> list:
     return kernel_from_rows(m.cols, _matrix_rows(m))
 
 
-def solve(m: ExactMatrix, rhs) -> "ExactMatrix | tuple | None":
-    """Solve m x = rhs exactly; rhs may be a matrix or a coordinate tuple.
-
-    Returns None when the system is inconsistent.  With an underdetermined
-    system the particular solution with all free variables zero is returned.
-    """
-    vector_input = not isinstance(rhs, ExactMatrix)
-    if vector_input:
-        b = ExactMatrix.from_columns([list(rhs)])
-    else:
-        b = rhs
-    if b.rows != m.rows:
-        raise ValueError("right-hand side height mismatch")
-    ech = Echelon(m.cols + b.cols, pivot_limit=m.cols)
-    for i in range(m.rows):
-        row = {j: m.entry(i, j) for j in range(m.cols) if m.entry(i, j)}
-        for t in range(b.cols):
-            if b.entry(i, t):
-                row[m.cols + t] = b.entry(i, t)
-        ech.add(row)
-    if ech._extra:
-        return None
-    out = [[ZERO] * b.cols for _ in range(m.cols)]
-    for c, row in ech._pivots.items():
-        d = row[c][0]
-        for t in range(b.cols):
-            val = row.get(m.cols + t)
-            if val:
-                out[c][t] = _ratio(val[0], val[1], d)
-    x = ExactMatrix(out)
-    if vector_input:
-        return x.column(0)
-    return x
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
+    """One Gauss-Jordan pass over [m | I]: its reduced form is [I | m^-1].
+
+    [m | I] has full row rank, so every row gets a pivot; m is singular
+    exactly when a pivot lands among the columns of I.
+    """
     if not m.is_square():
         raise SingularMatrixError("only square matrices can be inverted")
-    # [m | I] has full row rank, so a singular m leaves some row of I
-    # unreduced past the pivot columns and solve reports it as inconsistent
-    x = solve(m, ExactMatrix.identity(m.rows))
-    if x is None:
+    n = m.rows
+    ech = Echelon(2 * n)
+    for i in range(n):
+        ech.add({**{j: x for j, x in enumerate(m.row(i)) if x}, n + i: ONE})
+    if ech.pivot_columns()[-1] >= n:
         raise SingularMatrixError("matrix is singular over Q(i)")
-    return x
+    return ExactMatrix([row[n:] for row in ech.basis()])
 
 
 def det(m: ExactMatrix) -> GaussianRational:

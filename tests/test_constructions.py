@@ -9,6 +9,7 @@ from chernflat.acs import (
     split,
     two_step_certificate,
 )
+from chernflat.classify import complex_center_dimension
 from chernflat.constructions import (
     CatalogEntry,
     UnknownCatalogNameError,
@@ -21,7 +22,7 @@ from chernflat.constructions import (
     random_two_step,
     verify_frame_isomorphism,
 )
-from chernflat.forms import HermitianMetric, is_quasi_kaehler
+from chernflat.forms import HermitianMetric, coupled_two_form_solutions, is_quasi_kaehler
 from chernflat.lie import JacobiError, LieAlgebra, center, is_two_step, nilpotency_step
 from chernflat.linalg import ExactMatrix
 from chernflat.scalars import gaussian
@@ -92,53 +93,63 @@ def test_from_holomorphic_constants_rejects_bad_input():
         from_holomorphic_constants(2, {(0, 1): {0: 1}})
 
 
+# each family placeholder of catalog_names() at sample parameters; abelian
+# at an odd and an even dimension, since only the even one carries a structure
+FAMILY_SAMPLES = {
+    "abelian(n)": ["abelian(3)", "abelian(4)"],
+    "centro1_model(k)": ["centro1_model(1)", "centro1_model(2)"],
+    "heisenberg(2k+1)": ["heisenberg(5)"],
+}
+
+J_PROPERTIES = {"chern_flat", "qk_chern_flat", "nijenhuis_zero", "two_step", "quasi_kaehler_identity_metric"}
+
+# documented property -> its recomputation from (algebra, structure)
+RECOMPUTE = {
+    "nilpotency_step": lambda g, acs: nilpotency_step(g),
+    "center_dim": lambda g, acs: center(g).dim,
+    "chern_flat": lambda g, acs: bool(is_chern_flat(g, acs)),
+    "qk_chern_flat": lambda g, acs: bool(is_qk_chern_flat(g, acs)),
+    "nijenhuis_zero": lambda g, acs: nijenhuis(g, acs) == {},
+    "two_step": lambda g, acs: is_two_step(g),
+    "quasi_kaehler_identity_metric": lambda g, acs: is_quasi_kaehler(
+        split(g, acs), HermitianMetric.identity(g.dim // 2)
+    ),
+    "center_complex_dim": lambda g, acs: complex_center_dimension(split(g, acs)),
+    "coupled_solution_dim": lambda g, acs: coupled_two_form_solutions(split(g, acs)).dimension,
+}
+
+
+def _concrete_names():
+    return [name for listed in catalog_names() for name in FAMILY_SAMPLES.get(listed, [listed])]
+
+
 def test_catalog_names_resolve():
-    for name in catalog_names():
-        concrete = (
-            name.replace("(n)", "(4)").replace("(k)", "(2)").replace("(2k+1)", "(5)")
-        )
-        entry = catalog(concrete)
+    assert catalog_names() == sorted(catalog_names())
+    for name in _concrete_names():
+        entry = catalog(name)
         assert isinstance(entry, CatalogEntry)
+        assert entry.name == name
         assert entry.algebra.dim >= 1
-    with pytest.raises(UnknownCatalogNameError):
-        catalog("nope")
-    with pytest.raises(UnknownCatalogNameError):
-        catalog("heisenberg(4)")
-    with pytest.raises(UnknownCatalogNameError):
-        catalog("abelian(0)")
-    with pytest.raises(UnknownCatalogNameError):
-        catalog("centro1_model(0)")
+    for name, message in [
+        ("nope", "unknown catalog name 'nope'"),
+        ("heisenberg(4)", "heisenberg algebras have odd dimension >= 3"),
+        ("abelian(0)", "abelian dimension must be positive: abelian(0)"),
+        ("abelian(00)", "abelian dimension must be positive: abelian(00)"),
+        ("centro1_model(0)", "parameter must be a positive integer"),
+        ("heisenberg3(2)", "unknown catalog name 'heisenberg3(2)'"),
+    ]:
+        with pytest.raises(UnknownCatalogNameError) as info:
+            catalog(name)
+        assert str(info.value) == message
 
 
 def test_catalog_properties_match_recomputation():
-    names = [
-        "abelian(4)",
-        "iwasawa_j3",
-        "iwasawa_e_frame",
-        "complex_heisenberg_bicomplex",
-        "dim4_model",
-        "dim5_irreducible",
-        "centro1_model(1)",
-        "centro1_model(2)",
-    ]
-    for name in names:
+    for name in _concrete_names():
         entry = catalog(name)
         g, acs, props = entry.algebra, entry.acs, entry.properties
-        if "nilpotency_step" in props:
-            assert nilpotency_step(g) == props["nilpotency_step"]
-        if "center_dim" in props:
-            assert center(g).dim == props["center_dim"]
-        if acs is None:
-            continue
-        assert bool(is_chern_flat(g, acs)) == props["chern_flat"]
-        assert bool(is_qk_chern_flat(g, acs)) == props["qk_chern_flat"]
-        assert (nijenhuis(g, acs) == {}) == props["nijenhuis_zero"]
-        assert is_two_step(g) == props["two_step"]
-        s = split(g, acs)
-        assert (
-            is_quasi_kaehler(s, HermitianMetric.identity(s.m))
-            == props["quasi_kaehler_identity_metric"]
-        )
+        if acs is not None:
+            assert J_PROPERTIES <= set(props), name
+        assert {key: RECOMPUTE[key](g, acs) for key in props} == props, name
 
 
 def test_heisenberg_family():

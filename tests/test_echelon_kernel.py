@@ -4,8 +4,8 @@
 by cross-multiplication; ``linalg.det`` is Bareiss elimination on the same
 numerators.  The GaussianRational (Fraction) engine and determinant they
 replaced are kept below as the oracle.  The reduced row-echelon form is
-unique, so rank, pivot columns, kernel bases, reduced bases, solutions,
-inverses and determinants must be the same exact objects.
+unique, so rank, pivot columns, kernel bases, reduced bases, inverses and
+determinants must be the same exact objects.
 """
 
 import random
@@ -28,7 +28,6 @@ from chernflat.linalg import (
     kernel_from_rows,
     rank,
     rank_of_rows,
-    solve,
 )
 from chernflat.scalars import GaussianRational, ONE, ZERO, clear_denominators, gaussian
 
@@ -200,25 +199,14 @@ def _dense(ncols, rows):
     return [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
 
 
-def _direction(row):
-    """A stored row scaled so that its leading entry is 1."""
-    lead = row[min(row)]
-    return {c: v / lead for c, v in row.items()}
-
-
-def _numerator_direction(row):
-    return _direction({c: GaussianRational(a, b) for c, (a, b) in row.items()})
-
-
 # -- the engine against the oracle -------------------------------------------------
 
 
 @settings(max_examples=120, deadline=None)
-@given(systems(), st.data())
-def test_engine_matches_the_fraction_oracle(system, data):
+@given(systems())
+def test_engine_matches_the_fraction_oracle(system):
     ncols, rows = system
-    limit = data.draw(st.integers(0, ncols))
-    ech, oracle = Echelon(ncols, limit), _FractionEchelon(ncols, limit)
+    ech, oracle = Echelon(ncols), _FractionEchelon(ncols)
     for row in rows:
         before = ech.rank()
         grew = ech.add(row)
@@ -227,11 +215,9 @@ def test_engine_matches_the_fraction_oracle(system, data):
     assert ech.rank() == len(oracle.pivot_rows)
     assert ech.pivot_columns() == sorted(oracle.pivot_rows)
     assert ech.basis() == oracle.basis()
-    assert [_numerator_direction(r) for r in ech._extra] == [_direction(r) for r in oracle.extra_rows]
     for row in ech._pivots.values():
         assert gcd(*[x for pair in row.values() for x in pair]) == 1
-    if limit == ncols:
-        assert ech.kernel_vectors() == oracle.kernel_vectors()
+    assert ech.kernel_vectors() == oracle.kernel_vectors()
 
 
 @settings(max_examples=120, deadline=None)
@@ -249,25 +235,6 @@ def test_row_entry_points_match_the_fraction_oracle(system):
         m = ExactMatrix(vectors)
         assert rank(m) == len(oracle.pivot_rows)
         assert kernel_basis(m) == oracle.kernel_vectors()
-
-
-@settings(max_examples=120, deadline=None)
-@given(systems(max_rows=6), st.integers(1, 3), st.data())
-def test_solve_matches_the_fraction_oracle(system, rhs_cols, data):
-    ncols, rows = system
-    if not rows:
-        rows = [{}]
-    m = ExactMatrix(_dense(ncols, rows))
-    b = ExactMatrix([data.draw(st.lists(SCALARS, min_size=rhs_cols, max_size=rhs_cols)) for _ in rows])
-    if data.draw(st.booleans()):
-        # a right-hand side in the column space: a consistent system
-        x = ExactMatrix([data.draw(st.lists(SCALARS, min_size=rhs_cols, max_size=rhs_cols)) for _ in range(ncols)])
-        b = m * x
-    expected = _oracle_solve(m, b)
-    assert solve(m, b) == expected
-    expected_vec = _oracle_solve(m, ExactMatrix.from_columns([b.column(0)]))
-    got_vec = solve(m, b.column(0))
-    assert got_vec == (None if expected_vec is None else expected_vec.column(0))
 
 
 @settings(max_examples=120, deadline=None)

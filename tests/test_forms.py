@@ -265,15 +265,6 @@ def test_format_examples():
     assert format_form(InvariantForm.zero(3, 3, 2)) == "0"
 
 
-def test_center_split_tokens():
-    f = InvariantForm(3, 3, 2, {(1, 2): ONE, (0, 5): -ONE})
-    text = format_form(f, center_split=2)
-    assert "n1" in text and "nb1" in text
-    assert parse_form(text, 3, 3, center_split=2) == f
-    with pytest.raises(ValueError):
-        parse_form("n1^z2", 3, 3)
-
-
 def test_parse_reordered_indices_and_errors():
     assert parse_form("z2^z1", 3, 3) == InvariantForm(3, 3, 2, {(0, 1): -ONE})
     assert parse_form("z1^z1", 3, 3).is_zero()
@@ -285,6 +276,10 @@ def test_parse_reordered_indices_and_errors():
         parse_form("z9", 2, 2)
     with pytest.raises(ValueError):
         parse_form("1.5*z1", 2, 2)
+    # the format has z and zb tokens only
+    for text in ("n1", "nb1", "n1^z2", "2*nb1^z1"):
+        with pytest.raises(ValueError, match="bad coframe token"):
+            parse_form(text, 3, 3)
 
 
 def test_evaluate_antisymmetry():

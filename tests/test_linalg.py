@@ -13,7 +13,6 @@ from chernflat.linalg import (
     rank,
     rank_of_rows,
     random_invertible,
-    solve,
 )
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
@@ -115,20 +114,6 @@ def test_determinant_detects_singularity():
         n = rng.randint(2, 5)
         m = _random_matrix(rng, n, n)
         assert (det(m) == ZERO) == (rank(m) < n)
-
-
-def test_solve_consistent_and_inconsistent():
-    a = ExactMatrix([[gaussian(1), gaussian(1)], [gaussian(1), gaussian(1)]])
-    assert solve(a, (gaussian(2), gaussian(2))) is not None
-    assert solve(a, (gaussian(1), gaussian(2))) is None
-    rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = random_invertible(n, rng, span=2)
-        x = tuple(random_gaussian(rng) for _ in range(n))
-        rhs = m.matvec(x)
-        got = solve(m, rhs)
-        assert got == x
 
 
 def test_sparse_row_kernel_matches_dense():

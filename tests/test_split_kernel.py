@@ -10,6 +10,7 @@ quasi-Kaehler) doublings, on scrambled frames and on structures conjugated so
 that the columns of J are dense.
 """
 
+import functools
 import random
 
 import pytest
@@ -75,41 +76,64 @@ def _permutation(n: int, rng) -> ExactMatrix:
     return ExactMatrix([[ONE if image[c] == r else ZERO for c in range(n)] for r in range(n)])
 
 
-def _pairs():
-    for name in CATALOG:
-        entry = catalog(name)
-        yield name, entry.algebra, entry.acs
-    for seed in range(4):
-        g, acs = random_two_step(random.Random(seed))
-        yield f"two-step-{seed}", g, acs
-    for seed in range(3):
-        g, acs = complexification(random_two_step_real_algebra(random.Random(seed), max_dim=5))
-        yield f"complexification-{seed}", g, acs
-    center_one = catalog("centro1_model(2)")
-    for seed in range(3):
-        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(seed))
-        yield f"scrambled-centro1-{seed}", g, acs
-    # P J P^-1 with a dense rational P: every column of J is dense; with a
-    # permutation P the greedy real basis skips indices
-    bases = ["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(2)"]
-    for seed, name in enumerate(bases):
-        entry = catalog(name)
-        g, j = entry.algebra, entry.acs.j
-        rng = random.Random(2000 + seed)
-        p = random_invertible(g.dim, rng, complex_entries=False, span=1)
-        yield f"{name}-dense", g, AlmostComplexStructure(p * j * inverse(p))
-        p = _permutation(g.dim, rng)
-        yield f"{name}-permuted", g, AlmostComplexStructure(p * j * inverse(p))
+BASES = ["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(2)"]
+
+LABELS = [
+    *CATALOG,
+    *(f"two-step-{seed}" for seed in range(4)),
+    *(f"complexification-{seed}" for seed in range(3)),
+    *(f"scrambled-centro1-{seed}" for seed in range(3)),
+    *(f"{name}-{kind}" for name in BASES for kind in ("dense", "permuted")),
+    "complexification-dense",
+]
+
+
+@functools.cache
+def _conjugated(seed: int):
+    """P J P^-1 for BASES[seed], with a dense rational P and with a permutation P.
+
+    With a dense P every column of J is dense; with a permutation P the
+    greedy real basis skips indices.
+    """
+    entry = catalog(BASES[seed])
+    g, j = entry.algebra, entry.acs.j
+    rng = random.Random(2000 + seed)
+    p = random_invertible(g.dim, rng, complex_entries=False, span=1)
+    dense = AlmostComplexStructure(p * j * inverse(p))
+    p = _permutation(g.dim, rng)
+    return g, dense, AlmostComplexStructure(p * j * inverse(p))
+
+
+@functools.cache
+def _pair(label: str):
+    """The (g, acs) input named label, built on first use and kept.
+
+    Nothing is built at import, so a splitting defect that breaks
+    construction fails the tests that use the input, not the collection.
+    """
+    if label in CATALOG:
+        entry = catalog(label)
+        return entry.algebra, entry.acs
+    kind, _, tail = label.rpartition("-")
+    if kind == "two-step":
+        return random_two_step(random.Random(int(tail)))
+    if kind == "complexification" and tail != "dense":
+        return complexification(random_two_step_real_algebra(random.Random(int(tail)), max_dim=5))
+    if kind == "scrambled-centro1":
+        center_one = catalog("centro1_model(2)")
+        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(int(tail)))
+        return g, acs
+    if kind in BASES:
+        g, dense, permuted = _conjugated(BASES.index(kind))
+        return g, dense if tail == "dense" else permuted
     g, acs = complexification(random_two_step_real_algebra(random.Random(7), max_dim=4))
     p = random_invertible(g.dim, random.Random(7), complex_entries=False, span=1)
-    yield "complexification-dense", g, AlmostComplexStructure(p * acs.j * inverse(p))
+    return g, AlmostComplexStructure(p * acs.j * inverse(p))
 
 
-PAIRS = list(_pairs())
-
-
-@pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
-def test_constants_match_the_dense_oracle(label, g, acs):
+@pytest.mark.parametrize("label", LABELS)
+def test_constants_match_the_dense_oracle(label):
+    g, acs = _pair(label)
     s = split(g, acs)
     assert list(s.constants) == sorted(s.constants)
     assert all(row and list(row) == sorted(row) and all(row.values()) for row in s.constants.values())
@@ -126,7 +150,7 @@ _gaussians = st.builds(GaussianRational, _fractions, _fractions)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_to_combined_round_trips_gaussian_vectors(data):
-    _label, g, acs = data.draw(st.sampled_from(PAIRS))
+    g, acs = _pair(data.draw(st.sampled_from(LABELS)))
     s = split(g, acs)
     v = tuple(data.draw(st.lists(_gaussians, min_size=g.dim, max_size=g.dim)))
     assert combined_frame(s).matvec(s.to_combined(v)) == v
@@ -136,13 +160,14 @@ def test_inputs_cover_dense_columns_and_skipped_indices():
     def support(acs):
         return max(sum(1 for c in acs.j.column(i) if c) for i in range(acs.dim))
 
-    assert max(support(acs) for _, _, acs in PAIRS) >= 4
+    pairs = [_pair(label) for label in LABELS]
+    assert max(support(acs) for _, acs in pairs) >= 4
     # a real basis other than the first m unit vectors
     assert any(
         [x.index(ONE) for x in split(g, acs).real_basis] != list(range(g.dim // 2))
-        for _, g, acs in PAIRS
+        for g, acs in pairs
     )
     # pairs that are not Chern-flat, and pairs that are not quasi-Kaehler
-    splittings = [split(g, acs) for _, g, acs in PAIRS]
+    splittings = [split(g, acs) for g, acs in pairs]
     assert any(a < s.m <= b for s in splittings for a, b in s.constants)
     assert any(b < s.m and min(row) < s.m for s in splittings for (_a, b), row in s.constants.items())
