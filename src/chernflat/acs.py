@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, _clean_brackets, center, is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, gaussian
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, clear_denominators, gaussian
 
 __all__ = [
     "AdaptedConstants",
@@ -65,9 +64,12 @@ class AlmostComplexStructure:
         if not j.is_real():
             raise ValueError("J must have rational entries")
         n = j.rows
-        d = lcm(*(j.entry(r, c).re.denominator for r in range(n) for c in range(n)))
-        by_row = [[(c, (x.re * d).numerator) for c in range(n) if (x := j.entry(r, c))] for r in range(n)]
-        by_col = [[(r, (x.re * d).numerator) for r in range(n) if (x := j.entry(r, c))] for c in range(n)]
+        d, nums, _ = clear_denominators(x for r in range(n) for x in j.row(r))
+        by_row = [[(c, v) for c, v in enumerate(nums[r * n : (r + 1) * n]) if v] for r in range(n)]
+        by_col = [[] for _ in range(n)]
+        for r, row in enumerate(by_row):
+            for c, v in row:
+                by_col[c].append((r, v))
         minus_dd = -d * d
         for r, row in enumerate(by_row):
             square: dict = {}
@@ -155,12 +157,13 @@ class ComplexSplitting:
     ascending within a row, no zero value and no empty row.
 
     They are a change of basis of the real structure tensor: B_pq =
-    R^-1 [R_p, R_q] is contracted from the sparse bracket table in rational
-    arithmetic, each bracket of the frame is a combination of four B_pq, and
-    the (0,1)x(0,1) block is the conjugate of the (1,0)x(1,0) block.  The
-    contraction reads the numerator views of ``g`` itself, never the integer
-    sweep behind the real-basis checks (_ad_j_basis), so the two sides of
-    every cross-check evaluate brackets by independent code.
+    R^-1 [R_p, R_q] is contracted from the sparse bracket table on ints (the
+    numerators of the table, of d_J R and of R^-1), each bracket of the frame
+    is a combination of four B_pq, and the (0,1)x(0,1) block is the conjugate
+    of the (1,0)x(1,0) block.  The contraction reads the numerator views of
+    ``g`` itself, never the integer sweep behind the real-basis checks
+    (_ad_j_basis), so the two sides of every cross-check evaluate brackets by
+    independent code.
     """
 
     __slots__ = (
@@ -175,24 +178,35 @@ class ComplexSplitting:
             raise ValueError("J dimension does not match the algebra")
         n = g.dim
         m = n // 2
-        by_col = acs.numerators()[2]
+        d_j, _, by_col = acs.numerators()
         ech = Echelon(n)
-        chosen = []
+        indices = []
+        j_rows = []
         for idx in range(n):
-            if len(chosen) == m:
+            if len(indices) == m:
                 break
             if not ech.add(NumeratorRow({idx: (1, 0)})):
                 continue
             # J e_idx is column idx of J, d_J times it is a numerator row
-            if not ech.add(NumeratorRow({r: (v, 0) for r, v in by_col[idx]})):
+            j_row = NumeratorRow({r: (v, 0) for r, v in by_col[idx]})
+            if not ech.add(j_row):
                 raise AssertionError("greedy eigenbasis extension failed; J is not a complex structure on Q^n")
-            chosen.append(tuple(ONE if t == idx else ZERO for t in range(n)))
-        if len(chosen) != m:
+            indices.append(idx)
+            j_rows.append(j_row)
+        if len(indices) != m:
             raise AssertionError("could not complete an adapted real basis")
 
-        j_chosen = [acs.apply(x) for x in chosen]
-        r = ExactMatrix.from_columns(chosen + j_chosen)
-        r_inv = inverse(r)
+        # for Z = x - i J x, J Z = i Z says exactly J (J x) = -x; here at scale d_J^2
+        minus_dd = -d_j * d_j
+        if any(_add_j_image({}, by_col, row) != {idx: (minus_dd, 0)} for idx, row in zip(indices, j_rows)):
+            raise AssertionError("eigenvector check failed: J Z != i Z")
+
+        chosen = [tuple(ONE if t == idx else ZERO for t in range(n)) for idx in indices]
+        r_inv = inverse(ExactMatrix.from_columns([*chosen, *(acs.j.column(idx) for idx in indices)]))
+        # R = [e_idx.., J e_idx..]: d_J R has int columns, and R^-1 is read over its lcm d_R
+        cols = [[(idx, d_j)] for idx in indices] + [by_col[idx] for idx in indices]
+        d_r, inv_nums, _ = clear_denominators(x for k in range(n) for x in r_inv.column(k))
+        inv_cols = [[(t, v) for t, v in enumerate(inv_nums[k * n : (k + 1) * n]) if v] for k in range(n)]
 
         self.g = g
         self.acs = acs
@@ -204,12 +218,7 @@ class ComplexSplitting:
         self._sectors = None
         self._chern_flat = None
         self._holomorphic = None
-
-        # for Z = x - i J x, J Z = i Z says exactly J (J x) = -x
-        if any(acs.apply(jx) != tuple(-c for c in x) for x, jx in zip(chosen, j_chosen)):
-            raise AssertionError("eigenvector check failed: J Z != i Z")
-
-        self.constants = _frame_constants(g, r, r_inv, m)
+        self.constants = _frame_constants(g, cols, inv_cols, d_j * d_j * d_r)
 
     # -- frame bookkeeping ---------------------------------------------------
 
@@ -281,27 +290,28 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
 _HALF = Fraction(1, 2)
 
 
-def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) -> dict:
+def _frame_constants(g: LieAlgebra, cols: list, inv_cols: list, scale: int) -> dict:
     """Sparse constants {(alpha, beta): {gamma: c}} of the combined frame of R = [x, J x].
 
-    B_pq = R^-1 [R_p, R_q] is _change_basis of the table, run on its int
-    numerators over the denominator D (the algebra is real, so their
-    imaginary parts are 0); it gives D B_pq.  Then [Z_a, Z_b] = B(a,b) -
+    cols[p] lists the nonzero (i, t R_ip) of column p of R and inv_cols[k]
+    the nonzero (s, u (R^-1)_sk), both ints, with scale = t^2 u.  B_pq =
+    R^-1 [R_p, R_q] is _change_basis of the table's int numerators over the
+    denominator D (the algebra is real, so their imaginary parts are 0); on
+    these columns it gives scale D B_pq.  Then [Z_a, Z_b] = B(a,b) -
     B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and [Z_a, conj Z_b] = B(a,b) +
     B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with B_qp = -B_pq.  An R-coordinate
     vector w has coefficient (w_k + i w_{m+k}) / 2 on Z_k and
-    (w_k - i w_{m+k}) / 2 on conj Z_k, so the division by D joins the
-    halving.  The algebra is real, so [conj Z_a, conj Z_b] is the conjugate
-    of [Z_a, Z_b] with key k moved to (k + m) mod 2m.  Pairs and keys
-    ascend, and zero values and empty rows are dropped.
+    (w_k - i w_{m+k}) / 2 on conj Z_k, so every coefficient is one int sum
+    divided once, by 2 scale D.  The algebra is real, so [conj Z_a, conj Z_b]
+    is the conjugate of [Z_a, Z_b] with key k moved to (k + m) mod 2m.
+    Pairs and keys ascend, and zero values and empty rows are dropped.
     """
-    n = 2 * m
-    # ints and Fractions, not GaussianRationals: the splitting is verify's largest layer
+    n = len(cols)
+    m = n // 2
+    # ints throughout, divided once per coefficient: the splitting is verify's largest layer
     denom, numerators, _ = g.numerators()
     full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
-    half = Fraction(1, 2 * denom)
-    cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
-    inv_cols = [[(s, x.re) for s, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
+    divisor = 2 * scale * denom
     real = _change_basis(full, cols, inv_cols)
 
     def combination(*terms) -> dict:
@@ -316,15 +326,15 @@ def _frame_constants(g: LieAlgebra, r: ExactMatrix, r_inv: ExactMatrix, m: int) 
         return acc
 
     def in_frame(re: dict, im: dict) -> dict:
-        """Sparse combined-frame coordinates of the R-coordinate vector (re + i im) / D."""
+        """Sparse combined-frame coordinates of the R-coordinate vector (re + i im) / (scale D)."""
         top, bottom = {}, {}
         for k in range(m):
             a, b = re.get(k, 0), im.get(k, 0)
             c, d = re.get(m + k, 0), im.get(m + k, 0)
             if a - d or b + c:
-                top[k] = GaussianRational((a - d) * half, (b + c) * half)
+                top[k] = GaussianRational(Fraction(a - d, divisor), Fraction(b + c, divisor))
             if a + d or b - c:
-                bottom[m + k] = GaussianRational((a + d) * half, (b - c) * half)
+                bottom[m + k] = GaussianRational(Fraction(a + d, divisor), Fraction(b - c, divisor))
         return {**top, **bottom}
 
     constants = {}
@@ -359,7 +369,7 @@ def _change_basis(full: list, cols: list, inv_cols: list) -> dict:
     nonzero (s, G_sk) of column k of G, the inverse of the frame the images
     are expressed in.  Pairs come in ascending order, keys ascend within a
     row, and zero entries and rows are dropped.  It serves the splitting (on
-    rationals) and reframed_constants (on Q(i)).
+    ints) and reframed_constants (on Q(i)).
     """
     out = {}
     for p, col_p in enumerate(cols):
@@ -631,7 +641,14 @@ def check_center_j_invariant(
     if not is_chern_flat(g, acs, s):
         raise ValueError("center J-invariance check requires a Chern-flat pair")
     z = center(g)
-    return Subspace(g.dim, [*z.basis, *map(acs.apply, z.basis)]).dim == z.dim
+    by_col = acs.numerators()[2]
+    images = []
+    for v in z.basis:
+        # J v on the numerators of v: only its direction counts
+        _, re, im = clear_denominators(v)
+        vec = {k: (a, b) for k, (a, b) in enumerate(zip(re, im)) if a or b}
+        images.append(NumeratorRow(_add_j_image({}, by_col, vec)))
+    return Subspace(g.dim, [*z.basis, *images]).dim == z.dim
 
 
 def two_step_certificate(s: ComplexSplitting) -> bool:

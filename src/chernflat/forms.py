@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .acs import ComplexSplitting
-from .linalg import ExactMatrix, det, kernel_from_rows
+from .linalg import ExactMatrix, det, kernel_from_rows, leading_minors
 from .scalars import GaussianRational, I, ONE, ZERO, accumulate, format_scalar, gaussian, parse_scalar
 
 __all__ = [
@@ -323,9 +323,8 @@ class HermitianMetric:
             raise ValueError("metric matrix must be square")
         if h != h.conj_transpose():
             raise ValueError("metric matrix must equal its conjugate transpose")
-        for k in range(1, h.rows + 1):
-            minor = ExactMatrix([[h.entry(i, j) for j in range(k)] for i in range(k)])
-            d = det(minor)
+        # Sylvester's criterion, on the minors of one Bareiss pass
+        for k, d in enumerate(leading_minors(h), 1):
             if not d.is_real() or d.re <= 0:
                 raise ValueError(f"leading principal minor {k} is not positive; metric is not positive definite")
         self.h = h

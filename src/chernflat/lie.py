@@ -240,9 +240,10 @@ class Subspace:
 
     The spanning vectors are coordinate sequences of length ambient_dim or
     sparse rows, Mappings {index: coefficient} with indices in
-    0..ambient_dim-1.  The stored basis is the reduced row-echelon basis of
-    the span (pivots scaled to 1, sorted by pivot column), so two Subspace
-    objects are equal iff they describe the same subspace.
+    0..ambient_dim-1; a NumeratorRow goes to the elimination as it is.  The
+    stored basis is the reduced row-echelon basis of the span (pivots scaled
+    to 1, sorted by pivot column), so two Subspace objects are equal iff
+    they describe the same subspace.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -253,6 +254,9 @@ class Subspace:
             if isinstance(v, Mapping):
                 if not all(0 <= c < ambient_dim for c in v):
                     raise ValueError("vector index out of range for ambient dimension")
+                if isinstance(v, NumeratorRow):
+                    ech.add(v)
+                    continue
                 items = v.items()
             elif len(v) != ambient_dim:
                 raise ValueError("vector length must match ambient dimension")
@@ -265,10 +269,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v) -> bool:
-        """Whether v, a vector or sparse row as the constructor takes, lies in the span."""
-        return Subspace(self.ambient_dim, [*self.basis, v]).dim == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -7,15 +7,16 @@ Gaussian-integer numerators with integer content one and a positive integer
 pivot, and reduces by cross-multiplying instead of dividing.  Scalars are
 built only for the results (kernel vectors, reduced bases, inverses), each
 divided once by its pivot.  The determinant is Bareiss elimination on the
-same numerators.  The engine works on sparse row dictionaries so that the
-larger stacked systems (deformation equations) stay cheap as well.
+same numerators, and one pass of it without row exchanges gives every
+leading principal minor.  The engine works on sparse row dictionaries so
+that the larger stacked systems (deformation equations) stay cheap as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, prod
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import GaussianRational, ZERO, ONE, clear_denominators, gaussian
 
@@ -28,6 +29,7 @@ __all__ = [
     "kernel_basis",
     "inverse",
     "det",
+    "leading_minors",
     "kernel_from_rows",
     "rank_of_rows",
     "random_invertible",
@@ -374,26 +376,54 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in ech.basis()])
 
 
+def _numerator_rows(m: ExactMatrix) -> tuple:
+    """(scales, work): row i of m times scales[i], its least common denominator, as (re, im) int pairs."""
+    scales, work = [], []
+    for i in range(m.rows):
+        d, re, im = clear_denominators(m.row(i))
+        scales.append(d)
+        work.append(list(zip(re, im)))
+    return scales, work
+
+
+def _bareiss_step(work: list, k: int, prev: tuple) -> None:
+    """Step k of fraction-free Bareiss elimination on square rows of Gaussian-integer pairs, in place.
+
+    Every entry of the trailing block becomes (p_k a - b c) / p_(k-1), where
+    p_k = work[k][k] is the pivot and prev = p_(k-1) the one before it; the
+    division is exact in Z[i], because each entry is then a minor of the
+    matrix the pass started from.
+    """
+    prev_re, prev_im = prev
+    norm = prev_re * prev_re + prev_im * prev_im
+    row_k = work[k]
+    a, b = row_k[k]
+    for r in range(k + 1, len(work)):
+        row_r = work[r]
+        x, y = row_r[k]
+        for c in range(k + 1, len(work)):
+            u, v = row_r[c]
+            s, t = row_k[c]
+            re = a * u - b * v - x * s + y * t
+            im = a * v + b * u - x * t - y * s
+            # divide by the previous pivot: multiply by its conjugate over its norm
+            row_r[c] = ((re * prev_re + im * prev_im) // norm, (im * prev_re - re * prev_im) // norm)
+
+
 def det(m: ExactMatrix) -> GaussianRational:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Each row is scaled to Gaussian-integer numerators, and step k replaces
-    every entry of the trailing block by (p_k a - b c) / p_(k-1), where p_k is
-    the k-th pivot; the division is exact in Z[i], because each entry is then
-    a minor of the scaled matrix.  The last pivot is that matrix's
-    determinant, which the row scales divide out.
+    Each row is scaled to Gaussian-integer numerators, and each step is
+    _bareiss_step, with a row exchange first where the pivot is 0.  The last
+    pivot is the scaled matrix's determinant, which the row scales divide
+    out.
     """
     if not m.is_square():
         raise ValueError("determinant needs a square matrix")
     n = m.rows
-    scale = 1
-    work = []
-    for i in range(n):
-        d, re, im = clear_denominators(m.row(i))
-        scale *= d
-        work.append(list(zip(re, im)))
+    scales, work = _numerator_rows(m)
     sign = 1
-    prev_re, prev_im = 1, 0
+    prev = (1, 0)
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if work[r][k] != (0, 0)), None)
         if pivot_row is None:
@@ -401,21 +431,33 @@ def det(m: ExactMatrix) -> GaussianRational:
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
-        row_k = work[k]
-        a, b = row_k[k]
-        norm = prev_re * prev_re + prev_im * prev_im
-        for r in range(k + 1, n):
-            row_r = work[r]
-            x, y = row_r[k]
-            for c in range(k + 1, n):
-                u, v = row_r[c]
-                s, t = row_k[c]
-                re = a * u - b * v - x * s + y * t
-                im = a * v + b * u - x * t - y * s
-                # divide by the previous pivot: multiply by its conjugate over its norm
-                row_r[c] = ((re * prev_re + im * prev_im) // norm, (im * prev_re - re * prev_im) // norm)
-        prev_re, prev_im = a, b
-    return _ratio(sign * prev_re, sign * prev_im, scale)
+        _bareiss_step(work, k, prev)
+        prev = work[k][k]
+    return _ratio(sign * prev[0], sign * prev[1], prod(scales))
+
+
+def leading_minors(m: ExactMatrix) -> Iterator[GaussianRational]:
+    """det of each leading k x k block of m, k = 1..n, from one Bareiss pass without row exchanges.
+
+    With no exchange, pivot k of the pass is the k-th leading minor of the
+    row-scaled numerators, so the first k row scales divide it out.  Each
+    minor is yielded before the step that leads to the next, so a caller
+    that stops early saves the rest of the pass.  The pass ends after the
+    first zero minor, since only a row exchange could go on from it.
+    """
+    if not m.is_square():
+        raise ValueError("leading minors need a square matrix")
+    scales, work = _numerator_rows(m)
+    prev = (1, 0)
+    scale = 1
+    for k in range(m.rows):
+        scale *= scales[k]
+        pivot = work[k][k]
+        yield _ratio(*pivot, scale)
+        if pivot == (0, 0):
+            return
+        _bareiss_step(work, k, prev)
+        prev = pivot
 
 
 def random_invertible(n: int, rng, complex_entries: bool = True, span: int = 2) -> ExactMatrix:

@@ -11,6 +11,7 @@ the same key order; both must give the same ``DeformationSpace`` and the same
 ``AssertionError`` on a tampered vector or row.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -175,47 +176,58 @@ def _transported(g: LieAlgebra, acs: AlmostComplexStructure, p: ExactMatrix):
     return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
 
 
-def _flat_pairs():
-    for name in CATALOG:
-        entry = catalog(name)
-        yield name, entry.algebra, entry.acs
-    for seed in range(4):
-        g, acs = random_two_step(random.Random(seed))
-        yield f"two-step-{seed}", g, acs
-    # the same tables listed in reverse order, pairs and targets alike
-    for name in ["dim5_irreducible", "centro1_model(2)"]:
-        entry = catalog(name)
+TRANSPORTED = ["iwasawa_j3", "dim4_model", "centro1_model(1)"]
+SHEARED = ["iwasawa_j3", "centro1_model(1)"]
+CONJUGATED = ["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(1)"]
+
+FLAT = [
+    *CATALOG,
+    *(f"two-step-{seed}" for seed in range(4)),
+    "dim5_irreducible-reversed",
+    "centro1_model(2)-reversed",
+    *(f"{name}-transported" for name in TRANSPORTED),
+    *(f"{name}-sheared" for name in SHEARED),
+]
+# (g, P J P^-1) with a dense rational P: J dense, the pair not flat
+ALL = FLAT + [f"{name}-conjugated" for name in CONJUGATED] + [f"doubled-{seed}-conjugated" for seed in range(3)]
+
+
+@functools.cache
+def _pair(label: str):
+    """The (g, acs) input named label, built on first use and kept.
+
+    Nothing is built at import, so a defect that breaks construction fails
+    the tests that use the input, not the collection.
+    """
+    if label in CATALOG:
+        entry = catalog(label)
+        return entry.algebra, entry.acs
+    name, _, kind = label.rpartition("-")
+    if name == "two-step":
+        return random_two_step(random.Random(int(kind)))
+    if name.startswith("doubled-"):
+        seed = int(name.rpartition("-")[2])
+        g, acs = random_doubled_pair(random.Random(seed), max_dim=4)
+        p = _dense_conjugator(acs.j, random.Random(5000 + seed))
+        return g, AlmostComplexStructure(p * acs.j * inverse(p))
+    entry = catalog(name)
+    if kind == "reversed":
+        # the same table listed in reverse order, pairs and targets alike
         table = {pair: dict(reversed(vec.items())) for pair, vec in reversed(entry.algebra.brackets.items())}
-        yield f"{name}-reversed", LieAlgebra(entry.algebra.dim, table), entry.acs
-    # dense J and a dense table: both carried by a dense rational P
-    for seed, name in enumerate(["iwasawa_j3", "dim4_model", "centro1_model(1)"]):
-        entry = catalog(name)
-        p = _dense_conjugator(entry.acs.j, random.Random(3000 + seed))
-        yield f"{name}-transported", *_transported(entry.algebra, entry.acs, p)
-    # the shear e_{m+k} -> e_k + e_{m+k} gives J_kk = 1 = -J_{m+k,m+k}, so the
-    # two anticommutation entries at key k n + (m + k) cancel
-    for name in ["iwasawa_j3", "centro1_model(1)"]:
-        entry = catalog(name)
+        return LieAlgebra(entry.algebra.dim, table), entry.acs
+    if kind == "transported":
+        # dense J and a dense table: both carried by a dense rational P
+        p = _dense_conjugator(entry.acs.j, random.Random(3000 + TRANSPORTED.index(name)))
+        return _transported(entry.algebra, entry.acs, p)
+    if kind == "sheared":
+        # the shear e_{m+k} -> e_k + e_{m+k} gives J_kk = 1 = -J_{m+k,m+k}, so the
+        # two anticommutation entries at key k n + (m + k) cancel
         n = entry.algebra.dim
         m = n // 2
         shear = ExactMatrix([[1 if r == c or c == r + m else 0 for c in range(n)] for r in range(n)])
-        yield f"{name}-sheared", *_transported(entry.algebra, entry.acs, shear)
-
-
-def _conjugated_pairs():
-    """(g, P J P^-1) with a dense rational P: J dense, the pair not flat."""
-    for seed, name in enumerate(["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "centro1_model(1)"]):
-        entry = catalog(name)
-        p = _dense_conjugator(entry.acs.j, random.Random(4000 + seed))
-        yield f"{name}-conjugated", entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p))
-    for seed in range(3):
-        g, acs = random_doubled_pair(random.Random(seed), max_dim=4)
-        p = _dense_conjugator(acs.j, random.Random(5000 + seed))
-        yield f"doubled-{seed}-conjugated", g, AlmostComplexStructure(p * acs.j * inverse(p))
-
-
-FLAT = list(_flat_pairs())
-ALL = FLAT + list(_conjugated_pairs())
+        return _transported(entry.algebra, entry.acs, shear)
+    p = _dense_conjugator(entry.acs.j, random.Random(4000 + CONJUGATED.index(name)))
+    return entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p))
 
 
 def _numerator_row(row: dict, scale) -> dict:
@@ -243,26 +255,28 @@ def _assert_scaled_rows(new, g, acs):
 
 
 def test_inputs_cover_dense_structures_and_cancelling_rows():
-    dense = [acs for label, _, acs in ALL if label.endswith(("transported", "conjugated"))]
+    dense = [_pair(label)[1] for label in ALL if label.endswith(("transported", "conjugated"))]
     assert dense and all(all(acs.j.entry(r, c) for r in range(acs.dim) for c in range(acs.dim)) for acs in dense)
     # an anticommutation row where J_bb and J_aa meet at key a n + b
     assert any(
         acs.j.entry(a, a) and acs.j.entry(b, b) and (acs.j.entry(b, b) + acs.j.entry(a, a)) == 0
-        for _, _, acs in ALL
+        for _, acs in map(_pair, ALL)
         for a in range(acs.dim)
         for b in range(acs.dim)
     )
-    assert all(is_qk_chern_flat(g, acs) and is_two_step(g) for _, g, acs in FLAT)
-    assert not any(is_qk_chern_flat(g, acs) for label, g, acs in ALL if "conjugated" in label)
+    assert all(is_qk_chern_flat(g, acs) and is_two_step(g) for g, acs in map(_pair, FLAT))
+    assert not any(is_qk_chern_flat(*_pair(label)) for label in ALL if "conjugated" in label)
 
 
-@pytest.mark.parametrize("label, g, acs", ALL, ids=[label for label, _, _ in ALL])
-def test_rows_match_the_dense_oracle(label, g, acs):
+@pytest.mark.parametrize("label", ALL)
+def test_rows_match_the_dense_oracle(label):
+    g, acs = _pair(label)
     _assert_scaled_rows(list(_equation_rows(g, acs)), g, acs)
 
 
-@pytest.mark.parametrize("label, g, acs", FLAT, ids=[label for label, _, _ in FLAT])
-def test_deformation_space_matches_the_dense_oracle(label, g, acs):
+@pytest.mark.parametrize("label", FLAT)
+def test_deformation_space_matches_the_dense_oracle(label):
+    g, acs = _pair(label)
     assert deformation_space(g, acs) == _oracle_deformation_space(g, acs)
     sparse = [{k: c for k, c in enumerate(v) if c} for v in _oracle_inner_vectors(g)]
     assert [list(v.items()) for v in _inner_vectors(g)] == [list(v.items()) for v in sparse]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chernflat.acs import split
 from chernflat.constructions import catalog
@@ -20,7 +21,7 @@ from chernflat.forms import (
     two_form_from_skew_matrix,
     type_components,
 )
-from chernflat.linalg import ExactMatrix
+from chernflat.linalg import ExactMatrix, det, leading_minors
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
 from helpers import random_gaussian, random_hermitian_metric, random_pure_form
@@ -187,6 +188,70 @@ def test_hermitian_metric_validation():
     rng = random.Random(77)
     for _ in range(10):
         random_hermitian_metric(rng, 3)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_small_gaussians = st.builds(GaussianRational, _small, _small)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian m x m matrices over Q(i), m = 1..5, of two kinds.
+
+    "ldl" is L D L^*, L unit lower triangular, D real diagonal with positive,
+    zero and negative entries, so its k-th leading minor is d_1 ... d_k;
+    "free" has independent entries and often a zero diagonal entry, so a
+    zero leading minor can be followed by nonzero ones.
+    """
+    m = draw(st.integers(1, 5))
+    if draw(st.sampled_from(["ldl", "free"])) == "ldl":
+        low = ExactMatrix([[draw(_small_gaussians) if c < r else int(c == r) for c in range(m)] for r in range(m)])
+        d = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 3), 0, -1, Fraction(-5, 2)]), min_size=m, max_size=m))
+        diag = ExactMatrix([[d[r] if c == r else 0 for c in range(m)] for r in range(m)])
+        return low * diag * low.conj_transpose()
+    rows = [[ZERO] * m for _ in range(m)]
+    for r in range(m):
+        rows[r][r] = gaussian(draw(st.sampled_from([0, 0, 1, 2, -1, Fraction(3, 2)])))
+        for c in range(r + 1, m):
+            rows[r][c] = draw(_small_gaussians)
+            rows[c][r] = rows[r][c].conjugate()
+    return ExactMatrix(rows)
+
+
+def _leading_block(h: ExactMatrix, k: int) -> ExactMatrix:
+    return ExactMatrix([[h.entry(i, j) for j in range(k)] for i in range(k)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=hermitian_matrices())
+def test_one_pass_minors_match_det_of_each_leading_block(h):
+    dets = [det(_leading_block(h, k)) for k in range(1, h.rows + 1)]
+    # the pass ends after the first zero minor
+    stop = next((k for k, d in enumerate(dets, 1) if not d), h.rows)
+    assert list(leading_minors(h)) == dets[:stop]
+    # the check that ran one det per leading block, and its message
+    bad = next((k for k, d in enumerate(dets, 1) if not d.is_real() or d.re <= 0), None)
+    if bad is None:
+        assert HermitianMetric(h).h == h
+    else:
+        with pytest.raises(ValueError) as exc:
+            HermitianMetric(h)
+        assert str(exc.value) == f"leading principal minor {bad} is not positive; metric is not positive definite"
+
+
+def test_hermitian_inputs_cover_zero_and_negative_minors():
+    # a zero minor followed by nonzero ones: the pass stops at the zero one
+    swap = ExactMatrix([[0, I], [-I, 1]])
+    assert list(leading_minors(swap)) == [ZERO] and det(swap) == gaussian(-1)
+    with pytest.raises(ValueError, match="^leading principal minor 1 is not positive"):
+        HermitianMetric(swap)
+    # positive, then negative, then positive again
+    h = ExactMatrix([[1, 2, 0], [2, 1, 0], [0, 0, -1]])
+    assert list(leading_minors(h)) == [ONE, gaussian(-3), gaussian(3)]
+    with pytest.raises(ValueError, match="^leading principal minor 2 is not positive"):
+        HermitianMetric(h)
+    with pytest.raises(ValueError, match="square"):
+        next(leading_minors(ExactMatrix([[1, 2]])))
 
 
 def test_kaehler_form_is_real_and_matches_real_coefficients():

@@ -14,6 +14,7 @@ each deformation row must be d_J (anticommutation) or D (bracket) times the
 oracle's row, key for key, with the same kernel.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -178,7 +179,13 @@ def _oracle_checked_rows(rows, vectors):
 # -- inputs -----------------------------------------------------------------------
 
 
+@functools.cache
 def _base_pairs() -> list:
+    """The (label, g, acs) inputs the strategies draw from, built on first use and kept.
+
+    Nothing is built at import, so a defect that breaks construction fails
+    the tests that draw from them, not the collection.
+    """
     out = []
     for name in ["iwasawa_j3", "dim4_model", "complex_heisenberg_bicomplex", "heisenberg3", "abelian(4)"]:
         entry = catalog(name)
@@ -191,8 +198,6 @@ def _base_pairs() -> list:
         out.append((f"complexified-{seed}", *complexification(random_two_step_real_algebra(random.Random(seed), 4))))
     return [(label, g, acs) for label, g, acs in out if g.dim <= 8]
 
-
-BASE = _base_pairs()
 
 _unit = st.sampled_from([-1, 0, 1])
 _scale = st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-3, 2), 1, -1])
@@ -231,7 +236,8 @@ def _tampered(g, where, delta):
 def pairs(draw):
     """(kind, g, J): a base pair, then one of five changes; dense ones up to dimension 6."""
     kind = draw(st.sampled_from(["base", "dense-j", "dense-pair", "shear-j", "shear-pair", "tampered"]))
-    label, g, acs = draw(st.sampled_from([b for b in BASE if b[1].dim <= 6] if kind.startswith("dense") else BASE))
+    base = _base_pairs()
+    label, g, acs = draw(st.sampled_from([b for b in base if b[1].dim <= 6] if kind.startswith("dense") else base))
     n = g.dim
     if kind in ("dense-j", "dense-pair"):
         # L D U: unit triangular L and U with entries in {-1, 0, 1}, and a
@@ -272,11 +278,12 @@ def _outcome(fn, *args):
 
 
 def test_inputs_cover_every_kind_of_pair():
-    assert any(nijenhuis(g, acs) == {} and not is_qk_chern_flat(g, acs) for _, g, acs in BASE)
-    assert any(is_qk_chern_flat(g, acs) for _, g, acs in BASE)
+    base = _base_pairs()
+    assert any(nijenhuis(g, acs) == {} and not is_qk_chern_flat(g, acs) for _, g, acs in base)
+    assert any(is_qk_chern_flat(g, acs) for _, g, acs in base)
     # a rational shear of J alone gives d_J > 1 and breaks flatness and
     # integrability; carried with the table, it keeps the pair flat with D > 1
-    _, g, acs = BASE[0]
+    _, g, acs = base[0]
     n = g.dim
     p = ExactMatrix([[Fraction(1, 3) if (r, c) == (0, 1) else int(r == c) for c in range(n)] for r in range(n)])
     j = AlmostComplexStructure(p * acs.j * inverse(p))
@@ -370,14 +377,14 @@ def test_deformation_rows_scale_the_oracle_rows(case):
 
 def test_a_disagreeing_eigenspace_side_raises_in_both(monkeypatch):
     # a non-integrable pair whose sector scan claims no torsion
-    _, g, acs = next((label, g, acs) for label, g, acs in BASE if nijenhuis(g, acs))
+    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if nijenhuis(g, acs))
     for fn in (nijenhuis, _oracle_nijenhuis):
         s = split(g, acs)
         s._sectors = (None, None, False)
         with pytest.raises(AssertionError, match="Nijenhuis formula and eigenspace criterion disagree"):
             fn(g, acs, s)
     # a Chern-flat pair whose sector scan reports a mixed bracket
-    _, g, acs = next((label, g, acs) for label, g, acs in BASE if is_chern_flat(g, acs))
+    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if is_chern_flat(g, acs))
     for fn in (is_chern_flat, _oracle_is_chern_flat):
         s = split(g, acs)
         s._sectors = (("mixed-bracket", 0, 0), None, False)

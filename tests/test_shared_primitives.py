@@ -109,6 +109,7 @@ def test_ad_rejects_wrong_length():
         catalog("heisenberg3").algebra.ad([ONE, ZERO])
 
 
+@lru_cache(maxsize=None)
 def _structures() -> list:
     """The standard J in dimensions 2..8, and P J P^-1 for dense rational P."""
     out = [AlmostComplexStructure.standard(n) for n in (2, 4, 6, 8)]
@@ -119,13 +120,11 @@ def _structures() -> list:
     return out
 
 
-STRUCTURES = _structures()
-
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sparse_apply_matches_the_dense_matvec(data):
-    acs = data.draw(st.sampled_from(STRUCTURES))
+    acs = data.draw(st.sampled_from(_structures()))
     entry = st.builds(GaussianRational, _rationals, _rationals) | st.just(ZERO)
     v = data.draw(st.lists(entry, min_size=acs.dim, max_size=acs.dim))
     assert acs.apply(v) == acs.j.matvec(v)
@@ -263,20 +262,28 @@ def _conjugator(n: int, seed: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _seeded_pairs():
-    """Each base pair (g, J), then (g, P J P^-1)."""
-    for seed in range(12):
-        g, acs = _base_pair(seed)
-        yield f"seed{seed}-base", g, acs
-        p = _conjugator(g.dim, seed)
-        yield f"seed{seed}-conjugated", g, AlmostComplexStructure(p * acs.j * inverse(p))
+# each base pair (g, J), then (g, P J P^-1)
+PAIRS = [f"seed{seed}-{kind}" for seed in range(12) for kind in ("base", "conjugated")]
 
 
-PAIRS = list(_seeded_pairs())
+@lru_cache(maxsize=None)
+def _pair(label: str):
+    """The (g, acs) input named label, built on first use and kept.
+
+    Nothing is built at import, so a defect that breaks construction fails
+    the tests that use the input, not the collection.
+    """
+    seed, kind = label.removeprefix("seed").split("-")
+    if kind == "base":
+        return _base_pair(int(seed))
+    g, acs = _pair(f"seed{seed}-base")
+    p = _conjugator(g.dim, int(seed))
+    return g, AlmostComplexStructure(p * acs.j * inverse(p))
 
 
-@pytest.mark.parametrize("label, g, acs", PAIRS, ids=[label for label, _, _ in PAIRS])
-def test_predicates_match_the_dense_oracle(label, g, acs):
+@pytest.mark.parametrize("label", PAIRS)
+def test_predicates_match_the_dense_oracle(label):
+    g, acs = _pair(label)
     s = split(g, acs)
     assert is_chern_flat(g, acs, s) == _dense_is_chern_flat(g, acs, s)
     assert is_qk_chern_flat(g, acs, s) == _dense_is_qk_chern_flat(g, acs, s)
@@ -317,37 +324,54 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
 # -- the numerator views of the bracket table ------------------------------------
 
 
-def _view_algebras() -> list:
-    """(label, algebra) for every algebra of PAIRS and every catalog algebra, once each."""
-    out = []
-    labelled = [(label, g) for label, g, _ in PAIRS] + [(name, catalog(name).algebra) for name in CATALOG]
-    for label, g in labelled:
-        if all(g is not h for _, h in out):
-            out.append((label, g))
-    return out
+# every algebra of PAIRS and every catalog algebra, once each
+VIEW_ALGEBRAS = [label for label in PAIRS if label.endswith("-base")] + CATALOG
+# and two algebras over Q(i) with imaginary parts of both signs
+NUMERATOR_VIEW_ALGEBRAS = VIEW_ALGEBRAS + ["qi-central", "two-step-complexified"]
 
 
-VIEW_ALGEBRAS = _view_algebras()
-
-
-def _numerator_view_algebras() -> list:
-    """VIEW_ALGEBRAS and two algebras over Q(i) with imaginary parts of both signs."""
+def _qi_central() -> LieAlgebra:
     q = Fraction
     table = {
         (0, 1): {4: GaussianRational(q(1, 2), 3)}, (0, 2): {4: GaussianRational(0, q(-1, 5))},
         (2, 3): {4: GaussianRational(q(-2, 3), -1)}, (1, 3): {4: GaussianRational(q(3, 4), q(5, 6))},
     }
-    return VIEW_ALGEBRAS + [
-        ("qi-central", LieAlgebra(5, table, field="Qi")),
-        ("two-step-complexified", _complexified(*random_two_step(random.Random(1)))),
-    ]
+    return LieAlgebra(5, table, field="Qi")
 
 
-NUMERATOR_VIEW_ALGEBRAS = _numerator_view_algebras()
+_HALF = GaussianRational(Fraction(1, 2))
+# the algebras that are neither a catalog entry nor the first algebra of a pair
+_OTHER_ALGEBRAS = {
+    "qi-central": _qi_central,
+    "two-step-complexified": lambda: _complexified(*random_two_step(random.Random(1))),
+    # [e_1, e_2] = e_2: the series stops at span(e_2)
+    "affine-line": lambda: LieAlgebra(2, {(0, 1): {1: ONE}}),
+    # sl(2): [g, g] = g
+    "sl2": lambda: LieAlgebra(3, {(0, 1): {1: 2 * ONE}, (0, 2): {2: -2 * ONE}, (1, 2): {0: ONE}}),
+    # e_1 acts on span(e_2, e_3, e_4) with one Jordan block of eigenvalue 1/2, and e_5 is central
+    "jordan-block": lambda: LieAlgebra(
+        5, {(0, 1): {1: _HALF, 2: ONE}, (0, 2): {2: _HALF, 3: ONE}, (0, 3): {3: _HALF}}
+    ),
+    "qi-heisenberg": lambda: LieAlgebra(3, {(0, 1): {2: GaussianRational(1, 2)}}, field="Qi"),
+    "qi-affine": lambda: LieAlgebra(
+        3, {(0, 1): {1: GaussianRational(1, 1)}, (0, 2): {2: GaussianRational(0, -1)}}, field="Qi"
+    ),
+}
 
 
-@pytest.mark.parametrize("label, g", NUMERATOR_VIEW_ALGEBRAS, ids=[label for label, _ in NUMERATOR_VIEW_ALGEBRAS])
-def test_signed_views_match_the_dense_bracket(label, g):
+@lru_cache(maxsize=None)
+def _algebra(label: str) -> LieAlgebra:
+    """The algebra named label, built on first use and kept, like _pair."""
+    if label in CATALOG:
+        return catalog(label).algebra
+    if label in _OTHER_ALGEBRAS:
+        return _OTHER_ALGEBRAS[label]()
+    return _pair(label)[0]
+
+
+@pytest.mark.parametrize("label", NUMERATOR_VIEW_ALGEBRAS)
+def test_signed_views_match_the_dense_bracket(label):
+    g = _algebra(label)
     # the signed views are the numerator views: D times the dense bracket
     denom, full, into = g.numerators()
     n = g.dim
@@ -368,9 +392,9 @@ def test_signed_views_match_the_dense_bracket(label, g):
 
 
 def test_signed_view_algebras_include_complex_tables():
-    fields = {g.field for _, g in NUMERATOR_VIEW_ALGEBRAS}
+    fields = {_algebra(label).field for label in NUMERATOR_VIEW_ALGEBRAS}
     assert fields == {"Q", "Qi"}
-    for _, g in NUMERATOR_VIEW_ALGEBRAS[-2:]:
+    for g in map(_algebra, NUMERATOR_VIEW_ALGEBRAS[-2:]):
         assert {c.im > 0 for vec in g.brackets.values() for c in vec.values() if c.im} == {True, False}
 
 
@@ -403,7 +427,7 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
 
 def test_seeded_pairs_include_failures_of_every_predicate():
     # a pair that is not Chern-flat is not quasi-Kaehler Chern-flat either
-    failing = [label for label, g, acs in PAIRS if not is_chern_flat(g, acs) and nijenhuis(g, acs)]
+    failing = [label for label in PAIRS if not is_chern_flat(*_pair(label)) and nijenhuis(*_pair(label))]
     assert len(failing) >= len(PAIRS) // 3
 
 
@@ -432,32 +456,19 @@ def _ad_sweep_series(g: LieAlgebra) -> list:
     return series
 
 
-def _series_algebras() -> list:
-    """(label, algebra): those of the views, two that are not nilpotent, two over Q(i)."""
-    half = GaussianRational(Fraction(1, 2))
-    return VIEW_ALGEBRAS + [
-        # [e_1, e_2] = e_2: the series stops at span(e_2)
-        ("affine-line", LieAlgebra(2, {(0, 1): {1: ONE}})),
-        # sl(2): [g, g] = g
-        ("sl2", LieAlgebra(3, {(0, 1): {1: 2 * ONE}, (0, 2): {2: -2 * ONE}, (1, 2): {0: ONE}})),
-        # e_1 acts on span(e_2, e_3, e_4) with one Jordan block of eigenvalue 1/2, and e_5 is central
-        ("jordan-block", LieAlgebra(5, {(0, 1): {1: half, 2: ONE}, (0, 2): {2: half, 3: ONE}, (0, 3): {3: half}})),
-        ("qi-heisenberg", LieAlgebra(3, {(0, 1): {2: GaussianRational(1, 2)}}, field="Qi")),
-        ("qi-affine", LieAlgebra(3, {(0, 1): {1: GaussianRational(1, 1)}, (0, 2): {2: GaussianRational(0, -1)}}, field="Qi")),
-    ]
+# those of the views, two that are not nilpotent, two over Q(i)
+SERIES_ALGEBRAS = VIEW_ALGEBRAS + ["affine-line", "sl2", "jordan-block", "qi-heisenberg", "qi-affine"]
 
 
-SERIES_ALGEBRAS = _series_algebras()
-
-
-@pytest.mark.parametrize("label, g", SERIES_ALGEBRAS, ids=[label for label, _ in SERIES_ALGEBRAS])
-def test_lower_central_series_matches_the_ad_sweep(label, g):
+@pytest.mark.parametrize("label", SERIES_ALGEBRAS)
+def test_lower_central_series_matches_the_ad_sweep(label):
+    g = _algebra(label)
     fresh = LieAlgebra(g.dim, g.brackets, g.field)
     assert lower_central_series(fresh) == _ad_sweep_series(g)
 
 
 def test_series_test_algebras_include_series_that_stop_at_a_nonzero_term():
-    stops = [label for label, g in SERIES_ALGEBRAS if _ad_sweep_series(g)[-1].dim]
+    stops = [label for label in SERIES_ALGEBRAS if _ad_sweep_series(_algebra(label))[-1].dim]
     assert stops == ["affine-line", "sl2", "jordan-block", "qi-affine"]
 
 

@@ -1,17 +1,20 @@
 """Differential tests for the constants of ``ComplexSplitting``.
 
 The splitting contracts its constants from the sparse bracket table by a real
-change of basis.  The dense loop it replaced, ``LieAlgebra.bracket`` on every
-pair of combined-frame vectors mapped through the inverse of the complex
-combined frame, is kept below as the oracle.  The two must give the same
-constants, entry for entry and in the same key order once the oracle's zero
-values and empty rows are dropped, on flat pairs, on integrable (not
+change of basis, on the int numerators of the table, of d_J R and of R^-1.
+Two earlier versions are kept below as oracles: the dense loop,
+``LieAlgebra.bracket`` on every pair of combined-frame vectors mapped through
+the inverse of the complex combined frame, and the same sparse contraction
+run on ``Fraction`` columns of R and R^-1.  Both must give the same
+constants, entry for entry and in the same key order once the dense oracle's
+zero values and empty rows are dropped, on flat pairs, on integrable (not
 quasi-Kaehler) doublings, on scrambled frames and on structures conjugated so
-that the columns of J are dense.
+that the columns of J are dense and J and R^-1 have denominators.
 """
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,7 @@ from chernflat.acs import AlmostComplexStructure, split
 from chernflat.classify import random_frame_scramble
 from chernflat.constructions import catalog, complexification, random_two_step
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
-from chernflat.scalars import GaussianRational, ONE, ZERO
+from chernflat.scalars import GaussianRational, ONE, ZERO, accumulate, clear_denominators
 
 from helpers import combined_frame, random_two_step_real_algebra
 
@@ -49,6 +52,85 @@ def _dense_constants(g, s) -> dict:
         for beta in range(alpha + 1, n):
             v = g.bracket(basis_vectors[alpha], basis_vectors[beta])
             constants[(alpha, beta)] = combined_inv.matvec(v)
+    return constants
+
+
+# -- oracle: the contraction on Fraction columns of R and R^-1 ---------------------
+
+
+def _fraction_change_basis(full: list, cols: list, inv_cols: list) -> dict:
+    out = {}
+    for p, col_p in enumerate(cols):
+        for q in range(p + 1, len(cols)):
+            image: dict = {}
+            for i, a in col_p:
+                for j, b in cols[q]:
+                    ab = a * b
+                    for k, c in full[i][j].items():
+                        accumulate(image, k, ab * c)
+            vec: dict = {}
+            for k, v in image.items():
+                for s, x in inv_cols[k]:
+                    accumulate(vec, s, x * v)
+            if vec:
+                out[(p, q)] = dict(sorted(vec.items()))
+    return out
+
+
+def _fraction_frame_constants(g, s) -> dict:
+    """The splitting's constants from R = [x, J x] and R^-1 as Fractions, as computed before the int version."""
+    m = s.m
+    n = 2 * m
+    r = ExactMatrix.from_columns([*s.real_basis, *(s.acs.j.matvec(x) for x in s.real_basis)])
+    r_inv = inverse(r)
+    denom, numerators, _ = g.numerators()
+    full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
+    half = Fraction(1, 2 * denom)
+    cols = [[(i, x.re) for i, x in enumerate(r.column(p)) if x] for p in range(n)]
+    inv_cols = [[(t, x.re) for t, x in enumerate(r_inv.column(k)) if x] for k in range(n)]
+    real = _fraction_change_basis(full, cols, inv_cols)
+
+    def combination(*terms) -> dict:
+        acc = {}
+        for sign, p, q in terms:
+            if p > q:
+                p, q, sign = q, p, -sign
+            for t, v in real.get((p, q), {}).items():
+                acc[t] = acc.get(t, 0) + v if sign > 0 else acc.get(t, 0) - v
+        return acc
+
+    def in_frame(re: dict, im: dict) -> dict:
+        top, bottom = {}, {}
+        for k in range(m):
+            a, b = re.get(k, 0), im.get(k, 0)
+            c, d = re.get(m + k, 0), im.get(m + k, 0)
+            if a - d or b + c:
+                top[k] = GaussianRational((a - d) * half, (b + c) * half)
+            if a + d or b - c:
+                bottom[m + k] = GaussianRational((a + d) * half, (b - c) * half)
+        return {**top, **bottom}
+
+    constants = {}
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            if beta < m:
+                a, b = alpha, beta
+                row = in_frame(
+                    combination((1, a, b), (-1, m + a, m + b)),
+                    combination((-1, a, m + b), (-1, m + a, b)),
+                )
+            elif alpha < m:
+                a, b = alpha, beta - m
+                row = in_frame(
+                    combination((1, a, b), (1, m + a, m + b)),
+                    combination((1, a, m + b), (-1, m + a, b)),
+                )
+            else:
+                holo = constants.get((alpha - m, beta - m), {})
+                row = {k - m: z.conjugate() for k, z in holo.items() if k >= m}
+                row.update((k + m, z.conjugate()) for k, z in holo.items() if k < m)
+            if row:
+                constants[(alpha, beta)] = row
     return constants
 
 
@@ -141,6 +223,28 @@ def test_constants_match_the_dense_oracle(label):
     combined_inv = inverse(combined_frame(s))
     for k in range(g.dim):
         assert s.to_combined([ONE if t == k else ZERO for t in range(g.dim)]) == combined_inv.column(k)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_constants_match_the_fraction_oracle(label):
+    g, acs = _pair(label)
+    s = split(g, acs)
+    assert _items(s.constants) == _items(_fraction_frame_constants(g, s))
+
+
+def test_inputs_cover_denominators_in_j_and_in_r_inverse():
+    def r_inverse_denominator(s):
+        r = ExactMatrix.from_columns([*s.real_basis, *(s.acs.j.matvec(x) for x in s.real_basis)])
+        return clear_denominators(x for k in range(r.cols) for x in inverse(r).column(k))[0]
+
+    pairs = [_pair(label) for label in LABELS]
+    assert any(acs.numerators()[0] > 1 for _, acs in pairs)
+    assert any(r_inverse_denominator(split(g, acs)) > 1 for g, acs in pairs)
+    # and both at once, with a table denominator D > 1
+    assert any(
+        acs.numerators()[0] > 1 and g.numerators()[0] > 1 and r_inverse_denominator(split(g, acs)) > 1
+        for g, acs in pairs
+    )
 
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
