@@ -7,6 +7,9 @@ drives every flatness criterion in this package.  Each criterion that admits
 two independent characterizations evaluates both and insists they agree; a
 disagreement raises immediately instead of returning a guess.
 
+Every predicate on a pair takes its splitting s = split(g, acs) alone and
+reads g and J as s.g and s.acs, so what one keeps on s the others reuse.
+
 Under the quasi-Kaehler sector shape the pair is determined by its
 holomorphic constants.  They have one type, AdaptedConstants, which a
 splitting builds once (ComplexSplitting.holomorphic) and which frame
@@ -517,7 +520,7 @@ def _add_j_image(acc: dict, by_col: list, vec: dict) -> dict:
     return acc
 
 
-def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> dict:
+def nijenhuis(s: ComplexSplitting) -> dict:
     """Nijenhuis tensor values N(e_i, e_j) for i < j; empty dict means zero.
 
     N(X,Y) = [JX, JY] - [X, Y] - J[JX, Y] - J[X, JY].  Vanishing is
@@ -527,10 +530,9 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     Every term is summed on numerators at the one scale d_J^2 D, and only the
     nonzero values are divided by it.
     """
-    s = s or split(g, acs)
-    n = g.dim
-    denom, full, _ = g.numerators()
-    d_j, _, by_col = acs.numerators()
+    n = s.dim
+    denom, full, _ = s.g.numerators()
+    d_j, _, by_col = s.acs.numerators()
     ad_j = _ad_j_basis(s)
     minus_dd = -d_j * d_j
     scale = d_j * d_j * denom
@@ -554,9 +556,7 @@ def nijenhuis(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSpl
     return values
 
 
-def is_chern_flat(
-    g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None
-) -> Verdict:
+def is_chern_flat(s: ComplexSplitting) -> Verdict:
     """Mixed-sector flatness, checked through both characterizations.
 
     (a) every [Z_a, conj Z_b] vanishes; (b) [J e_i, e_j] = [e_i, J e_j] for
@@ -564,12 +564,11 @@ def is_chern_flat(
     evaluated; disagreement raises.  The verdict is kept on the splitting, so
     a second call with the same s returns it without evaluating again.
     """
-    s = s or split(g, acs)
     if s._chern_flat is not None:
         return s._chern_flat
     mixed = _sector_scan(s)[0]
     verdict_a = Verdict(mixed is None, mixed)
-    n = g.dim
+    n = s.dim
     ad_j = _ad_j_basis(s)
     # [J e_i, e_j] against [e_i, J e_j] = -[J e_j, e_i], both at scale d_J D
     bad = next(
@@ -588,9 +587,7 @@ def is_chern_flat(
     return s._chern_flat
 
 
-def is_qk_chern_flat(
-    g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None
-) -> Verdict:
+def is_qk_chern_flat(s: ComplexSplitting) -> Verdict:
     """Quasi-Kaehler Chern-flatness, via three equivalent conditions.
 
     (1) sector relations: mixed brackets vanish and (1,0)x(1,0) brackets land
@@ -600,7 +597,6 @@ def is_qk_chern_flat(
     (3) J[X,Y] = -[JX,Y] = -[X,JY] on all basis pairs.
     All three run on every call and must agree.
     """
-    s = s or split(g, acs)
     v1 = s.sector_relations_qk()
 
     from .forms import coframe_element, exterior_d  # deferred: forms builds on this module
@@ -615,9 +611,9 @@ def is_qk_chern_flat(
             v2 = Verdict(False, ("coframe-d-11", k))
             break
 
-    n = g.dim
-    full = g.numerators()[1]
-    by_col = acs.numerators()[2]
+    n = s.dim
+    full = s.g.numerators()[1]
+    by_col = s.acs.numerators()[2]
     ad_j = _ad_j_basis(s)
     # J[e_i, e_j] + [J e_i, e_j] must vanish; both terms are at scale d_J D
     bad = next(
@@ -634,21 +630,19 @@ def is_qk_chern_flat(
     return Verdict(True)
 
 
-def check_center_j_invariant(
-    g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None
-) -> bool:
+def check_center_j_invariant(s: ComplexSplitting) -> bool:
     """J-invariance of the center; requires a Chern-flat pair."""
-    if not is_chern_flat(g, acs, s):
+    if not is_chern_flat(s):
         raise ValueError("center J-invariance check requires a Chern-flat pair")
-    z = center(g)
-    by_col = acs.numerators()[2]
+    z = center(s.g)
+    by_col = s.acs.numerators()[2]
     images = []
     for v in z.basis:
         # J v on the numerators of v: only its direction counts
         _, re, im = clear_denominators(v)
         vec = {k: (a, b) for k, (a, b) in enumerate(zip(re, im)) if a or b}
         images.append(NumeratorRow(_add_j_image({}, by_col, vec)))
-    return Subspace(g.dim, [*z.basis, *images]).dim == z.dim
+    return Subspace(s.dim, [*z.basis, *images]).dim == z.dim
 
 
 def two_step_certificate(s: ComplexSplitting) -> bool:

@@ -15,6 +15,8 @@ constructive normal forms:
 
 Every normal-form routine finishes by recomputing the constants in the frame
 it produced and asserting they equal the advertised target exactly.
+normal_form, like the predicates of acs, takes the splitting s = split(g, acs)
+of the pair alone.
 """
 
 from __future__ import annotations
@@ -331,14 +333,13 @@ def _center_one_normal_form(c: AdaptedConstants, center_vector) -> NormalFormRes
     return NormalFormResult("center_one", frame, final, {"pairs": (m - 1) // 2})
 
 
-def normal_form(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None) -> NormalFormResult:
-    """Dispatch to the applicable normal form; raises NormalFormError outside."""
-    s = s or split(g, acs)
+def normal_form(s: ComplexSplitting) -> NormalFormResult:
+    """Dispatch the pair of s to the applicable normal form; raises NormalFormError outside."""
     try:
         c = s.holomorphic()
     except SectorShapeError:
         raise NormalFormError("normal forms require the quasi-Kaehler sector shape") from None
-    if g.is_abelian():
+    if s.g.is_abelian():
         raise NormalFormError("abelian algebras are their own normal form; nothing to do")
     if c.m != 4:
         kern = _holomorphic_center_kernel(c)
@@ -346,7 +347,7 @@ def normal_form(g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexS
             raise NormalFormError(
                 f"no constructive normal form for complex dimension {c.m} with complex center dimension {len(kern)}"
             )
-    if not is_two_step(g):
+    if not is_two_step(s.g):
         raise NormalFormError("normal form requires a two-step algebra")
     return dim4_normal_form(c) if c.m == 4 else _center_one_normal_form(c, kern[0])
 

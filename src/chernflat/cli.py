@@ -101,9 +101,9 @@ def _cmd_verify(args) -> int:
     ok = True
     if acs is not None:
         s = split(g, acs)
-        cf = is_chern_flat(g, acs, s)
-        qk = is_qk_chern_flat(g, acs, s)
-        torsion_zero = not nijenhuis(g, acs, s)
+        cf = is_chern_flat(s)
+        qk = is_qk_chern_flat(s)
+        torsion_zero = not nijenhuis(s)
         rows.append(("chern-flat", bool(cf)))
         if not cf:
             rows.append(("chern-flat-witness", _witness_text(cf.witness)))
@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
             rows.append(("qk-chern-flat-witness", _witness_text(qk.witness)))
         rows.append(("nijenhuis-zero", torsion_zero))
         if cf:
-            rows.append(("center-j-invariant", check_center_j_invariant(g, acs, s)))
+            rows.append(("center-j-invariant", check_center_j_invariant(s)))
         if qk:
             rows.append(("two-step-certificate", two_step_certificate(s)))
         if args.metric:
@@ -143,7 +143,7 @@ def _cmd_normal_form(args) -> int:
         return 1
     s = split(g, acs)
     try:
-        result = normal_form(g, acs, s)
+        result = normal_form(s)
     except NormalFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -156,9 +156,9 @@ def _cmd_normal_form(args) -> int:
         del g, acs, s
         rng = random.Random(args.seed)
         for _ in range(args.trials):
-            g2, acs2, s2, _frame = _scrambled_copy(constants, rng)
+            s2 = _scrambled_copy(constants, rng)[2]
             try:
-                repeat = normal_form(g2, acs2, s2)
+                repeat = normal_form(s2)
             except NormalFormError as exc:
                 print(f"error: scrambled copy fell outside the family: {exc}", file=sys.stderr)
                 return 1
@@ -201,7 +201,7 @@ def _cmd_deform(args) -> int:
         print("error: model has no structure matrix", file=sys.stderr)
         return 1
     try:
-        space = deformation_space(g, acs)
+        space = deformation_space(split(g, acs))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

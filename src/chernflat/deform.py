@@ -15,14 +15,17 @@ not from a dense n^4 sweep, and are built on Gaussian-integer numerators: each
 row is homogeneous, so scaling it changes neither its direction nor the kernel.
 Each row is substituted into the inner directions and handed to the
 elimination as it is built, so the system is never held whole.
+
+deformation_space and lie_derivative_direction take the splitting s of the
+pair alone, as the predicates of acs do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split
+# split is bound here too (perfbench/test_checks.py traces every binding of it)
+from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split  # noqa: F401
 from .lie import LieAlgebra, is_two_step
 from .linalg import ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
 from .scalars import ZERO, accumulate_numerator, clear_denominators, gaussian
@@ -140,23 +143,21 @@ class DeformationSpace:
         return [ExactMatrix([[gaussian(v[r * n + c]) for c in range(n)] for r in range(n)]) for v in self.kernel]
 
 
-def deformation_space(
-    g: LieAlgebra, acs: AlmostComplexStructure, s: Optional[ComplexSplitting] = None
-) -> DeformationSpace:
-    """Solve the deformation equations and quotient out inner directions.
+def deformation_space(s: ComplexSplitting) -> DeformationSpace:
+    """Solve the deformation equations of the pair of s and quotient out inner directions.
 
     Requires a flat two-step pair; under that hypothesis every inner
     derivation solves the equations, which is verified by substitution
     before the quotient is taken.
     """
-    s = s or split(g, acs)
-    if not is_qk_chern_flat(g, acs, s):
+    if not is_qk_chern_flat(s):
         raise ValueError("deformation space requires a quasi-Kaehler flat pair")
+    g = s.g
     if not is_two_step(g):
         raise ValueError("deformation space requires a two-step algebra")
     n = g.dim
     inner_vectors = _inner_vectors(g)
-    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(g, acs), inner_vectors))
+    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(g, s.acs), inner_vectors))
     inner_rank = rank_of_rows(n * n, inner_vectors)
     return DeformationSpace(
         n=n,
@@ -191,14 +192,15 @@ def satisfies_deformation_equations(
     return Verdict(True)
 
 
-def lie_derivative_direction(g: LieAlgebra, acs: AlmostComplexStructure, x) -> ExactMatrix:
-    """Deformation direction induced by flowing the structure along x.
+def lie_derivative_direction(s: ComplexSplitting, x) -> ExactMatrix:
+    """Deformation direction induced by flowing the structure of s along x.
 
     Equals -2 J ad_x; for a flat pair this coincides with ad applied to
     2 J x (asserted), hence is always an inner direction.
     """
-    if not is_qk_chern_flat(g, acs):
+    if not is_qk_chern_flat(s):
         raise ValueError("flow directions are computed for quasi-Kaehler flat pairs")
+    g, acs = s.g, s.acs
     ad_x = g.ad(x)
     m = (acs.j * ad_x) * gaussian(-2)
     jx2 = [c + c for c in acs.apply(x)]

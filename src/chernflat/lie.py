@@ -197,21 +197,18 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, field={self.field!r}, nonzero_pairs={len(self.brackets)})"
 
 
-def jacobi_defect(dim: int, brackets: Mapping | tuple) -> list:
+def jacobi_defect(dim: int, numerators: tuple) -> list:
     """All basis triples (i, j, k) where the Jacobi cyclic sum is nonzero.
 
-    Accepts a raw bracket table (validated and cleaned first) so candidate
-    tensors can be screened without constructing a LieAlgebra; the views
-    (D, full, into) a LieAlgebra constructor has built are used as they are.
+    It reads the views (D, full, into) of LieAlgebra.numerators; a raw table
+    is screened by constructing a LieAlgebra, whose constructor runs it.
     Each entry is ((i, j, k), vector) with i < j < k, in lexicographic order.
 
     The sum over r of c_ab^r c_rc^s is homogeneous of degree 2, so it runs on
     the numerator views over the common denominator D, and each nonzero sum
     is divided by D**2 only when it is reported.
     """
-    if isinstance(brackets, Mapping):
-        brackets = _numerator_views(dim, _clean_brackets(dim, brackets))
-    denom, full, _ = brackets
+    denom, full, _ = numerators
     scale = denom * denom
 
     defects = []

@@ -3,10 +3,11 @@
 from fractions import Fraction
 from itertools import combinations
 
+from chernflat.acs import AlmostComplexStructure
 from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
-from chernflat.linalg import ExactMatrix
+from chernflat.linalg import ExactMatrix, inverse
 from chernflat.scalars import GaussianRational, I, gaussian
 
 
@@ -38,6 +39,20 @@ def random_two_step_real_algebra(rng, max_dim=6, span=2):
 def random_doubled_pair(rng, max_dim=6, span=2):
     """Conjugate doubling of a random two-step real algebra."""
     return conjugate_complexification(random_two_step_real_algebra(rng, max_dim, span))
+
+
+def transported_pair(g, acs, p):
+    """The pair carried by x -> P x: [x, y]' = P[P^-1 x, P^-1 y], J' = P J P^-1."""
+    n = g.dim
+    p_inv = inverse(p)
+    cols = [p_inv.column(a) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            vec = {k: c for k, c in enumerate(p.matvec(g.bracket(cols[a], cols[b]))) if c}
+            if vec:
+                brackets[(a, b)] = vec
+    return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
 
 
 def combined_frame(s) -> ExactMatrix:

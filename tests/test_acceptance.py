@@ -84,12 +84,12 @@ def test_criterion_01_adapted_model_passes_every_flatness_check():
     entry = catalog("iwasawa_j3")
     g, acs = entry.algebra, entry.acs
 
-    assert jacobi_defect(g.dim, g.brackets) == []
+    assert jacobi_defect(g.dim, g.numerators()) == []
     assert nilpotency_step(g) == 2
 
     s = split(g, acs)
-    assert is_chern_flat(g, acs, s).ok is True
-    assert is_qk_chern_flat(g, acs, s).ok is True
+    assert is_chern_flat(s).ok is True
+    assert is_qk_chern_flat(s).ok is True
 
     # the three sub-conditions behind the combined verdict, spelled out:
     # (a) sector shape of the complexified constants
@@ -107,7 +107,7 @@ def test_criterion_01_adapted_model_passes_every_flatness_check():
             w = g.basis_bracket(i, j)
             assert acs.apply(w) == tuple(-c for c in g.bracket(jei, _unit(n, j)))
 
-    assert check_center_j_invariant(g, acs, s) is True
+    assert check_center_j_invariant(s) is True
 
     # eigenframe brackets: the only holomorphic bracket is the first pair,
     # landing on twice the last conjugate direction, and conjugately so
@@ -161,7 +161,7 @@ def test_criterion_04_conjugate_doublings_are_flat_and_two_step():
         g2, acs2 = conjugate_complexification(h)
         s = split(g2, acs2)
 
-        assert is_qk_chern_flat(g2, acs2, s).ok is True
+        assert is_qk_chern_flat(s).ok is True
 
         series = lower_central_series(g2)
         assert len(series) == 3
@@ -244,14 +244,14 @@ def test_criterion_07_deformation_dimensions_and_inner_inclusion():
     # rigid models: no essential deformation directions
     for name in ("iwasawa_j3", "centro1_model(1)", "centro1_model(2)", "centro1_model(3)"):
         entry = catalog(name)
-        space = deformation_space(entry.algebra, entry.acs)
+        space = deformation_space(split(entry.algebra, entry.acs))
         assert space.quotient_dimension == 0
 
     # abelian models: 2 k^2 essential directions in real dimension 2k,
     # cross-checked against an independently built anticommutator kernel
     for k in (1, 2, 3, 4):
         entry = catalog(f"abelian({2 * k})")
-        space = deformation_space(entry.algebra, entry.acs)
+        space = deformation_space(split(entry.algebra, entry.acs))
         assert space.inner_rank == 0
         assert space.quotient_dimension == 2 * k * k
 
@@ -280,7 +280,7 @@ def test_criterion_07_deformation_dimensions_and_inner_inclusion():
     for name in QK_FLAT_NAMES:
         entry = catalog(name)
         g = entry.algebra
-        space = deformation_space(g, entry.acs)
+        space = deformation_space(split(g, entry.acs))
         kernel_rows = [
             {t: c for t, c in enumerate(vec) if c} for vec in space.kernel
         ]
@@ -366,13 +366,13 @@ def test_criterion_10_integrable_counterexample_negative_control():
     g, acs = entry.algebra, entry.acs
     s = split(g, acs)
 
-    assert is_chern_flat(g, acs, s).ok is True
-    assert is_qk_chern_flat(g, acs, s).ok is False
+    assert is_chern_flat(s).ok is True
+    assert is_qk_chern_flat(s).ok is False
     assert is_quasi_kaehler(s, HermitianMetric(ExactMatrix.identity(3))) is False
 
-    assert nijenhuis(g, acs, s) == {}
+    assert nijenhuis(s) == {}
 
     model = catalog("iwasawa_j3")
-    tensor = nijenhuis(model.algebra, model.acs)
+    tensor = nijenhuis(split(model.algebra, model.acs))
     assert tensor != {}
     assert tensor[(0, 1)] == _unit(6, 2, gaussian(-4))

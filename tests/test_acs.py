@@ -85,9 +85,9 @@ def test_splitting_works_for_any_rational_structure():
 
 def test_nijenhuis_zero_iff_integrable():
     bic = catalog("complex_heisenberg_bicomplex")
-    assert nijenhuis(bic.algebra, bic.acs) == {}
+    assert nijenhuis(split(bic.algebra, bic.acs)) == {}
     iw = catalog("iwasawa_j3")
-    values = nijenhuis(iw.algebra, iw.acs)
+    values = nijenhuis(split(iw.algebra, iw.acs))
     assert values
     expected = tuple(gaussian(-4 if k == 2 else 0) for k in range(6))
     assert values[(0, 1)] == expected
@@ -97,7 +97,7 @@ def test_chern_flat_diagonal_matters():
     # brackets [J e_i, e_i] do not vanish here although J-pairs look fine off-diagonal
     g = LieAlgebra(4, {(0, 2): {3: 1}})
     acs = AlmostComplexStructure.standard(4)
-    v = is_chern_flat(g, acs)
+    v = is_chern_flat(split(g, acs))
     assert not v
     assert v.witness is not None
 
@@ -105,22 +105,22 @@ def test_chern_flat_diagonal_matters():
 def test_qk_flat_on_catalog():
     for name in ("iwasawa_j3", "iwasawa_e_frame", "dim4_model", "dim5_irreducible", "abelian(6)"):
         e = catalog(name)
-        assert is_chern_flat(e.algebra, e.acs)
-        assert is_qk_chern_flat(e.algebra, e.acs)
+        assert is_chern_flat(split(e.algebra, e.acs))
+        assert is_qk_chern_flat(split(e.algebra, e.acs))
     bic = catalog("complex_heisenberg_bicomplex")
-    assert is_chern_flat(bic.algebra, bic.acs)
-    verdict = is_qk_chern_flat(bic.algebra, bic.acs)
+    assert is_chern_flat(split(bic.algebra, bic.acs))
+    verdict = is_qk_chern_flat(split(bic.algebra, bic.acs))
     assert not verdict
     assert verdict.witness == ("holomorphic-component", 0, 1)
 
 
 def test_center_j_invariance_requires_flatness():
     iw = catalog("iwasawa_j3")
-    assert check_center_j_invariant(iw.algebra, iw.acs) is True
+    assert check_center_j_invariant(split(iw.algebra, iw.acs)) is True
     g = LieAlgebra(4, {(0, 2): {3: 1}})
     acs = AlmostComplexStructure.standard(4)
     with pytest.raises(ValueError):
-        check_center_j_invariant(g, acs)
+        check_center_j_invariant(split(g, acs))
 
 
 def test_two_step_certificate_requires_sector_shape():

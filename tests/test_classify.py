@@ -181,15 +181,15 @@ def test_center_one_rejects_larger_center():
 
 
 def test_normal_form_dispatcher():
-    assert normal_form(*_pair("dim4_model")).kind == "dim4"
-    assert normal_form(*_pair("iwasawa_j3")).kind == "center_one"
-    assert normal_form(*_pair("centro1_model(2)")).kind == "center_one"
+    assert normal_form(split(*_pair("dim4_model"))).kind == "dim4"
+    assert normal_form(split(*_pair("iwasawa_j3"))).kind == "center_one"
+    assert normal_form(split(*_pair("centro1_model(2)"))).kind == "center_one"
     with pytest.raises(NormalFormError):
-        normal_form(*_pair("abelian(6)"))
+        normal_form(split(*_pair("abelian(6)")))
     with pytest.raises(NormalFormError):
-        normal_form(*_pair("complex_heisenberg_bicomplex"))
+        normal_form(split(*_pair("complex_heisenberg_bicomplex")))
     with pytest.raises(NormalFormError):
-        normal_form(*_pair("dim5_irreducible"))
+        normal_form(split(*_pair("dim5_irreducible")))
 
 
 def _pair(name):

@@ -61,7 +61,7 @@ def test_conjugate_doubling_always_flat_and_quasi_kaehler_shaped():
     for _ in range(15):
         h = random_two_step_real_algebra(rng, max_dim=6)
         g, acs = conjugate_complexification(h)
-        assert is_qk_chern_flat(g, acs)
+        assert is_qk_chern_flat(split(g, acs))
         assert two_step_certificate(split(g, acs)) is True
 
 
@@ -70,8 +70,8 @@ def test_ordinary_doubling_is_integrable():
     for _ in range(10):
         h = random_two_step_real_algebra(rng, max_dim=5)
         g, acs = complexification(h)
-        assert nijenhuis(g, acs) == {}
-        assert is_chern_flat(g, acs)
+        assert nijenhuis(split(g, acs)) == {}
+        assert is_chern_flat(split(g, acs))
 
 
 def test_from_holomorphic_constants_round_trip():
@@ -107,9 +107,9 @@ J_PROPERTIES = {"chern_flat", "qk_chern_flat", "nijenhuis_zero", "two_step", "qu
 RECOMPUTE = {
     "nilpotency_step": lambda g, acs: nilpotency_step(g),
     "center_dim": lambda g, acs: center(g).dim,
-    "chern_flat": lambda g, acs: bool(is_chern_flat(g, acs)),
-    "qk_chern_flat": lambda g, acs: bool(is_qk_chern_flat(g, acs)),
-    "nijenhuis_zero": lambda g, acs: nijenhuis(g, acs) == {},
+    "chern_flat": lambda g, acs: bool(is_chern_flat(split(g, acs))),
+    "qk_chern_flat": lambda g, acs: bool(is_qk_chern_flat(split(g, acs))),
+    "nijenhuis_zero": lambda g, acs: nijenhuis(split(g, acs)) == {},
     "two_step": lambda g, acs: is_two_step(g),
     "quasi_kaehler_identity_metric": lambda g, acs: is_quasi_kaehler(
         split(g, acs), HermitianMetric.identity(g.dim // 2)
@@ -213,5 +213,5 @@ def test_random_two_step_output():
     rng = random.Random(34)
     for _ in range(10):
         g, acs = random_two_step(rng)
-        assert is_qk_chern_flat(g, acs)
+        assert is_qk_chern_flat(split(g, acs))
         assert is_two_step(g)

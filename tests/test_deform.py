@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chernflat.acs import split
 from chernflat.constructions import catalog
 from chernflat.deform import (
     DeformationSpace,
@@ -23,7 +24,7 @@ def test_deformation_space_known_dimensions():
     }
     for name, (dim, inner, quotient) in expected.items():
         e = catalog(name)
-        space = deformation_space(e.algebra, e.acs)
+        space = deformation_space(split(e.algebra, e.acs))
         assert space.dimension == dim, name
         assert space.inner_rank == inner, name
         assert space.quotient_dimension == quotient, name
@@ -32,7 +33,7 @@ def test_deformation_space_known_dimensions():
 def test_abelian_deformations_count_and_block_shape():
     for k in (1, 2, 3):
         e = catalog(f"abelian({2 * k})")
-        space = deformation_space(e.algebra, e.acs)
+        space = deformation_space(split(e.algebra, e.acs))
         assert space.dimension == 2 * k * k
         assert space.inner_rank == 0
         assert space.quotient_dimension == 2 * k * k
@@ -47,7 +48,7 @@ def test_kernel_matrices_solve_the_equations():
     rng = random.Random(61)
     for name in ("iwasawa_j3", "dim4_model", "abelian(4)"):
         e = catalog(name)
-        space = deformation_space(e.algebra, e.acs)
+        space = deformation_space(split(e.algebra, e.acs))
         mats = space.matrices()
         for mat in mats:
             assert satisfies_deformation_equations(e.algebra, e.acs, mat)
@@ -81,9 +82,9 @@ def test_satisfies_deformation_equations_witnesses():
 def test_deformation_space_requires_flat_pair():
     bic = catalog("complex_heisenberg_bicomplex")
     with pytest.raises(ValueError):
-        deformation_space(bic.algebra, bic.acs)
+        deformation_space(split(bic.algebra, bic.acs))
     with pytest.raises(ValueError):
-        lie_derivative_direction(bic.algebra, bic.acs, [ONE, ZERO, ZERO, ZERO, ZERO, ZERO])
+        lie_derivative_direction(split(bic.algebra, bic.acs), [ONE, ZERO, ZERO, ZERO, ZERO, ZERO])
 
 
 def test_lie_derivative_directions_are_inner_solutions():
@@ -91,7 +92,7 @@ def test_lie_derivative_directions_are_inner_solutions():
     e = catalog("iwasawa_j3")
     for _ in range(10):
         x = [gaussian(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(6)]
-        direction = lie_derivative_direction(e.algebra, e.acs, x)
+        direction = lie_derivative_direction(split(e.algebra, e.acs), x)
         jx = e.acs.apply(x)
         assert direction == (e.acs.j * e.algebra.ad(x)) * gaussian(-2)
         assert direction == e.algebra.ad([c + c for c in jx])
@@ -113,5 +114,5 @@ def test_abelian_anticommutator_kernel_cross_check():
                     row[c * n + b] = row[c * n + b] + j.entry(a, c)
                 rows.append(row)
         dense_kernel = kernel_basis(ExactMatrix(rows))
-        space = deformation_space(e.algebra, e.acs)
+        space = deformation_space(split(e.algebra, e.acs))
         assert len(dense_kernel) == space.dimension

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from chernflat.acs import AlmostComplexStructure, is_qk_chern_flat
+from chernflat.acs import AlmostComplexStructure, is_qk_chern_flat, split
 from chernflat import deform
 from chernflat.constructions import catalog, random_two_step
 from chernflat.deform import (
@@ -264,8 +264,8 @@ def test_inputs_cover_dense_structures_and_cancelling_rows():
         for a in range(acs.dim)
         for b in range(acs.dim)
     )
-    assert all(is_qk_chern_flat(g, acs) and is_two_step(g) for g, acs in map(_pair, FLAT))
-    assert not any(is_qk_chern_flat(*_pair(label)) for label in ALL if "conjugated" in label)
+    assert all(is_qk_chern_flat(split(g, acs)) and is_two_step(g) for g, acs in map(_pair, FLAT))
+    assert not any(is_qk_chern_flat(split(*_pair(label))) for label in ALL if "conjugated" in label)
 
 
 @pytest.mark.parametrize("label", ALL)
@@ -277,7 +277,7 @@ def test_rows_match_the_dense_oracle(label):
 @pytest.mark.parametrize("label", FLAT)
 def test_deformation_space_matches_the_dense_oracle(label):
     g, acs = _pair(label)
-    assert deformation_space(g, acs) == _oracle_deformation_space(g, acs)
+    assert deformation_space(split(g, acs)) == _oracle_deformation_space(g, acs)
     sparse = [{k: c for k, c in enumerate(v) if c} for v in _oracle_inner_vectors(g)]
     assert [list(v.items()) for v in _inner_vectors(g)] == [list(v.items()) for v in sparse]
 
@@ -336,4 +336,4 @@ def test_deformation_space_substitutes_every_inner_direction(monkeypatch):
 
     monkeypatch.setattr(deform, "_inner_vectors", tampered)
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
-        deformation_space(entry.algebra, entry.acs)
+        deformation_space(split(entry.algebra, entry.acs))

@@ -1,8 +1,11 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chernflat.constructions import catalog
+from chernflat.constructions import catalog, random_two_step
 from chernflat.fileio import (
     CoefficientError,
     FieldTagError,
@@ -21,7 +24,11 @@ from chernflat.fileio import (
     loads_model,
     resolve_model,
 )
+from chernflat.lie import LieAlgebra
+from chernflat.linalg import ExactMatrix
 from chernflat.scalars import GaussianRational, gaussian
+
+from helpers import transported_pair
 
 
 def heisenberg_doc():
@@ -39,6 +46,73 @@ def test_round_trip_through_text():
         g, acs = loads_model(text)
         assert g == entry.algebra
         assert acs == entry.acs
+
+
+# -- round trips of drawn models ---------------------------------------------------
+
+
+def _scrambled_pair(seed: int, entries: list):
+    """A random_two_step pair carried by the rational frame P = L D U.
+
+    L and U are unit triangular with their off-diagonal entries, and D is
+    diagonal with its entries, taken in turn from entries (nonzero
+    rationals), so J = P J_0 P^-1 is dense and has denominators.
+    """
+    g, acs = random_two_step(random.Random(seed), max_generators=3, max_center=1)
+    n = g.dim
+    draw = iter(entries * (n * n))
+    low, up = ([[next(draw) if c < r else int(c == r) for c in range(n)] for r in range(n)] for _ in "lu")
+    diag = ExactMatrix([[next(draw) if c == r else 0 for c in range(n)] for r in range(n)])
+    return transported_pair(g, acs, ExactMatrix(low) * diag * ExactMatrix(up).transpose())
+
+
+def _qi_algebra(p: int, q: int, coefficients: list) -> LieAlgebra:
+    """A "Qi" algebra: p generators bracketing onto q central slots, two-step for any coefficients.
+
+    [e_i, e_j] for i < j < p takes its coefficients on e_p..e_{p+q-1} in
+    turn from coefficients.
+    """
+    draw = iter(coefficients * (p * p * q))
+    brackets = {(i, j): {k: next(draw) for k in range(p, p + q)} for i in range(p) for j in range(i + 1, p)}
+    return LieAlgebra(p + q, brackets, field="Qi")
+
+
+_nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_scrambled_pairs = st.builds(
+    _scrambled_pair, st.integers(0, 2**16), st.lists(_nonzero_rationals, min_size=1, max_size=12)
+)
+_qi_models = st.builds(
+    lambda g: (g, None),
+    st.builds(
+        _qi_algebra,
+        st.integers(2, 4),
+        st.integers(1, 2),
+        st.lists(st.builds(GaussianRational, _rationals, _rationals), min_size=1, max_size=12),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.one_of(_scrambled_pairs, _qi_models))
+def test_drawn_models_round_trip_through_text(model):
+    g, acs = model
+    text = dumps_model(g, acs)
+    g2, acs2 = loads_model(text)
+    assert g2 == g
+    assert acs2 == acs
+    assert dumps_model(g2, acs2) == text
+
+
+def test_drawn_models_cover_dense_j_with_denominators_and_q_i_tables():
+    g, acs = _scrambled_pair(3, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)])
+    entries = [acs.j.entry(r, c) for r in range(g.dim) for c in range(g.dim)]
+    assert acs.numerators()[0] > 1
+    assert sum(1 for x in entries if x) > g.dim * g.dim // 2
+    assert any(c.re.denominator > 1 for vec in g.brackets.values() for c in vec.values())
+    h = _qi_algebra(3, 2, [GaussianRational(Fraction(1, 2), Fraction(-1, 3)), GaussianRational(2, 0)])
+    assert h.field == "Qi" and h.dim == 5
+    assert any(not c.is_real() for vec in h.brackets.values() for c in vec.values())
 
 
 def test_round_trip_through_file(tmp_path):

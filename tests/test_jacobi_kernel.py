@@ -19,7 +19,7 @@ from chernflat.acs import ComplexSplitting, split
 from chernflat.classify import _scrambled_copy, random_frame_scramble
 from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
 from chernflat.fileio import dumps_model
-from chernflat.lie import JacobiError, LieAlgebra, _clean_brackets, jacobi_defect
+from chernflat.lie import JacobiError, LieAlgebra, _clean_brackets, _numerator_views, jacobi_defect
 from chernflat.scalars import GaussianRational, ZERO, clear_denominators
 
 CATALOG = [
@@ -120,7 +120,7 @@ SCRAMBLED = [("centro1_model(2)", 2), ("centro1_model(2)", 3), ("dim4_model", 0)
 def _assert_same_report(dim, table, field):
     """The kernel and the oracle agree, and so does the constructor's error."""
     expected = _fraction_jacobi_defect(dim, table)
-    assert jacobi_defect(dim, table) == expected
+    assert jacobi_defect(dim, _numerator_views(dim, _clean_brackets(dim, table))) == expected
     if expected:
         with pytest.raises(JacobiError) as err:
             LieAlgebra(dim, table, field=field)
@@ -169,13 +169,15 @@ def test_rescaled_and_tampered_tables_cover_q_i_and_real_defects():
 
 
 def test_raw_tables_are_still_validated():
-    with pytest.raises(ValueError):
-        jacobi_defect(3, {(0, 3): {2: 1}})
-    with pytest.raises(ValueError):
-        jacobi_defect(3, {(1, 0): {2: 1}})
-    with pytest.raises(ValueError):
-        jacobi_defect(3, {(0, 1): {3: 1}})
-    assert jacobi_defect(3, {(0, 1): {2: 1}, (0, 2): {0: 0}}) == []
+    # a raw table reaches the kernel only through the constructor, which validates it first
+    with pytest.raises(ValueError, match=r"out of range for dimension 3"):
+        LieAlgebra(3, {(0, 3): {2: 1}})
+    with pytest.raises(ValueError, match=r"must satisfy i < j"):
+        LieAlgebra(3, {(1, 0): {2: 1}})
+    with pytest.raises(ValueError, match=r"target index 3 out of range"):
+        LieAlgebra(3, {(0, 1): {3: 1}})
+    g = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 0}})
+    assert jacobi_defect(3, g.numerators()) == []
 
 
 @settings(max_examples=50, deadline=None)

@@ -48,7 +48,7 @@ def test_rows_given_out_of_order_are_stored_with_ascending_targets():
     assert [list(vec) for vec in g.brackets.values()] == [[3, 4], [3, 4]]
     assert g.brackets[(0, 1)] == {3: gaussian(2), 4: gaussian(Fraction(1, 2))}
     assert list(raw[(1, 2)]) == [4, 3]
-    assert jacobi_defect(5, raw) == []
+    assert jacobi_defect(5, g.numerators()) == []
 
 
 def test_jacobi_enforced_with_witness():
@@ -58,7 +58,9 @@ def test_jacobi_enforced_with_witness():
     assert err.value.defects
     triples = [t for t, _ in err.value.defects]
     assert (0, 1, 2) in triples
-    defects = jacobi_defect(3, {(0, 1): {2: gaussian(1)}, (0, 2): {0: gaussian(1)}})
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(3, {(0, 1): {2: gaussian(1)}, (0, 2): {0: gaussian(1)}})
+    defects = err.value.defects
     assert defects
 
 

@@ -38,7 +38,13 @@ from chernflat.lie import JacobiError, LieAlgebra, is_two_step
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse, kernel_from_rows
 from chernflat.scalars import GaussianRational, ZERO, accumulate, clear_denominators
 
-from helpers import oracle_j_entries, oracle_signed_views, random_doubled_pair, random_two_step_real_algebra
+from helpers import (
+    oracle_j_entries,
+    oracle_signed_views,
+    random_doubled_pair,
+    random_two_step_real_algebra,
+    transported_pair,
+)
 
 
 # -- oracle: the predicates and rows in GaussianRational arithmetic ---------------
@@ -56,7 +62,8 @@ def _oracle_add_j_image(acc, by_col, vec):
     return acc
 
 
-def _oracle_nijenhuis(g, acs, s):
+def _oracle_nijenhuis(s):
+    g, acs = s.g, s.acs
     n = g.dim
     full = oracle_signed_views(g)[0]
     by_col = oracle_j_entries(acs)[1]
@@ -79,7 +86,8 @@ def _oracle_nijenhuis(g, acs, s):
     return values
 
 
-def _oracle_is_chern_flat(g, acs, s):
+def _oracle_is_chern_flat(s):
+    g, acs = s.g, s.acs
     mixed = _sector_scan(s)[0]
     verdict_a = Verdict(mixed is None, mixed)
     n = g.dim
@@ -94,7 +102,8 @@ def _oracle_is_chern_flat(g, acs, s):
     return verdict_b if not verdict_b.ok else verdict_a
 
 
-def _oracle_is_qk_chern_flat(g, acs, s):
+def _oracle_is_qk_chern_flat(s):
+    g, acs = s.g, s.acs
     v1 = s.sector_relations_qk()
     v2 = Verdict(True)
     for k in range(s.m):
@@ -204,20 +213,6 @@ _scale = st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fract
 _delta = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
 
 
-def _transported(g, acs, p):
-    """The pair carried by x -> P x: [x, y]' = P[P^-1 x, P^-1 y], J' = P J P^-1."""
-    n = g.dim
-    p_inv = inverse(p)
-    cols = [p_inv.column(a) for a in range(n)]
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = {k: c for k, c in enumerate(p.matvec(g.bracket(cols[a], cols[b]))) if c}
-            if vec:
-                brackets[(a, b)] = vec
-    return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
-
-
 def _tampered(g, where, delta):
     """g with delta added to one table entry (i, j, k), or None if that breaks Jacobi."""
     entries = [(pair, k) for pair, vec in g.brackets.items() for k in vec]
@@ -254,7 +249,7 @@ def pairs(draw):
     if kind.endswith("-j"):
         return kind, g, AlmostComplexStructure(p * acs.j * inverse(p))
     if kind.endswith("-pair"):
-        return kind, *_transported(g, acs, p)
+        return kind, *transported_pair(g, acs, p)
     if kind == "tampered":
         h = _tampered(g, draw(st.integers(0, 100)), draw(_delta))
         assume(h is not None)
@@ -279,8 +274,8 @@ def _outcome(fn, *args):
 
 def test_inputs_cover_every_kind_of_pair():
     base = _base_pairs()
-    assert any(nijenhuis(g, acs) == {} and not is_qk_chern_flat(g, acs) for _, g, acs in base)
-    assert any(is_qk_chern_flat(g, acs) for _, g, acs in base)
+    assert any(nijenhuis(split(g, acs)) == {} and not is_qk_chern_flat(split(g, acs)) for _, g, acs in base)
+    assert any(is_qk_chern_flat(split(g, acs)) for _, g, acs in base)
     # a rational shear of J alone gives d_J > 1 and breaks flatness and
     # integrability; carried with the table, it keeps the pair flat with D > 1
     _, g, acs = base[0]
@@ -288,11 +283,11 @@ def test_inputs_cover_every_kind_of_pair():
     p = ExactMatrix([[Fraction(1, 3) if (r, c) == (0, 1) else int(r == c) for c in range(n)] for r in range(n)])
     j = AlmostComplexStructure(p * acs.j * inverse(p))
     assert j.numerators()[0] == 3
-    assert is_chern_flat(g, j) == Verdict(False, ("basis-pair", 1, 1))
-    assert nijenhuis(g, j)
-    h, j = _transported(g, acs, p)
+    assert is_chern_flat(split(g, j)) == Verdict(False, ("basis-pair", 1, 1))
+    assert nijenhuis(split(g, j))
+    h, j = transported_pair(g, acs, p)
     assert j.numerators()[0] == 3 and h.numerators()[0] == 3
-    assert is_qk_chern_flat(h, j)
+    assert is_qk_chern_flat(split(h, j))
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -300,11 +295,9 @@ def test_inputs_cover_every_kind_of_pair():
 def test_predicates_match_the_gaussian_rational_oracle(case):
     kind, g, acs = case
     # a fresh splitting per side: the verdicts and the ad_J columns are kept on it
-    assert _outcome(nijenhuis, g, acs, split(g, acs)) == _outcome(_oracle_nijenhuis, g, acs, split(g, acs))
-    assert _outcome(is_chern_flat, g, acs, split(g, acs)) == _outcome(_oracle_is_chern_flat, g, acs, split(g, acs))
-    assert _outcome(is_qk_chern_flat, g, acs, split(g, acs)) == _outcome(
-        _oracle_is_qk_chern_flat, g, acs, split(g, acs)
-    )
+    assert _outcome(nijenhuis, split(g, acs)) == _outcome(_oracle_nijenhuis, split(g, acs))
+    assert _outcome(is_chern_flat, split(g, acs)) == _outcome(_oracle_is_chern_flat, split(g, acs))
+    assert _outcome(is_qk_chern_flat, split(g, acs)) == _outcome(_oracle_is_qk_chern_flat, split(g, acs))
 
 
 def _assert_numerator_views(g):
@@ -368,25 +361,25 @@ def test_deformation_rows_scale_the_oracle_rows(case):
         assert list(row) == list(old)
         assert _from_numerators(row, scale) == old
     assert kernel_from_rows(n * n, rows) == kernel_from_rows(n * n, oracle)
-    if is_qk_chern_flat(g, acs) and is_two_step(g):
+    if is_qk_chern_flat(split(g, acs)) and is_two_step(g):
         vectors = _inner_vectors(g)
         assert list(_checked_rows(rows, vectors)) == rows
         assert list(_oracle_checked_rows(oracle, vectors)) == oracle
-        assert deformation_space(g, acs).kernel == tuple(kernel_from_rows(n * n, oracle))
+        assert deformation_space(split(g, acs)).kernel == tuple(kernel_from_rows(n * n, oracle))
 
 
 def test_a_disagreeing_eigenspace_side_raises_in_both(monkeypatch):
     # a non-integrable pair whose sector scan claims no torsion
-    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if nijenhuis(g, acs))
+    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if nijenhuis(split(g, acs)))
     for fn in (nijenhuis, _oracle_nijenhuis):
         s = split(g, acs)
         s._sectors = (None, None, False)
         with pytest.raises(AssertionError, match="Nijenhuis formula and eigenspace criterion disagree"):
-            fn(g, acs, s)
+            fn(s)
     # a Chern-flat pair whose sector scan reports a mixed bracket
-    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if is_chern_flat(g, acs))
+    _, g, acs = next((label, g, acs) for label, g, acs in _base_pairs() if is_chern_flat(split(g, acs)))
     for fn in (is_chern_flat, _oracle_is_chern_flat):
         s = split(g, acs)
         s._sectors = (("mixed-bracket", 0, 0), None, False)
         with pytest.raises(AssertionError, match="Chern-flat characterizations disagree"):
-            fn(g, acs, s)
+            fn(s)

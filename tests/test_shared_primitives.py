@@ -10,6 +10,7 @@ oracle, on flat pairs and on pairs whose structure is conjugated out of
 flatness.
 """
 
+import inspect
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,7 @@ from chernflat import acs as acs_module, lie as lie_module
 from chernflat.acs import (
     AdaptedConstants,
     AlmostComplexStructure,
+    ComplexSplitting,
     Verdict,
     check_center_j_invariant,
     is_chern_flat,
@@ -29,10 +31,10 @@ from chernflat.acs import (
     split,
     two_step_certificate,
 )
-from chernflat.classify import random_frame_scramble
+from chernflat.classify import normal_form, random_frame_scramble
 from chernflat.cli import main
 from chernflat.constructions import catalog, random_two_step
-from chernflat.deform import deformation_space
+from chernflat.deform import deformation_space, lie_derivative_direction
 from chernflat.fileio import dumps_model
 from chernflat.forms import coframe_element, exterior_d
 from chernflat.lie import LieAlgebra, Subspace, center, lower_central_series
@@ -136,7 +138,8 @@ def test_sparse_apply_matches_the_dense_matvec(data):
 # -- oracle: dense basis-pair loops over LieAlgebra.bracket -------------------
 
 
-def _dense_nijenhuis(g, acs, s=None):
+def _dense_nijenhuis(s):
+    g, acs = s.g, s.acs
     n = g.dim
     values = {}
     for i in range(n):
@@ -159,7 +162,6 @@ def _dense_nijenhuis(g, acs, s=None):
             )
             if any(term):
                 values[(i, j)] = term
-    s = s or split(g, acs)
     splitting_zero = all(
         all(k < s.m for k in s.constants.get((a, b), {})) for a in range(s.m) for b in range(a + 1, s.m)
     )
@@ -168,8 +170,8 @@ def _dense_nijenhuis(g, acs, s=None):
     return values
 
 
-def _dense_is_chern_flat(g, acs, s=None):
-    s = s or split(g, acs)
+def _dense_is_chern_flat(s):
+    g, acs = s.g, s.acs
     verdict_a = Verdict(True)
     for a in range(s.m):
         for b in range(s.m):
@@ -199,8 +201,8 @@ def _dense_is_chern_flat(g, acs, s=None):
     return verdict_b if not verdict_b.ok else verdict_a
 
 
-def _dense_is_qk_chern_flat(g, acs, s=None):
-    s = s or split(g, acs)
+def _dense_is_qk_chern_flat(s):
+    g, acs = s.g, s.acs
     v1 = s.sector_relations_qk()
     v2 = Verdict(True)
     for k in range(s.m):
@@ -285,9 +287,9 @@ def _pair(label: str):
 def test_predicates_match_the_dense_oracle(label):
     g, acs = _pair(label)
     s = split(g, acs)
-    assert is_chern_flat(g, acs, s) == _dense_is_chern_flat(g, acs, s)
-    assert is_qk_chern_flat(g, acs, s) == _dense_is_qk_chern_flat(g, acs, s)
-    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
+    assert is_chern_flat(s) == _dense_is_chern_flat(s)
+    assert is_qk_chern_flat(s) == _dense_is_qk_chern_flat(s)
+    assert nijenhuis(s) == _dense_nijenhuis(s)
 
 
 def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
@@ -307,17 +309,17 @@ def test_real_basis_checks_build_ad_j_once_per_splitting(monkeypatch):
     monkeypatch.setattr(acs_module, "_ad_j_basis", counting)
     sweep = LieAlgebra._ad_columns
     monkeypatch.setattr(LieAlgebra, "_ad_columns", lambda self, x: ad_calls.append(x) or sweep(self, x))
-    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
-    assert is_chern_flat(g, acs, s)
-    assert is_qk_chern_flat(g, acs, s)
-    assert check_center_j_invariant(g, acs, s)
+    assert nijenhuis(s) == _dense_nijenhuis(s)
+    assert is_chern_flat(s)
+    assert is_qk_chern_flat(s)
+    assert check_center_j_invariant(s)
     assert sweeps == [s]
     # the GaussianRational ad sweep is no longer read by the real-basis checks
     assert ad_calls == []
     # a second splitting of the same pair sweeps once more, for itself
     t = split(g, acs)
-    assert nijenhuis(g, acs, t) == nijenhuis(g, acs, s)
-    assert is_chern_flat(g, acs, t)
+    assert nijenhuis(t) == nijenhuis(s)
+    assert is_chern_flat(t)
     assert sweeps == [s, t]
 
 
@@ -415,11 +417,11 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     g, acs = LieAlgebra(entry.algebra.dim, entry.algebra.brackets), entry.acs
     s = split(g, acs)
-    assert nijenhuis(g, acs, s) == _dense_nijenhuis(g, acs, s)
-    assert is_chern_flat(g, acs, s) and is_qk_chern_flat(g, acs, s)
-    assert check_center_j_invariant(g, acs, s)
+    assert nijenhuis(s) == _dense_nijenhuis(s)
+    assert is_chern_flat(s) and is_qk_chern_flat(s)
+    assert check_center_j_invariant(s)
     assert two_step_certificate(s) and center(g).dim == 2
-    assert deformation_space(g, acs, s).dimension > 0
+    assert deformation_space(s).dimension > 0
     assert g.structure_constant(1, 0, 2) == -g.structure_constant(0, 1, 2) == -ONE
     assert len(calls) == 1
     assert g.numerators() is g.numerators()
@@ -427,8 +429,56 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
 
 def test_seeded_pairs_include_failures_of_every_predicate():
     # a pair that is not Chern-flat is not quasi-Kaehler Chern-flat either
-    failing = [label for label in PAIRS if not is_chern_flat(*_pair(label)) and nijenhuis(*_pair(label))]
+    failing = [label for label in PAIRS if not is_chern_flat(split(*_pair(label))) and nijenhuis(split(*_pair(label)))]
     assert len(failing) >= len(PAIRS) // 3
+
+
+# -- the splitting is the one handle on a pair -------------------------------------
+
+
+# every question about one pair (g, J), with the parameters it takes besides s
+PAIR_QUESTIONS = [
+    (nijenhuis, []),
+    (is_chern_flat, []),
+    (is_qk_chern_flat, []),
+    (check_center_j_invariant, []),
+    (normal_form, []),
+    (deformation_space, []),
+    (lie_derivative_direction, ["x"]),
+]
+
+
+def test_pair_questions_take_the_splitting_alone():
+    for fn, extra in PAIR_QUESTIONS:
+        assert list(inspect.signature(fn).parameters) == ["s", *extra], fn.__name__
+
+
+def test_pair_questions_build_no_further_splitting(monkeypatch):
+    # each question reads g and J from the splitting it is handed, so none builds its own
+    built = []
+    original = ComplexSplitting.__init__
+
+    def counted(self, g, acs):
+        built.append(g.dim)
+        original(self, g, acs)
+
+    answered = set()
+    for name in [label for label in CATALOG if not label.startswith("heisenberg")]:
+        entry = catalog(name)
+        s = split(entry.algebra, entry.acs)
+        x = [ONE] + [ZERO] * (s.dim - 1)
+        monkeypatch.setattr(ComplexSplitting, "__init__", counted)
+        for fn, extra in PAIR_QUESTIONS:
+            try:
+                fn(s, *[x for _ in extra])
+            except ValueError:
+                # a precondition this pair does not meet; NormalFormError is a ValueError
+                continue
+            answered.add(fn)
+        monkeypatch.undo()
+        assert built == [], name
+    # every question answered on some pair, not only refused
+    assert answered == {fn for fn, _ in PAIR_QUESTIONS}
 
 
 # -- the lower central series ------------------------------------------------------
