@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, _clean_brackets, center, is_two_step
@@ -167,10 +168,17 @@ class ComplexSplitting:
     ``g`` itself, never the integer sweep behind the real-basis checks
     (_ad_j_basis), so the two sides of every cross-check evaluate brackets by
     independent code.
+
+    The splitting keeps indices, the greedily chosen idx with x_k = e_idx
+    (ascending), and R^-1 only as ints: _r_inv is (d_R, inv_cols), where
+    inv_cols[k] lists the nonzero (t, d_R (R^-1)_tk) of column k, ascending
+    in t, and d_R is the least common denominator of R^-1.  It is read off
+    one elimination over the int columns of d_J R; to_combined and the
+    deformation rows read it too.
     """
 
     __slots__ = (
-        "g", "acs", "m", "real_basis", "constants", "_r_inv",
+        "g", "acs", "m", "indices", "constants", "_r_inv",
         "_dtheta", "_ad_j", "_sectors", "_chern_flat", "_holomorphic",
     )
 
@@ -204,18 +212,25 @@ class ComplexSplitting:
         if any(_add_j_image({}, by_col, row) != {idx: (minus_dd, 0)} for idx, row in zip(indices, j_rows)):
             raise AssertionError("eigenvector check failed: J Z != i Z")
 
-        chosen = [tuple(ONE if t == idx else ZERO for t in range(n)) for idx in indices]
-        r_inv = inverse(ExactMatrix.from_columns([*chosen, *(acs.j.column(idx) for idx in indices)]))
         # R = [e_idx.., J e_idx..]: d_J R has int columns, and R^-1 is read over its lcm d_R
         cols = [[(idx, d_j)] for idx in indices] + [by_col[idx] for idx in indices]
-        d_r, inv_nums, _ = clear_denominators(x for k in range(n) for x in r_inv.column(k))
-        inv_cols = [[(t, v) for t, v in enumerate(inv_nums[k * n : (k + 1) * n]) if v] for k in range(n)]
+        # one Gauss-Jordan pass over d_J [R^T | I] gives [I | R^-T]: the reduced row at
+        # pivot k is d_k (e_k, column k of R^-1) with content one, so lcm d_k is d_R
+        inv = Echelon(2 * n)
+        for p, col in enumerate(cols):
+            inv.add(NumeratorRow([*((i, (v, 0)) for i, v in col), (n + p, (d_j, 0))]))
+        pivot_rows = inv.numerator_basis()
+        d_r = lcm(*(row[k][0] for k, row in enumerate(pivot_rows)))
+        inv_cols = [
+            sorted((t - n, a * (d_r // row[k][0])) for t, (a, _) in row.items() if t >= n)
+            for k, row in enumerate(pivot_rows)
+        ]
 
         self.g = g
         self.acs = acs
         self.m = m
-        self.real_basis = chosen
-        self._r_inv = r_inv
+        self.indices = tuple(indices)
+        self._r_inv = (d_r, inv_cols)
         self._dtheta = None
         self._ad_j = None
         self._sectors = None
@@ -232,12 +247,22 @@ class ComplexSplitting:
     def to_combined(self, v) -> tuple:
         """Coordinates of a (complexified) vector in the combined frame.
 
-        They are (1/2) [[I, iI], [I, -iI]] applied to the R-coordinates w = R^-1 v.
+        They are (1/2) [[I, iI], [I, -iI]] applied to the R-coordinates
+        w = R^-1 v, summed over the int columns of d_R R^-1 and divided
+        once by 2 d_R.
         """
-        w = self._r_inv.matvec(v)
+        d_r, inv_cols = self._r_inv
+        if len(v) != len(inv_cols):
+            raise ValueError("vector length mismatch in to_combined")
+        w = [ZERO] * len(inv_cols)
+        for x, col in zip(map(gaussian, v), inv_cols):
+            if x:
+                for t, u in col:
+                    w[t] = w[t] + x * u
         m = self.m
-        top = tuple((w[k] + I * w[m + k]) * _HALF for k in range(m))
-        return top + tuple((w[k] - I * w[m + k]) * _HALF for k in range(m))
+        scale = Fraction(1, 2 * d_r)
+        top = tuple((w[k] + I * w[m + k]) * scale for k in range(m))
+        return top + tuple((w[k] - I * w[m + k]) * scale for k in range(m))
 
     # -- sector views --------------------------------------------------------
 
@@ -288,9 +313,6 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
                 mixed = ("mixed-bracket", alpha, beta - m)
         s._sectors = (mixed, holomorphic, torsion)
     return s._sectors
-
-
-_HALF = Fraction(1, 2)
 
 
 def _frame_constants(g: LieAlgebra, cols: list, inv_cols: list, scale: int) -> dict:

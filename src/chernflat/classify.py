@@ -412,21 +412,21 @@ def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng):
     the new pair is isomorphic to the input through it.  Requires the
     quasi-Kaehler sector shape.
     """
-    g2, acs2, _s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng)
-    return g2, acs2, frame
+    s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng)
+    return s2.g, s2.acs, frame
 
 
 def _scrambled_copy(c: AdaptedConstants, rng):
     """random_frame_scramble from the holomorphic constants c of the input.
 
-    Returns (g2, acs2, s2, frame), where s2 is the splitting of the rebuilt
-    pair that the round-trip assertion checked, so a caller can reuse it.
+    Returns (s2, frame), where s2 is the splitting of the rebuilt pair
+    (s2.g, s2.acs) that the round-trip assertion checked, so a caller can
+    reuse it.
     """
     from .constructions import _assert_round_trip, from_holomorphic_constants
 
     frame = random_invertible(c.m, rng)
     constants = reframed_constants(c, frame).table()
-    g2, acs2 = from_holomorphic_constants(c.m, constants, check=False)
-    s2 = split(g2, acs2)
+    s2 = split(*from_holomorphic_constants(c.m, constants, check=False))
     _assert_round_trip(s2, constants)
-    return g2, acs2, s2, frame
+    return s2, frame

@@ -156,7 +156,7 @@ def _cmd_normal_form(args) -> int:
         del g, acs, s
         rng = random.Random(args.seed)
         for _ in range(args.trials):
-            s2 = _scrambled_copy(constants, rng)[2]
+            s2, _ = _scrambled_copy(constants, rng)
             try:
                 repeat = normal_form(s2)
             except NormalFormError as exc:

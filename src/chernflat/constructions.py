@@ -23,7 +23,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, SectorShapeError, split
 from .lie import LieAlgebra, _clean_brackets
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, accumulate, gaussian
+from .scalars import GaussianRational, accumulate, gaussian
 
 __all__ = [
     "CatalogEntry",

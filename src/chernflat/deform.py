@@ -1,9 +1,10 @@
 """Infinitesimal deformations of a flat structure on a two-step algebra.
 
 A deformation direction is a real matrix L subject to two exact linear
-conditions: it anticommutes with the structure, and it kills the bracket in
-the strong sense L[x, y] + [Lx, y] = 0 for all x, y (running over ordered
-basis pairs captures the companion identity L[x, y] + [x, Ly] = 0 as well).
+conditions: it anticommutes with the structure, M = LJ + JL = 0, and it
+kills the bracket in the strong sense E(x, y) = L[x, y] + [Lx, y] = 0 for
+all x, y (running over ordered basis pairs captures the companion identity
+L[x, y] + [x, Ly] = 0 as well).
 
 The trivial directions come from the algebra itself: for two-step flat pairs
 every inner derivation satisfies both conditions, which this module checks by
@@ -15,6 +16,36 @@ not from a dense n^4 sweep, and are built on Gaussian-integer numerators: each
 row is homogeneous, so scaling it changes neither its direction nor the kernel.
 Each row is substituted into the inner directions and handed to the
 elimination as it is built, so the system is never held whole.
+
+Only a spanning subset of the rows is built.  Let S be the m indices the
+splitting chose, so R = [e_S, J e_S] is a basis (s.indices), and w = R^-1 e_a
+(s._r_inv).  Two identities, exact for every L, make the rest redundant:
+
+1. M commutes with J, so M vanishes once it vanishes on e_S: the n m
+   anticommutation rows (a, b), b in S, span all n^2 of them.
+2. On a quasi-Kaehler Chern-flat pair, J[X, Y] = -[JX, Y] = -[X, JY], so
+   E(Jx, y) - J E(x, y) = [Mx, y] - M[x, y].  Modulo the anticommutation
+   rows, E(e_a, e_j) is then the sum over p of w_p E(e_S[p], e_j) and
+   w_{m+p} J E(e_S[p], e_j).  The bracket rows of a pair (a, j) with a not
+   in S follow from the kept pairs (S[p], j), unless w is nonzero at slot p
+   or m + p for the p with S[p] = j: that would need the diagonal E(e_j, e_j),
+   which is not in the system, so such a pair is kept.
+
+The kept pairs are every (a, j) with a in S and j != a, plus those
+exceptions; for the standard J they are the pairs (m + p, S[p]).  The row
+space, and with it the canonical kernel basis, is unchanged, and the rows
+span the skipped ones, so the substitution check is exactly as strong.  On
+the benchmark's families the rows per job fall from 880 to 456 (conjugate
+doubling, n = 12), 1516 to 778 (doubling, n = 14), 460 to 242 (doubling,
+n = 10), 628 to 322 (center-one, n = 10) and 512 to 288 (dim4 scrambled,
+n = 8; 400 to 224 on some inputs).
+
+No row has i = j, and for a quasi-Kaehler flat pair none is needed, so the
+equations hold for all x, y: taking x = y = e_i in identity 2,
+(J_ii I - J) E(e_i, e_i) is minus the sum of J_ci E(e_c, e_i) over c != i,
+modulo M; multiplying by -J, (I + J_ii J) E(e_i, e_i) is a combination of
+off-diagonal rows modulo M, and I + J_ii J is invertible (its eigenvalues
+are 1 ± i J_ii), so E(e_i, e_i) = 0 follows.
 
 deformation_space and lie_derivative_direction take the splitting s of the
 pair alone, as the predicates of acs do.
@@ -38,21 +69,46 @@ __all__ = [
 ]
 
 
-def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
-    """Yield the sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
+def _kept_indices(s: ComplexSplitting) -> tuple:
+    """(columns, pairs): the anticommutation columns and the bracket pairs whose rows span the system.
 
-    Both conditions are read from sparse numerator views: the nonzero entries
-    of J over d_J (J.numerators()) and the table of g in every order over D
+    columns is S = s.indices; pairs lists the ordered (a, j), a != j, in
+    row-major order: every j for a in S, and for a not in S the j = S[p]
+    where column a of R^-1 is nonzero at slot p or m + p.  The module
+    docstring derives them; they span the full system only on a
+    quasi-Kaehler Chern-flat pair.
+    """
+    n, m = s.dim, s.m
+    columns = s.indices
+    inv_cols = s._r_inv[1]
+    in_s = set(columns)
+    pairs = []
+    for a in range(n):
+        if a in in_s:
+            pairs.extend((a, j) for j in range(n) if j != a)
+        else:
+            pairs.extend((a, j) for j in sorted({columns[t % m] for t, _ in inv_cols[a]}))
+    return columns, pairs
+
+
+def _equation_rows(s: ComplexSplitting):
+    """Yield the kept sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
+
+    The rows are those of _kept_indices(s), anticommutation rows (a, b) then
+    bracket rows (i, j, k), each in row-major order.  Both conditions are
+    read from sparse numerator views: the nonzero entries of J over d_J
+    (J.numerators()) and the table of g in every order over D
     (g.numerators()), full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
     So an anticommutation row is d_J times its equation and a bracket row D
     times its equation; each is a NumeratorRow.
     """
-    n = g.dim
-    _, full, into = g.numerators()
-    _, by_row, by_col = acs.numerators()
+    n = s.dim
+    _, full, into = s.g.numerators()
+    _, by_row, by_col = s.acs.numerators()
+    columns, pairs = _kept_indices(s)
     # anticommutation: (L J + J L)_{ab} = 0
     for a in range(n):
-        for b in range(n):
+        for b in columns:
             row = NumeratorRow()
             for c, v in by_col[b]:
                 accumulate_numerator(row, a * n + c, v, 0)
@@ -60,23 +116,20 @@ def _equation_rows(g: LieAlgebra, acs: AlmostComplexStructure):
                 accumulate_numerator(row, c * n + b, v, 0)
             if row:
                 yield row
-    # bracket condition: (L [e_i, e_j] + [L e_i, e_j])_k = 0, ordered pairs
-    for i in range(n):
-        for jdx in range(n):
-            if i == jdx:
+    # bracket condition: (L [e_i, e_j] + [L e_i, e_j])_k = 0
+    for i, jdx in pairs:
+        bij = full[i][jdx]
+        for k in range(n):
+            ck = into[jdx][k]
+            if not bij and not ck:
                 continue
-            bij = full[i][jdx]
-            for k in range(n):
-                ck = into[jdx][k]
-                if not bij and not ck:
-                    continue
-                row = NumeratorRow()
-                for c, (x, y) in bij.items():
-                    accumulate_numerator(row, k * n + c, x, y)
-                for r, (x, y) in ck.items():
-                    accumulate_numerator(row, r * n + i, x, y)
-                if row:
-                    yield row
+            row = NumeratorRow()
+            for c, (x, y) in bij.items():
+                accumulate_numerator(row, k * n + c, x, y)
+            for r, (x, y) in ck.items():
+                accumulate_numerator(row, r * n + i, x, y)
+            if row:
+                yield row
 
 
 def _inner_vectors(g: LieAlgebra) -> list:
@@ -157,7 +210,7 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
         raise ValueError("deformation space requires a two-step algebra")
     n = g.dim
     inner_vectors = _inner_vectors(g)
-    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(g, s.acs), inner_vectors))
+    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(s), inner_vectors))
     inner_rank = rank_of_rows(n * n, inner_vectors)
     return DeformationSpace(
         n=n,

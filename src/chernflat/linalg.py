@@ -296,6 +296,15 @@ class Echelon:
     def pivot_columns(self) -> list:
         return sorted(self._pivots)
 
+    def numerator_basis(self) -> list:
+        """The reduced row-echelon basis on numerators, by pivot column.
+
+        Each row is a pivot row as the form keeps it: {col: (re, im)} of ints
+        with content one, whose entry at its pivot column is the positive int
+        d it divides by.  Read-only: the form shares these rows.
+        """
+        return [self._pivots[c] for c in self.pivot_columns()]
+
     def basis(self) -> list:
         """The reduced row-echelon basis as tuples (pivot entries 1), by pivot column."""
         out = []

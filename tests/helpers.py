@@ -8,7 +8,7 @@ from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
 from chernflat.linalg import ExactMatrix, inverse
-from chernflat.scalars import GaussianRational, I, gaussian
+from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
 
 def random_two_step_real_algebra(rng, max_dim=6, span=2):
@@ -55,13 +55,18 @@ def transported_pair(g, acs, p):
     return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
 
 
+def real_basis(s) -> list:
+    """The rational basis x_k = e_idx of a splitting, idx in s.indices, as coordinate tuples."""
+    return [tuple(ONE if t == idx else ZERO for t in range(s.dim)) for idx in s.indices]
+
+
 def combined_frame(s) -> ExactMatrix:
     """The frame (Z_1..Z_m, conj Z_1..conj Z_m) of a splitting, as matrix columns.
 
-    Z_k = x_k - i J x_k is built from s.real_basis and the dense matrix
+    Z_k = x_k - i J x_k is built from real_basis(s) and the dense matrix
     acs.j, apart from the splitting's own code.
     """
-    holo = [[a - I * b for a, b in zip(x, s.acs.j.matvec(x))] for x in s.real_basis]
+    holo = [[a - I * b for a, b in zip(x, s.acs.j.matvec(x))] for x in real_basis(s)]
     return ExactMatrix.from_columns(holo + [[c.conjugate() for c in z] for z in holo])
 
 

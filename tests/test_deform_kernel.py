@@ -1,14 +1,18 @@
 """Differential tests for the deformation system and its inner-direction check.
 
-``deform._equation_rows`` builds the rows from sparse numerator views of J
-(over d_J) and of the bracket table (over D), and ``deform._checked_rows``
-substitutes the inner derivations into each row on Gaussian-integer
-numerators.  The dense loops they replaced, over all n^4 index tuples through
-``structure_constant`` and ``J.entry`` and over dense flattened ``basis_ad``
-matrices in GaussianRational arithmetic, are kept below as the oracle.  Each
-row must be d_J (anticommutation) or D (bracket) times the oracle's row, with
-the same key order; both must give the same ``DeformationSpace`` and the same
-``AssertionError`` on a tampered vector or row.
+``deform._equation_rows`` builds the kept rows of ``deform._kept_indices``
+from sparse numerator views of J (over d_J) and of the bracket table (over
+D), and ``deform._checked_rows`` substitutes the inner derivations into each
+row on Gaussian-integer numerators.  The dense loops they replaced, over all
+n^4 index tuples through ``structure_constant`` and ``J.entry`` and over
+dense flattened ``basis_ad`` matrices in GaussianRational arithmetic, are
+kept below as the oracle; it builds the full system, every anticommutation
+row and every ordered pair, indexed.  The kept index set is re-derived here
+from ``helpers.real_basis(s)`` and a dense R^-1.  Each row must be d_J
+(anticommutation) or D (bracket) times the oracle's row of the same index,
+with the same key order; the kept rows and the full system must give the
+same ``DeformationSpace`` and the same ``AssertionError`` on a tampered
+vector or row.
 """
 
 import functools
@@ -16,6 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from chernflat.acs import AlmostComplexStructure, is_qk_chern_flat, split
 from chernflat import deform
@@ -25,13 +30,15 @@ from chernflat.deform import (
     _checked_rows,
     _equation_rows,
     _inner_vectors,
+    _kept_indices,
     deformation_space,
+    satisfies_deformation_equations,
 )
 from chernflat.lie import LieAlgebra, is_two_step
 from chernflat.linalg import ExactMatrix, NumeratorRow, det, inverse, kernel_from_rows, rank_of_rows
-from chernflat.scalars import GaussianRational, ZERO, clear_denominators
+from chernflat.scalars import GaussianRational, ONE, ZERO, clear_denominators
 
-from helpers import random_doubled_pair
+from helpers import random_doubled_pair, real_basis, transported_pair
 
 CATALOG = [
     "abelian(2)",
@@ -50,13 +57,15 @@ CATALOG = [
 
 
 def _oracle_equation_rows(g, acs):
-    return _oracle_anticommutation_rows(acs) + _oracle_bracket_rows(g)
+    """The full system: every nonzero anticommutation row, then every ordered-pair bracket row."""
+    return [*_oracle_anticommutation_rows(acs).values(), *_oracle_bracket_rows(g).values()]
 
 
 def _oracle_anticommutation_rows(acs):
+    """{(a, b): row of (L J + J L)_ab} for every nonzero row, row-major."""
     n = acs.dim
     j = acs.j
-    rows = []
+    rows = {}
     for a in range(n):
         for b in range(n):
             row: dict = {}
@@ -79,13 +88,14 @@ def _oracle_anticommutation_rows(acs):
                     else:
                         row.pop(key, None)
             if row:
-                rows.append(row)
+                rows[(a, b)] = row
     return rows
 
 
 def _oracle_bracket_rows(g):
+    """{(i, j, k): row of (L [e_i, e_j] + [L e_i, e_j])_k} for i != j, every nonzero row, row-major."""
     n = g.dim
-    rows = []
+    rows = {}
     for i in range(n):
         for jdx in range(n):
             if i == jdx:
@@ -111,8 +121,37 @@ def _oracle_bracket_rows(g):
                         else:
                             row.pop(key, None)
                 if row:
-                    rows.append(row)
+                    rows[(i, jdx, k)] = row
     return rows
+
+
+def _oracle_kept(s):
+    """(columns, pairs): the kept index set, from real_basis(s) and a dense R^-1.
+
+    columns is S, the index of each x_k = e_idx; pairs holds every (a, j),
+    a != j, with a in S, or with j = S[p] and (R^-1)_{p,a} or (R^-1)_{m+p,a}
+    nonzero.
+    """
+    n, m = s.dim, s.m
+    basis = real_basis(s)
+    columns = [x.index(ONE) for x in basis]
+    r_inv = inverse(ExactMatrix.from_columns([*basis, *(s.acs.j.matvec(x) for x in basis)]))
+    pairs = {
+        (a, j)
+        for a in range(n)
+        for j in range(n)
+        if a != j
+        and (a in columns or (j in columns and any(r_inv.entry(t, a) for t in (columns.index(j), m + columns.index(j)))))
+    }
+    return columns, pairs
+
+
+def _oracle_kept_rows(s) -> tuple:
+    """(anticommutation, bracket): the oracle rows at the kept indices, in the oracle's order."""
+    columns, pairs = _oracle_kept(s)
+    anti = [row for (_, b), row in _oracle_anticommutation_rows(s.acs).items() if b in columns]
+    brackets = [row for (i, j, _), row in _oracle_bracket_rows(s.g).items() if (i, j) in pairs]
+    return anti, brackets
 
 
 def _oracle_inner_vectors(g):
@@ -240,11 +279,11 @@ def _numerator_row(row: dict, scale) -> dict:
     return out
 
 
-def _assert_scaled_rows(new, g, acs):
-    """new is d_J times each oracle anticommutation row, then D times each bracket row."""
-    anti = _oracle_anticommutation_rows(acs)
-    old = anti + _oracle_bracket_rows(g)
-    scales = [acs.numerators()[0]] * len(anti) + [g.numerators()[0]] * (len(old) - len(anti))
+def _assert_scaled_rows(new, s):
+    """new is d_J times each kept oracle anticommutation row, then D times each kept bracket row."""
+    anti, brackets = _oracle_kept_rows(s)
+    old = anti + brackets
+    scales = [s.acs.numerators()[0]] * len(anti) + [s.g.numerators()[0]] * len(brackets)
     assert all(type(row) is NumeratorRow for row in new)
     assert new == [_numerator_row(row, d) for row, d in zip(old, scales)]
     # dict equality ignores order; the key order of every row must match too
@@ -266,12 +305,53 @@ def test_inputs_cover_dense_structures_and_cancelling_rows():
     )
     assert all(is_qk_chern_flat(split(g, acs)) and is_two_step(g) for g, acs in map(_pair, FLAT))
     assert not any(is_qk_chern_flat(split(*_pair(label))) for label in ALL if "conjugated" in label)
+    # some a outside S whose R^-1 e_a has more than one nonzero coordinate, so the
+    # diagonal-pair rule reads R^-1 beyond a single slot (3-4 such a per transported label)
+    mixed = [
+        a
+        for label in FLAT
+        for s in [split(*_pair(label))]
+        for a in range(s.dim)
+        if a not in s.indices and len(s._r_inv[1][a]) > 1
+    ]
+    assert len(mixed) >= 3
 
 
 @pytest.mark.parametrize("label", ALL)
 def test_rows_match_the_dense_oracle(label):
+    s = split(*_pair(label))
+    _assert_scaled_rows(list(_equation_rows(s)), s)
+
+
+@pytest.mark.parametrize("label", [label for label in ALL if not label.endswith(("transported", "sheared", "conjugated"))])
+def test_kept_rows_of_the_standard_structure(label):
     g, acs = _pair(label)
-    _assert_scaled_rows(list(_equation_rows(g, acs)), g, acs)
+    n, m = g.dim, g.dim // 2
+    assert acs == AlmostComplexStructure.standard(n)
+    s = split(g, acs)
+    columns, pairs = _kept_indices(s)
+    assert columns == tuple(range(m))
+    assert pairs == sorted({(a, j) for a in range(m) for j in range(n) if j != a} | {(m + p, p) for p in range(m)})
+    anti, brackets = _oracle_kept_rows(s)
+    assert len(anti) == n * m
+    assert len(list(_equation_rows(s))) == n * m + len(brackets)
+
+
+# dense rational P with denominators, carried with the table: J and the table dense, the pair flat
+_entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_deformation_space_of_transported_pairs_matches_the_full_system(data):
+    g, acs = _pair(data.draw(st.sampled_from([label for label in CATALOG + ["two-step-0", "two-step-1"] if _pair(label)[0].dim <= 6])))
+    n = g.dim
+    p = ExactMatrix([[data.draw(_entry) for _ in range(n)] for _ in range(n)])
+    assume(det(p) and any(x.re.denominator > 1 for r in range(n) for x in p.row(r)))
+    h, j = transported_pair(g, acs, p)
+    space = deformation_space(split(h, j))
+    assert space == _oracle_deformation_space(h, j)
+    assert all(satisfies_deformation_equations(h, j, mat) for mat in space.matrices())
 
 
 @pytest.mark.parametrize("label", FLAT)
@@ -290,9 +370,10 @@ def test_deformation_space_matches_the_dense_oracle(label):
 @pytest.mark.parametrize("name", ["iwasawa_j3", "dim5_irreducible", "centro1_model(2)"])
 def test_a_tampered_vector_or_row_fails_both_checks(name, delta):
     entry = catalog(name)
-    g, acs = entry.algebra, entry.acs
-    rows = list(_equation_rows(g, acs))
-    oracle_rows = _oracle_equation_rows(g, acs)
+    g = entry.algebra
+    s = split(g, entry.acs)
+    rows = list(_equation_rows(s))
+    oracle_rows = [row for part in _oracle_kept_rows(s) for row in part]
     vectors = _inner_vectors(g)
     dense = _oracle_inner_vectors(g)
     assert list(_checked_rows(rows, vectors)) == rows
@@ -324,7 +405,8 @@ def test_a_tampered_vector_or_row_fails_both_checks(name, delta):
 
 
 def test_deformation_space_substitutes_every_inner_direction(monkeypatch):
-    # every flattened key lies in some anticommutation row, since no column of J is zero
+    # every flattened key lies in some kept anticommutation row: for the standard J
+    # of iwasawa_j3 the row (a, b), b < m, holds the keys a n + m + b and (a ± m) n + b
     entry = catalog("iwasawa_j3")
     sweep = deform._inner_vectors
 

@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chernflat.acs import split
 from chernflat.constructions import catalog, random_two_step
 from chernflat.deform import _equation_rows
 from chernflat.lie import Subspace
@@ -309,7 +310,7 @@ def _pair(label: str):
 def test_deformation_systems_match_the_fraction_oracle(label):
     g, acs = _pair(label)
     n = g.dim
-    rows = list(_equation_rows(g, acs))
+    rows = list(_equation_rows(split(g, acs)))
     oracle = _FractionEchelon(n * n)
     for row in rows:
         # the rows come as Gaussian-integer numerators; the oracle takes Q(i) rows

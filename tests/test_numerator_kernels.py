@@ -11,7 +11,8 @@ and ``helpers.oracle_j_entries``, built from ``g.brackets`` and ``acs.j``.
 The predicates must give the oracle's verdicts and witnesses, the Nijenhuis
 values entry by entry, and the same AssertionError on an inconsistent input;
 each deformation row must be d_J (anticommutation) or D (bracket) times the
-oracle's row, key for key, with the same kernel.
+oracle's row of the same kept index (``deform._kept_indices``), key for
+key, and on a flat pair the kept rows must have the full system's kernel.
 """
 
 import functools
@@ -32,7 +33,7 @@ from chernflat.acs import (
     split,
 )
 from chernflat.constructions import catalog, complexification, random_two_step
-from chernflat.deform import _checked_rows, _equation_rows, _inner_vectors, deformation_space
+from chernflat.deform import _checked_rows, _equation_rows, _inner_vectors, _kept_indices, deformation_space
 from chernflat.forms import coframe_element, exterior_d
 from chernflat.lie import JacobiError, LieAlgebra, is_two_step
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse, kernel_from_rows
@@ -131,11 +132,12 @@ def _oracle_is_qk_chern_flat(s):
     return Verdict(True)
 
 
-def _oracle_anticommutation_rows(acs):
+def _oracle_anticommutation_rows(acs, columns=None):
+    """The nonzero rows (a, b), row-major; only b in columns when it is given."""
     n = acs.dim
     by_row, by_col = oracle_j_entries(acs)
     for a in range(n):
-        for b in range(n):
+        for b in range(n) if columns is None else sorted(columns):
             row: dict = {}
             for c, v in by_col[b]:
                 accumulate(row, a * n + c, v)
@@ -145,12 +147,13 @@ def _oracle_anticommutation_rows(acs):
                 yield row
 
 
-def _oracle_bracket_rows(g):
+def _oracle_bracket_rows(g, pairs=None):
+    """The nonzero rows (i, j, k), i != j, row-major; only (i, j) in pairs when it is given."""
     n = g.dim
     full, into = oracle_signed_views(g)
     for i in range(n):
         for jdx in range(n):
-            if i == jdx:
+            if i == jdx or (pairs is not None and (i, jdx) not in pairs):
                 continue
             bij = full[i][jdx]
             for k in range(n):
@@ -350,9 +353,11 @@ def test_numerator_views_and_ad_j_columns_scale_the_oracle(case):
 def test_deformation_rows_scale_the_oracle_rows(case):
     _, g, acs = case
     n = g.dim
-    rows = list(_equation_rows(g, acs))
-    anti = list(_oracle_anticommutation_rows(acs))
-    oracle = anti + list(_oracle_bracket_rows(g))
+    s = split(g, acs)
+    columns, pairs = _kept_indices(s)
+    rows = list(_equation_rows(s))
+    anti = list(_oracle_anticommutation_rows(acs, columns))
+    oracle = anti + list(_oracle_bracket_rows(g, set(pairs)))
     assert len(rows) == len(oracle)
     d_j, denom = acs.numerators()[0], g.numerators()[0]
     for t, (row, old) in enumerate(zip(rows, oracle)):
@@ -361,11 +366,13 @@ def test_deformation_rows_scale_the_oracle_rows(case):
         assert list(row) == list(old)
         assert _from_numerators(row, scale) == old
     assert kernel_from_rows(n * n, rows) == kernel_from_rows(n * n, oracle)
-    if is_qk_chern_flat(split(g, acs)) and is_two_step(g):
+    if is_qk_chern_flat(s) and is_two_step(g):
+        # on a flat pair the kept rows span the full system
+        whole = list(_oracle_anticommutation_rows(acs)) + list(_oracle_bracket_rows(g))
         vectors = _inner_vectors(g)
         assert list(_checked_rows(rows, vectors)) == rows
-        assert list(_oracle_checked_rows(oracle, vectors)) == oracle
-        assert deformation_space(split(g, acs)).kernel == tuple(kernel_from_rows(n * n, oracle))
+        assert list(_oracle_checked_rows(whole, vectors)) == whole
+        assert deformation_space(s).kernel == tuple(kernel_from_rows(n * n, whole))
 
 
 def test_a_disagreeing_eigenspace_side_raises_in_both(monkeypatch):

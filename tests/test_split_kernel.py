@@ -25,7 +25,7 @@ from chernflat.constructions import catalog, complexification, random_two_step
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
 from chernflat.scalars import GaussianRational, ONE, ZERO, accumulate, clear_denominators
 
-from helpers import combined_frame, random_two_step_real_algebra
+from helpers import combined_frame, random_two_step_real_algebra, real_basis
 
 CATALOG = [
     "centro1_model(1)",
@@ -81,7 +81,7 @@ def _fraction_frame_constants(g, s) -> dict:
     """The splitting's constants from R = [x, J x] and R^-1 as Fractions, as computed before the int version."""
     m = s.m
     n = 2 * m
-    r = ExactMatrix.from_columns([*s.real_basis, *(s.acs.j.matvec(x) for x in s.real_basis)])
+    r = ExactMatrix.from_columns([*real_basis(s), *(s.acs.j.matvec(x) for x in real_basis(s))])
     r_inv = inverse(r)
     denom, numerators, _ = g.numerators()
     full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
@@ -223,6 +223,13 @@ def test_constants_match_the_dense_oracle(label):
     combined_inv = inverse(combined_frame(s))
     for k in range(g.dim):
         assert s.to_combined([ONE if t == k else ZERO for t in range(g.dim)]) == combined_inv.column(k)
+    # R^-1 is kept as the int columns of d_R R^-1, d_R its least common denominator
+    r_inv = inverse(ExactMatrix.from_columns([*real_basis(s), *(acs.j.matvec(x) for x in real_basis(s))]))
+    d_r, inv_cols = s._r_inv
+    assert d_r == clear_denominators(x for k in range(g.dim) for x in r_inv.column(k))[0]
+    assert [[(t, Fraction(v, d_r)) for t, v in col] for col in inv_cols] == [
+        [(t, x.re) for t, x in enumerate(r_inv.column(k)) if x] for k in range(g.dim)
+    ]
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -234,7 +241,7 @@ def test_constants_match_the_fraction_oracle(label):
 
 def test_inputs_cover_denominators_in_j_and_in_r_inverse():
     def r_inverse_denominator(s):
-        r = ExactMatrix.from_columns([*s.real_basis, *(s.acs.j.matvec(x) for x in s.real_basis)])
+        r = ExactMatrix.from_columns([*real_basis(s), *(s.acs.j.matvec(x) for x in real_basis(s))])
         return clear_denominators(x for k in range(r.cols) for x in inverse(r).column(k))[0]
 
     pairs = [_pair(label) for label in LABELS]
@@ -268,7 +275,7 @@ def test_inputs_cover_dense_columns_and_skipped_indices():
     assert max(support(acs) for _, acs in pairs) >= 4
     # a real basis other than the first m unit vectors
     assert any(
-        [x.index(ONE) for x in split(g, acs).real_basis] != list(range(g.dim // 2))
+        list(split(g, acs).indices) != list(range(g.dim // 2))
         for g, acs in pairs
     )
     # pairs that are not Chern-flat, and pairs that are not quasi-Kaehler
