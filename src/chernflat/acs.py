@@ -174,7 +174,7 @@ class ComplexSplitting:
     inv_cols[k] lists the nonzero (t, d_R (R^-1)_tk) of column k, ascending
     in t, and d_R is the least common denominator of R^-1.  It is read off
     one elimination over the int columns of d_J R; to_combined and the
-    deformation rows read it too.
+    deformation solution matrices read it too.
     """
 
     __slots__ = (
@@ -281,12 +281,18 @@ class ComplexSplitting:
             qk = self.sector_relations_qk()
             if not qk:
                 raise SectorShapeError(qk.witness)
-            # the sector shape leaves [Z_a, Z_b] only conj Z_k keys, k + m
-            m = self.m
-            self._holomorphic = AdaptedConstants(
-                m, {(a, b): {k - m: c for k, c in row.items()} for (a, b), row in self.constants.items() if b < m}
-            )
+            self._holomorphic = AdaptedConstants(self.m, _holomorphic_table(self))
         return self._holomorphic
+
+
+def _holomorphic_table(s: ComplexSplitting) -> dict:
+    """{(a, b): {k: c_ab^k}}, a < b < m, with [Z_a, Z_b] = sum_k c_ab^k conj Z_k, read off s.constants.
+
+    Only for a pair with the quasi-Kaehler sector shape, which leaves
+    [Z_a, Z_b] only conj Z_k keys, k + m; nothing here checks it.
+    """
+    m = s.m
+    return {(a, b): {k - m: c for k, c in row.items()} for (a, b), row in s.constants.items() if b < m}
 
 
 def _sector_scan(s: ComplexSplitting) -> tuple:

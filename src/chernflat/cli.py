@@ -293,7 +293,8 @@ def _cmd_construct(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             if not (1 <= i < j <= m) or not (1 <= k <= m):
-                print(f"error: indices out of range in {spec!r}", file=sys.stderr)
+                rule = f"need 1 <= i < j <= {m} and 1 <= k <= {m}"
+                print(f"error: indices out of range in {spec!r}: {rule}", file=sys.stderr)
                 return 2
             row = constants.setdefault((i - 1, j - 1), {})
             prev = row.get(k - 1)

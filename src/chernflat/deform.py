@@ -1,51 +1,46 @@
 """Infinitesimal deformations of a flat structure on a two-step algebra.
 
 A deformation direction is a real matrix L subject to two exact linear
-conditions: it anticommutes with the structure, M = LJ + JL = 0, and it
-kills the bracket in the strong sense E(x, y) = L[x, y] + [Lx, y] = 0 for
-all x, y (running over ordered basis pairs captures the companion identity
-L[x, y] + [x, Ly] = 0 as well).
+conditions: it anticommutes with the structure, LJ + JL = 0, and it kills
+the bracket in the strong sense E(x, y) = L[x, y] + [Lx, y] = 0 for all
+x, y (over ordered pairs this also gives L[x, y] + [x, Ly] = 0).
 
 The trivial directions come from the algebra itself: for two-step flat pairs
-every inner derivation satisfies both conditions, which this module checks by
-substitution rather than assuming.  The reported quotient dimension counts
-essential deformations modulo those.
+every inner derivation satisfies both conditions, which this module checks
+rather than assuming.  The reported quotient dimension counts essential
+deformations modulo those.
 
-The rows are read from the nonzero entries of J and the sparse bracket table,
-not from a dense n^4 sweep, and are built on Gaussian-integer numerators: each
-row is homogeneous, so scaling it changes neither its direction nor the kernel.
-Each row is substituted into the inner directions and handed to the
-elimination as it is built, so the system is never held whole.
+The system is not eliminated row by row; on a quasi-Kaehler Chern-flat pair
+its solution space has a closed form.  Write [Z_a, Z_b] = sum_k c_ab^k
+conj Z_k for the holomorphic constants; the sector shape also gives
+[Z_a, conj Z_b] = 0.  L anticommutes with J exactly when it swaps the
+eigenspaces, L Z_a = sum_k A_ka conj Z_k for a complex m x m matrix A, and
+E is bilinear and real, so E = 0 says E(Z_a, conj Z_b) = 0 and
+E(Z_a, Z_b) = 0 for all a, b:
 
-Only a spanning subset of the rows is built.  Let S be the m indices the
-splitting chose, so R = [e_S, J e_S] is a basis (s.indices), and w = R^-1 e_a
-(s._r_inv).  Two identities, exact for every L, make the rest redundant:
+- E(Z_a, conj Z_b) = sum_k A_ka [conj Z_k, conj Z_b] has coefficient
+  sum_k A_ka conj(c_kb^l) on Z_l, so every column of A lies in
+  K = {x : sum_k x_k conj(c_kb^l) = 0 for all b, l};
+- E(Z_a, Z_b) = sum_k c_ab^k L conj Z_k has coefficient sum_k c_ab^k
+  conj(A_lk) on Z_l, so every row of A lies in
+  W = {y : sum_k y_k conj(c_ab^k) = 0 for all a < b}.
 
-1. M commutes with J, so M vanishes once it vanishes on e_S: the n m
-   anticommutation rows (a, b), b in S, span all n^2 of them.
-2. On a quasi-Kaehler Chern-flat pair, J[X, Y] = -[JX, Y] = -[X, JY], so
-   E(Jx, y) - J E(x, y) = [Mx, y] - M[x, y].  Modulo the anticommutation
-   rows, E(e_a, e_j) is then the sum over p of w_p E(e_S[p], e_j) and
-   w_{m+p} J E(e_S[p], e_j).  The bracket rows of a pair (a, j) with a not
-   in S follow from the kept pairs (S[p], j), unless w is nonzero at slot p
-   or m + p for the p with S[p] = j: that would need the diagonal E(e_j, e_j),
-   which is not in the system, so such a pair is kept.
+So the solutions are A in K (x) W, of real dimension 2 dim K dim W, and two
+eliminations on m columns find bases of K and W.  In the basis
+R = [e_S, J e_S] of the splitting (S = s.indices) the matrix A = P + iQ is
+L_R = [[P, -Q], [-Q, -P]], and L = R L_R R^-1.  For A = x w^T that is
+a1 b1^T + a2 b2^T with a1 = R [x_r; -x_i], a2 = R [-x_i; -x_r],
+b1 = R^-T [w_r; -w_i] and b2 = R^-T [w_i; w_r], and A = i x w^T is the
+same with i x for x.  Every product runs on ints: the numerators of x and
+w, d_J R from J.numerators() and d_R R^-1 from s._r_inv.
 
-The kept pairs are every (a, j) with a in S and j != a, plus those
-exceptions; for the standard J they are the pairs (m + p, S[p]).  The row
-space, and with it the canonical kernel basis, is unchanged, and the rows
-span the skipped ones, so the substitution check is exactly as strong.  On
-the benchmark's families the rows per job fall from 880 to 456 (conjugate
-doubling, n = 12), 1516 to 778 (doubling, n = 14), 460 to 242 (doubling,
-n = 10), 628 to 322 (center-one, n = 10) and 512 to 288 (dim4 scrambled,
-n = 8; 400 to 224 on some inputs).
-
-No row has i = j, and for a quasi-Kaehler flat pair none is needed, so the
-equations hold for all x, y: taking x = y = e_i in identity 2,
-(J_ii I - J) E(e_i, e_i) is minus the sum of J_ci E(e_c, e_i) over c != i,
-modulo M; multiplying by -J, (I + J_ii J) E(e_i, e_i) is a combination of
-off-diagonal rows modulo M, and I + J_ii J is invertible (its eigenvalues
-are 1 ± i J_ii), so E(e_i, e_i) = 0 follows.
+The kernel is reported in the basis kernel_from_rows would give for the
+whole system, the reduced echelon basis of the solution space read with the
+keys in reverse order.  So the solution matrices go to one Echelon over the
+n^2 keys, key t entered as n^2 - 1 - t; each must raise its rank.  Each
+inner direction ad_{e_i} must then reduce to zero in that echelon, and its
+coordinates in the basis are its entries on the pivot keys, whose rank is
+the inner rank.  The tests compare all of it with the full row system.
 
 deformation_space and lie_derivative_direction take the splitting s of the
 pair alone, as the predicates of acs do.
@@ -57,9 +52,10 @@ from dataclasses import dataclass
 
 # split is bound here too (perfbench/test_checks.py traces every binding of it)
 from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split  # noqa: F401
+from .acs import _holomorphic_table
 from .lie import LieAlgebra, is_two_step
-from .linalg import ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
-from .scalars import ZERO, accumulate_numerator, clear_denominators, gaussian
+from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
+from .scalars import ZERO, clear_denominators, gaussian
 
 __all__ = [
     "DeformationSpace",
@@ -69,76 +65,77 @@ __all__ = [
 ]
 
 
-def _kept_indices(s: ComplexSplitting) -> tuple:
-    """(columns, pairs): the anticommutation columns and the bracket pairs whose rows span the system.
+def _tensor_factors(s: ComplexSplitting) -> tuple:
+    """(K, W): bases of the column space K and the row space W of the module docstring.
 
-    columns is S = s.indices; pairs lists the ordered (a, j), a != j, in
-    row-major order: every j for a in S, and for a not in S the j = S[p]
-    where column a of R^-1 is nonzero at slot p or m + p.  The module
-    docstring derives them; they span the full system only on a
-    quasi-Kaehler Chern-flat pair.
+    Both come from the holomorphic constants c of s, read off s.constants:
+    the pair (a, b), a < b, puts conj(c_ab^l) at slot a of the K row (b, l)
+    and -conj(c_ab^l) at slot b of the K row (a, l), and its conjugated
+    constants are the W row (a, b).  The caller has proved the sector shape.
+    """
+    m = s.m
+    k_rows: dict = {}
+    w_rows = []
+    for (a, b), row in _holomorphic_table(s).items():
+        conj_row = {l: c.conjugate() for l, c in row.items()}
+        w_rows.append(conj_row)
+        for l, c in conj_row.items():
+            k_rows.setdefault((b, l), {})[a] = c
+            k_rows.setdefault((a, l), {})[b] = -c
+    return kernel_from_rows(m, k_rows.values()), kernel_from_rows(m, w_rows)
+
+
+def _solution_rows(s: ComplexSplitting, k_basis: list, w_basis: list):
+    """Yield L for A = x w^T and A = i x w^T, x in k_basis and w in w_basis, as NumeratorRows.
+
+    L = a1 b1^T + a2 b2^T (module docstring) is built on ints, at the
+    positive scale d_J d_R times the denominators of x and w: a1 and a2
+    through the int columns of d_J R (d_J e_S[p], and the J column of S[p]
+    from J.numerators()), b1 and b2 through d_R R^-T (s._r_inv).  Entry
+    L_rc sits at key n^2 - 1 - (r n + c).
     """
     n, m = s.dim, s.m
-    columns = s.indices
+    last = n * n - 1
+    d_j, _, by_col = s.acs.numerators()
     inv_cols = s._r_inv[1]
-    in_s = set(columns)
-    pairs = []
-    for a in range(n):
-        if a in in_s:
-            pairs.extend((a, j) for j in range(n) if j != a)
-        else:
-            pairs.extend((a, j) for j in sorted({columns[t % m] for t, _ in inv_cols[a]}))
-    return columns, pairs
 
+    def through_r(u: list) -> list:
+        out = [0] * n
+        for p, idx in enumerate(s.indices):
+            out[idx] += d_j * u[p]
+            for r, v in by_col[idx]:
+                out[r] += v * u[m + p]
+        return out
 
-def _equation_rows(s: ComplexSplitting):
-    """Yield the kept sparse rows over the n^2 unknowns L_{rc} (row-major flattening).
-
-    The rows are those of _kept_indices(s), anticommutation rows (a, b) then
-    bracket rows (i, j, k), each in row-major order.  Both conditions are
-    read from sparse numerator views: the nonzero entries of J over d_J
-    (J.numerators()) and the table of g in every order over D
-    (g.numerators()), full[i][j] = {k: c_ij^k} and into[j][k] = {r: c_rj^k}.
-    So an anticommutation row is d_J times its equation and a bracket row D
-    times its equation; each is a NumeratorRow.
-    """
-    n = s.dim
-    _, full, into = s.g.numerators()
-    _, by_row, by_col = s.acs.numerators()
-    columns, pairs = _kept_indices(s)
-    # anticommutation: (L J + J L)_{ab} = 0
-    for a in range(n):
-        for b in columns:
+    lefts = []
+    for x in k_basis:
+        _, re, im = clear_denominators(x)
+        for xr, xi in ((re, im), ([-t for t in im], re)):  # x, then i x
+            lefts.append((through_r(xr + [-t for t in xi]), through_r([-t for t in xi + xr])))
+    rights = []
+    for w in w_basis:
+        _, re, im = clear_denominators(w)
+        pair = (re + [-t for t in im], im + re)
+        rights.append([[sum(x * u[t] for t, x in col) for col in inv_cols] for u in pair])
+    for a1, a2 in lefts:
+        for b1, b2 in rights:
             row = NumeratorRow()
-            for c, v in by_col[b]:
-                accumulate_numerator(row, a * n + c, v, 0)
-            for c, v in by_row[a]:
-                accumulate_numerator(row, c * n + b, v, 0)
-            if row:
-                yield row
-    # bracket condition: (L [e_i, e_j] + [L e_i, e_j])_k = 0
-    for i, jdx in pairs:
-        bij = full[i][jdx]
-        for k in range(n):
-            ck = into[jdx][k]
-            if not bij and not ck:
-                continue
-            row = NumeratorRow()
-            for c, (x, y) in bij.items():
-                accumulate_numerator(row, k * n + c, x, y)
-            for r, (x, y) in ck.items():
-                accumulate_numerator(row, r * n + i, x, y)
-            if row:
-                yield row
+            for r in range(n):
+                if a1[r] or a2[r]:
+                    for c in range(n):
+                        v = a1[r] * b1[c] + a2[r] * b2[c]
+                        if v:
+                            row[last - r * n - c] = (v, 0)
+            yield row
 
 
 def _inner_vectors(g: LieAlgebra) -> list:
     """The nonzero flattened ad_{e_i}, as sparse dicts in ascending key order.
 
-    They are read from g.brackets in one pass, not from the views behind
-    _equation_rows, so the substitution check compares two independent
-    readings of the table: the pair (i, j) puts c_ij^k at key k n + j of
-    ad_{e_i} and -c_ij^k at key k n + i of ad_{e_j}.
+    They are read from g.brackets in one pass, not from the holomorphic
+    constants behind _solution_rows, so the membership check compares two
+    independent readings of the table: the pair (i, j) puts c_ij^k at key
+    k n + j of ad_{e_i} and -c_ij^k at key k n + i of ad_{e_j}.
     """
     n = g.dim
     ads = [{} for _ in range(n)]
@@ -147,30 +144,6 @@ def _inner_vectors(g: LieAlgebra) -> list:
             ads[i][k * n + j] = c
             ads[j][k * n + i] = -c
     return [dict(sorted(ad.items())) for ad in ads if ad]
-
-
-def _checked_rows(rows, vectors: list):
-    """Yield each numerator row after asserting that it vanishes on every vector.
-
-    Each vector is scaled once by its own common denominator, so every sum
-    runs on Gaussian-integer numerators.
-    """
-    # by_key[key] lists (vector index, re, im) of every vector entry at key
-    by_key: dict = {}
-    for t, vec in enumerate(vectors):
-        _, re, im = clear_denominators(vec.values())
-        for key, u, v in zip(vec, re, im):
-            by_key.setdefault(key, []).append((t, u, v))
-    for row in rows:
-        acc_re = [0] * len(vectors)
-        acc_im = [0] * len(vectors)
-        for key, (x, y) in row.items():
-            for t, u, v in by_key.get(key, ()):
-                acc_re[t] += x * u - y * v
-                acc_im[t] += x * v + y * u
-        if any(acc_re) or any(acc_im):
-            raise AssertionError("inner derivation fails the deformation equations")
-        yield row
 
 
 @dataclass(frozen=True)
@@ -200,8 +173,8 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
     """Solve the deformation equations of the pair of s and quotient out inner directions.
 
     Requires a flat two-step pair; under that hypothesis every inner
-    derivation solves the equations, which is verified by substitution
-    before the quotient is taken.
+    derivation solves the equations, which is verified by membership in the
+    solution space before the quotient is taken.
     """
     if not is_qk_chern_flat(s):
         raise ValueError("deformation space requires a quasi-Kaehler flat pair")
@@ -209,12 +182,24 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
     if not is_two_step(g):
         raise ValueError("deformation space requires a two-step algebra")
     n = g.dim
+    last = n * n - 1
+    ech = Echelon(n * n)
+    for row in _solution_rows(s, *_tensor_factors(s)):
+        if not ech.add(row):
+            raise AssertionError("deformation directions from K and W are dependent")
     inner_vectors = _inner_vectors(g)
-    kernel = kernel_from_rows(n * n, _checked_rows(_equation_rows(s), inner_vectors))
-    inner_rank = rank_of_rows(n * n, inner_vectors)
+    for vec in inner_vectors:
+        # a vector in the span reduces to zero and leaves the echelon as it was
+        if ech.add({last - key: c for key, c in vec.items()}):
+            raise AssertionError("inner derivation fails the deformation equations")
+    # the reduced basis with its keys read back, last pivot first, is the canonical kernel basis
+    kernel = tuple(tuple(reversed(v)) for v in reversed(ech.basis()))
+    free = [last - p for p in ech.pivot_columns()]
+    coordinates = [{t: vec[key] for t, key in enumerate(free) if key in vec} for vec in inner_vectors]
+    inner_rank = rank_of_rows(len(free), coordinates)
     return DeformationSpace(
         n=n,
-        kernel=tuple(kernel),
+        kernel=kernel,
         inner_rank=inner_rank,
         quotient_dimension=len(kernel) - inner_rank,
     )

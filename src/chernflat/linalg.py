@@ -9,7 +9,7 @@ built only for the results (kernel vectors, reduced bases, inverses), each
 divided once by its pivot.  The determinant is Bareiss elimination on the
 same numerators, and one pass of it without row exchanges gives every
 leading principal minor.  The engine works on sparse row dictionaries so
-that the larger stacked systems (deformation equations) stay cheap as well.
+that the wider systems (the deformation solution matrices) stay cheap as well.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
 from chernflat.linalg import ExactMatrix, inverse
-from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
+from chernflat.scalars import GaussianRational, I, ONE, ZERO, accumulate, gaussian
 
 
 def random_two_step_real_algebra(rng, max_dim=6, span=2):
@@ -97,6 +97,41 @@ def oracle_j_entries(acs) -> tuple:
     by_row = [[(c, x) for c in range(n) if (x := acs.j.entry(r, c))] for r in range(n)]
     by_col = [[(r, x) for r in range(n) if (x := acs.j.entry(r, c))] for c in range(n)]
     return by_row, by_col
+
+
+def oracle_equation_rows(g, acs) -> list:
+    """The full deformation system over the n^2 unknowns L_rc, key r n + c, from dense loops.
+
+    Every nonzero anticommutation row (L J + J L)_ab, row-major, then every
+    nonzero bracket row (L [e_i, e_j] + [L e_i, e_j])_k with i != j, read
+    through J.entry, basis_bracket and structure_constant; Q(i) dicts.
+    """
+    n = g.dim
+    j = acs.j
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row: dict = {}
+            for c in range(n):
+                accumulate(row, a * n + c, j.entry(c, b))
+            for c in range(n):
+                accumulate(row, c * n + b, j.entry(a, c))
+            if row:
+                rows.append(row)
+    for i in range(n):
+        for jdx in range(n):
+            if i == jdx:
+                continue
+            bij = g.basis_bracket(i, jdx)
+            for k in range(n):
+                row = {}
+                for c in range(n):
+                    accumulate(row, k * n + c, bij[c])
+                for r in range(n):
+                    accumulate(row, r * n + i, g.structure_constant(r, jdx, k))
+                if row:
+                    rows.append(row)
+    return rows
 
 
 def random_gaussian(rng, span=3):

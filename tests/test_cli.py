@@ -257,6 +257,14 @@ def test_construct_error_cases(capsys):
     assert "error[jacobi]" in err
 
 
+@pytest.mark.parametrize("spec", ["2,1,1:1", "1,1,1:1"], ids=["swapped", "diagonal"])
+def test_construct_names_the_index_rule(capsys, spec):
+    # every index lies in 1..m; the pair breaks the rule i < j
+    code, out, err = run(capsys, "construct", "holomorphic", "2", "--set", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: indices out of range in '{spec}': need 1 <= i < j <= 2 and 1 <= k <= 2\n"
+
+
 def _verify_argv(tmp_path, coeff=None, j_entry=None, metric_entry=None):
     """verify on iwasawa_j3's file, with its first coefficient, J[1][1] or metric H[1][1] replaced."""
     entry = catalog("iwasawa_j3")

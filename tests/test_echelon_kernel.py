@@ -16,9 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernflat.acs import split
 from chernflat.constructions import catalog, random_two_step
-from chernflat.deform import _equation_rows
 from chernflat.lie import Subspace
 from chernflat.linalg import (
     Echelon,
@@ -33,6 +31,8 @@ from chernflat.linalg import (
     rank_of_rows,
 )
 from chernflat.scalars import GaussianRational, ONE, ZERO, clear_denominators, gaussian
+
+from helpers import oracle_equation_rows
 
 # -- the Fraction oracle ---------------------------------------------------------
 
@@ -310,10 +310,9 @@ def _pair(label: str):
 def test_deformation_systems_match_the_fraction_oracle(label):
     g, acs = _pair(label)
     n = g.dim
-    rows = list(_equation_rows(split(g, acs)))
+    rows = oracle_equation_rows(g, acs)
     oracle = _FractionEchelon(n * n)
     for row in rows:
-        # the rows come as Gaussian-integer numerators; the oracle takes Q(i) rows
-        oracle.add({c: GaussianRational(a, b) for c, (a, b) in row.items()})
+        oracle.add(row)
     assert kernel_from_rows(n * n, rows) == oracle.kernel_vectors()
     assert rank_of_rows(n * n, rows) == len(oracle.pivot_rows)
