@@ -7,8 +7,8 @@ from chernflat.acs import AlmostComplexStructure
 from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
-from chernflat.linalg import ExactMatrix, inverse
-from chernflat.scalars import GaussianRational, I, ONE, ZERO, accumulate, gaussian
+from chernflat.linalg import ExactMatrix, NumeratorRow, inverse
+from chernflat.scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
 
 
 def random_two_step_real_algebra(rng, max_dim=6, span=2):
@@ -132,6 +132,55 @@ def oracle_equation_rows(g, acs) -> list:
                 if row:
                     rows.append(row)
     return rows
+
+
+def oracle_solution_matrices(s, k_basis, w_basis) -> list:
+    """The flattened L = R L_R R^-1 for A = x w^T and A = i x w^T, from dense matrices.
+
+    x runs over k_basis, then the factor 1 or i, then w over w_basis, the
+    order in which deform yields its solution rows.  A = P + i Q gives
+    L_R = [[P, -Q], [-Q, -P]] in the basis R = [e_S, J e_S] of real_basis(s),
+    and R^-1 is a dense inverse.  Row-major tuples, key r n + c.
+    """
+    n, m = s.dim, s.m
+    basis = real_basis(s)
+    r = ExactMatrix.from_columns([*basis, *(s.acs.j.matvec(x) for x in basis)])
+    r_inv = inverse(r)
+    out = []
+    for x in k_basis:
+        for phase in (ONE, I):
+            for w in w_basis:
+                a = [[phase * x[k] * w[l] for l in range(m)] for k in range(m)]
+                top = [[z.re for z in row] + [-z.im for z in row] for row in a]
+                bottom = [[-z.im for z in row] + [-z.re for z in row] for row in a]
+                l_mat = r * ExactMatrix(top + bottom) * r_inv
+                out.append(tuple(l_mat.entry(i, j) for i in range(n) for j in range(n)))
+    return out
+
+
+def assert_solution_rows_scale_the_oracle(s, rows, k_basis, w_basis) -> list:
+    """Check deform's int solution rows against oracle_solution_matrices and return the latter.
+
+    Row t holds the entry L_rc at key n^2 - 1 - (r n + c) as (re, 0), and it
+    is d_J d_R d_x d_w times the dense matrix t, with d_x and d_w the common
+    denominators of its factors; so the key sets agree as well.
+    """
+    n = s.dim
+    last = n * n - 1
+    dense = oracle_solution_matrices(s, k_basis, w_basis)
+    assert len(rows) == len(dense) == 2 * len(k_basis) * len(w_basis)
+    scales = [
+        s.acs.numerators()[0] * s._r_inv[0] * clear_denominators(x)[0] * clear_denominators(w)[0]
+        for x in k_basis
+        for _ in (ONE, I)
+        for w in w_basis
+    ]
+    for row, mat, scale in zip(rows, dense, scales):
+        assert type(row) is NumeratorRow and not any(im for _, im in row.values())
+        assert {last - key: gaussian(re) for key, (re, _) in row.items()} == {
+            key: c * scale for key, c in enumerate(mat) if c
+        }
+    return dense
 
 
 def random_gaussian(rng, span=3):

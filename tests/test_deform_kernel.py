@@ -9,7 +9,10 @@ pair's bracket rows from dense loops over ``structure_constant`` and
 ``J.entry`` (``helpers.oracle_equation_rows``), and a dense substitution of
 the flattened ``basis_ad`` matrices into it, are the oracle.  Both must give
 the same ``DeformationSpace``, including the canonical kernel basis, and
-the same ``AssertionError`` on a tampered inner vector.
+the same ``AssertionError`` on a tampered inner vector or row.  Each int
+solution row must be a fixed positive multiple of the dense R L_R R^-1
+(``helpers.oracle_solution_matrices``), and the rows together must span
+the full system's kernel.
 """
 
 import functools
@@ -24,10 +27,10 @@ from chernflat import deform
 from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
 from chernflat.deform import DeformationSpace, _inner_vectors, deformation_space, satisfies_deformation_equations
 from chernflat.lie import LieAlgebra, is_two_step
-from chernflat.linalg import ExactMatrix, det, inverse, kernel_from_rows, rank_of_rows
-from chernflat.scalars import GaussianRational, ZERO
+from chernflat.linalg import ExactMatrix, NumeratorRow, det, inverse, kernel_from_rows, rank_of_rows
+from chernflat.scalars import GaussianRational, ZERO, clear_denominators, gaussian
 
-from helpers import oracle_equation_rows, random_doubled_pair, transported_pair
+from helpers import assert_solution_rows_scale_the_oracle, oracle_equation_rows, random_doubled_pair, transported_pair
 
 
 CATALOG = [
@@ -180,6 +183,32 @@ def test_inputs_cover_dense_structures_and_cancelling_rows():
     assert len(mixed) >= 3
 
 
+@pytest.mark.parametrize("label", ALL)
+def test_rows_match_the_dense_oracle(label):
+    g, acs = _pair(label)
+    s = split(g, acs)
+    n = g.dim
+    oracle_rows = oracle_equation_rows(g, acs)
+    if label not in FLAT:
+        # off the sector shape there are no holomorphic constants to read: deform
+        # refuses the pair, and the full system's kernel passes the dense checker
+        with pytest.raises(ValueError, match="deformation space requires a quasi-Kaehler flat pair"):
+            deformation_space(s)
+        for v in kernel_from_rows(n * n, oracle_rows):
+            mat = ExactMatrix([[gaussian(v[r * n + c]) for c in range(n)] for r in range(n)])
+            assert satisfies_deformation_equations(g, acs, mat)
+        return
+    k_basis, w_basis = deform._tensor_factors(s)
+    dense = assert_solution_rows_scale_the_oracle(s, list(deform._solution_rows(s, k_basis, w_basis)), k_basis, w_basis)
+    # every row of the full system vanishes on every solution matrix, and the
+    # 2 dim K dim W solutions are independent and as many as the system's kernel
+    for mat in dense:
+        for row in oracle_rows:
+            assert not sum((c * mat[key] for key, c in row.items() if mat[key]), ZERO)
+    sparse = [{k: c for k, c in enumerate(mat) if c} for mat in dense]
+    assert rank_of_rows(n * n, sparse) == len(dense) == len(kernel_from_rows(n * n, oracle_rows))
+
+
 # dense rational P with denominators, carried with the table: J and the table dense, the pair flat
 _entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
@@ -211,7 +240,7 @@ def test_deformation_space_matches_the_dense_oracle(label):
     ids=["real", "imaginary", "complex"],
 )
 @pytest.mark.parametrize("name", ["iwasawa_j3", "dim5_irreducible", "centro1_model(2)"])
-def test_a_tampered_inner_vector_fails_both_checks(name, delta, monkeypatch):
+def test_a_tampered_vector_or_row_fails_both_checks(name, delta, monkeypatch):
     entry = catalog(name)
     g = entry.algebra
     s = split(g, entry.acs)
@@ -229,11 +258,47 @@ def test_a_tampered_inner_vector_fails_both_checks(name, delta, monkeypatch):
     bad_vectors[t][key] = vectors[t][key] + delta
     bad_dense = list(dense)
     bad_dense[t] = tuple(c + delta if k == key else c for k, c in enumerate(dense[t]))
-    monkeypatch.setattr(deform, "_inner_vectors", lambda _: bad_vectors)
-    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
-        deformation_space(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(deform, "_inner_vectors", lambda _: bad_vectors)
+        with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+            deformation_space(s)
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
         _oracle_check(oracle_rows, bad_dense)
+
+    # one entry of one solution row that some inner vector needs, at a key that
+    # inner vector holds: the single-entry matrix is no solution, so the
+    # tampered row takes that inner vector out of the span
+    n = g.dim
+    last = n * n - 1
+    k_basis, w_basis = deform._tensor_factors(s)
+    rows = list(deform._solution_rows(s, k_basis, w_basis))
+    solutions = [
+        {k: c for k, c in enumerate(mat) if c}
+        for mat in assert_solution_rows_scale_the_oracle(s, rows, k_basis, w_basis)
+    ]
+    r, vec = next(
+        (r, vec)
+        for r in range(len(rows))
+        for vec in vectors
+        if rank_of_rows(n * n, [*solutions[:r], *solutions[r + 1 :], vec]) == len(rows)
+    )
+    key = next(iter(vec))
+    bad_solution = dict(solutions[r])
+    bad_solution[key] = bad_solution.get(key, ZERO) + delta
+    _, re, im = clear_denominators(bad_solution.values())
+    bad_rows = list(rows)
+    bad_rows[r] = NumeratorRow((last - k, (a, b)) for k, a, b in zip(bad_solution, re, im) if a or b)
+    monkeypatch.setattr(deform, "_solution_rows", lambda *_: iter(bad_rows))
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        deformation_space(s)
+
+    # the same on the full system: one entry of one row, at a key that some
+    # inner vector holds, now pairs that vector to a nonzero value
+    r, key = next((r, key) for r, row in enumerate(oracle_rows) for key in row if any(key in vec for vec in vectors))
+    bad_oracle_rows = [dict(row) for row in oracle_rows]
+    bad_oracle_rows[r][key] = oracle_rows[r][key] + delta
+    with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
+        _oracle_check(bad_oracle_rows, dense)
 
 
 def test_deformation_space_substitutes_every_inner_direction(monkeypatch):

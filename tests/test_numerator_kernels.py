@@ -10,8 +10,10 @@ table and J through ``helpers.oracle_signed_views`` and
 ``helpers.oracle_j_entries``, built from ``g.brackets`` and ``acs.j``.  The
 predicates must give the oracle's verdicts and witnesses, the Nijenhuis
 values entry by entry, and the same AssertionError on an inconsistent
-input.  On the flat draws the deformation kernel, which deform reads off
-the same splitting's constants, must be the full system's.
+input.  On the flat draws deform's int solution rows
+(``deform._solution_rows``) must be d_J d_R d_x d_w times the dense
+solution matrices R L_R R^-1, and the deformation kernel, which deform
+reads off the same splitting's constants, must be the full system's.
 """
 
 import functools
@@ -32,6 +34,7 @@ from chernflat.acs import (
     split,
 )
 from chernflat.constructions import catalog, complexification, random_two_step
+from chernflat import deform
 from chernflat.deform import deformation_space
 from chernflat.forms import coframe_element, exterior_d
 from chernflat.lie import JacobiError, LieAlgebra, is_two_step
@@ -39,6 +42,7 @@ from chernflat.linalg import ExactMatrix, inverse, kernel_from_rows
 from chernflat.scalars import GaussianRational, ZERO, accumulate
 
 from helpers import (
+    assert_solution_rows_scale_the_oracle,
     oracle_equation_rows,
     oracle_j_entries,
     oracle_signed_views,
@@ -294,11 +298,14 @@ def test_numerator_views_and_ad_j_columns_scale_the_oracle(case):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(case=pairs())
-def test_deformation_kernel_of_flat_draws_is_the_full_systems(case):
+def test_deformation_rows_scale_the_oracle_rows(case):
     _, g, acs = case
     s = split(g, acs)
     assume(is_qk_chern_flat(s) and is_two_step(g))
     n = g.dim
+    # each int solution row is d_J d_R d_x d_w times the dense R L_R R^-1 of its x w^T
+    k_basis, w_basis = deform._tensor_factors(s)
+    assert_solution_rows_scale_the_oracle(s, list(deform._solution_rows(s, k_basis, w_basis)), k_basis, w_basis)
     assert deformation_space(s).kernel == tuple(kernel_from_rows(n * n, oracle_equation_rows(g, acs)))
 
 
