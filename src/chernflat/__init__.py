@@ -68,7 +68,6 @@ from .deform import (
     DeformationSpace,
     deformation_space,
     lie_derivative_direction,
-    satisfies_deformation_equations,
 )
 from .fileio import dumps_model, load_model, loads_model, resolve_model
 

@@ -26,7 +26,20 @@ E(Z_a, Z_b) = 0 for all a, b:
   W = {y : sum_k y_k conj(c_ab^k) = 0 for all a < b}.
 
 So the solutions are A in K (x) W, of real dimension 2 dim K dim W, and two
-eliminations on m columns find bases of K and W.  In the basis
+eliminations on m columns find bases of K and W, on the int numerators of
+the constants.
+
+The same K decides two-step-ness, and the lower central series is not
+computed.  Under the sector shape [[g, g], g] is spanned by the
+[[Z_a, Z_b], conj Z_k] and their conjugates, and the coefficient of that
+bracket on Z_l is sum_r c_ab^r conj(c_rk^l), the K row (k, l) evaluated on
+the bracket vector c_ab.  So [[g, g], g] = 0 exactly when every c_ab lies
+in K.  Every K row is evaluated on every c_ab, a < b, in Gaussian-integer
+arithmetic before K and W are eliminated, and a nonzero sum raises the
+two-step ValueError.  These are the closure relations, which Jacobi implies
+under the sector shape, so the check guards the reading of the constants.
+
+In the basis
 R = [e_S, J e_S] of the splitting (S = s.indices) the matrix A = P + iQ is
 L_R = [[P, -Q], [-Q, -P]], and L = R L_R R^-1.  For A = x w^T that is
 a1 b1^T + a2 b2^T with a1 = R [x_r; -x_i], a2 = R [-x_i; -x_r],
@@ -38,9 +51,12 @@ The kernel is reported in the basis kernel_from_rows would give for the
 whole system, the reduced echelon basis of the solution space read with the
 keys in reverse order.  So the solution matrices go to one Echelon over the
 n^2 keys, key t entered as n^2 - 1 - t; each must raise its rank.  Each
-inner direction ad_{e_i} must then reduce to zero in that echelon, and its
-coordinates in the basis are its entries on the pivot keys, whose rank is
-the inner rank.  The tests compare all of it with the full row system.
+inner direction ad_{e_i}, read on ints from g.brackets apart from the
+constants, must then reduce to zero in that echelon, and its coordinates
+in the basis are its entries on the pivot keys, whose rank (on the same
+ints) is the inner rank.  Every ad_z solves the equations exactly when
+[[g, g], g] = 0, so this membership is a second, independent reading of
+two-step-ness.  The tests compare all of it with the full row system.
 
 deformation_space and lie_derivative_direction take the splitting s of the
 pair alone, as the predicates of acs do.
@@ -51,38 +67,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # split is bound here too (perfbench/test_checks.py traces every binding of it)
-from .acs import AlmostComplexStructure, ComplexSplitting, Verdict, is_qk_chern_flat, split  # noqa: F401
+from .acs import ComplexSplitting, is_qk_chern_flat, split  # noqa: F401
 from .acs import _holomorphic_table
-from .lie import LieAlgebra, is_two_step
+from .lie import LieAlgebra
 from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
-from .scalars import ZERO, clear_denominators, gaussian
+from .scalars import clear_denominators, gaussian
 
 __all__ = [
     "DeformationSpace",
     "deformation_space",
-    "satisfies_deformation_equations",
     "lie_derivative_direction",
 ]
+
+
+def _factor_rows(s: ComplexSplitting) -> tuple:
+    """(vectors, k_rows, w_rows): the bracket vectors c_ab and the rows of K and W, as NumeratorRows.
+
+    The holomorphic constants c of s, read off s.constants, are cleared to
+    Gaussian-integer numerators at one scale D in one pass; vectors holds
+    D c_ab for each pair a < b.  The pair (a, b) puts D conj(c_ab^l) at
+    slot a of the K row (b, l) and -D conj(c_ab^l) at slot b of the K row
+    (a, l), and its conjugated constants are the W row (a, b); k_rows is
+    keyed (b, l).  No two pairs write the same slot of a K row.  The caller
+    has proved the sector shape.
+    """
+    table = _holomorphic_table(s)
+    _, re, im = clear_denominators(c for row in table.values() for c in row.values())
+    nums = zip(re, im)
+    vectors = [NumeratorRow(zip(row, nums)) for row in table.values()]
+    k_rows: dict = {}
+    w_rows = []
+    for (a, b), vec in zip(table, vectors):
+        w_rows.append(NumeratorRow((l, (x, -y)) for l, (x, y) in vec.items()))
+        for l, (x, y) in vec.items():
+            k_rows.setdefault((b, l), NumeratorRow())[a] = (x, -y)
+            k_rows.setdefault((a, l), NumeratorRow())[b] = (-x, y)
+    return vectors, k_rows, w_rows
+
+
+def _closure_holds(vectors: list, k_rows: dict) -> bool:
+    """Whether every K row vanishes on every bracket vector: [[g, g], g] = 0, exactly on ints.
+
+    The K row (b, l) on c_ij is sum_k c_ij^k conj(c_kb^l), the closure
+    relation of (i, j, b, l) (acs.two_step_certificate); both factors come
+    from _factor_rows at the scale D, so the sum is D^2 times its value.
+    """
+    for row in k_rows.values():
+        for vec in vectors:
+            re = im = 0
+            for k, (x, y) in row.items():
+                if k in vec:
+                    u, v = vec[k]
+                    re += x * u - y * v
+                    im += x * v + y * u
+            if re or im:
+                return False
+    return True
 
 
 def _tensor_factors(s: ComplexSplitting) -> tuple:
     """(K, W): bases of the column space K and the row space W of the module docstring.
 
-    Both come from the holomorphic constants c of s, read off s.constants:
-    the pair (a, b), a < b, puts conj(c_ab^l) at slot a of the K row (b, l)
-    and -conj(c_ab^l) at slot b of the K row (a, l), and its conjugated
-    constants are the W row (a, b).  The caller has proved the sector shape.
+    Both are eliminations on m columns of the int rows of _factor_rows.
+    Before them the closure relations are checked on the same K rows, and
+    a failure raises the two-step ValueError of deformation_space.
     """
-    m = s.m
-    k_rows: dict = {}
-    w_rows = []
-    for (a, b), row in _holomorphic_table(s).items():
-        conj_row = {l: c.conjugate() for l, c in row.items()}
-        w_rows.append(conj_row)
-        for l, c in conj_row.items():
-            k_rows.setdefault((b, l), {})[a] = c
-            k_rows.setdefault((a, l), {})[b] = -c
-    return kernel_from_rows(m, k_rows.values()), kernel_from_rows(m, w_rows)
+    vectors, k_rows, w_rows = _factor_rows(s)
+    if not _closure_holds(vectors, k_rows):
+        raise ValueError("deformation space requires a two-step algebra")
+    return kernel_from_rows(s.m, k_rows.values()), kernel_from_rows(s.m, w_rows)
 
 
 def _solution_rows(s: ComplexSplitting, k_basis: list, w_basis: list):
@@ -130,20 +183,26 @@ def _solution_rows(s: ComplexSplitting, k_basis: list, w_basis: list):
 
 
 def _inner_vectors(g: LieAlgebra) -> list:
-    """The nonzero flattened ad_{e_i}, as sparse dicts in ascending key order.
+    """The nonzero flattened ad_{e_i}, D times over, as NumeratorRows keyed as _solution_rows keys.
 
-    They are read from g.brackets in one pass, not from the holomorphic
-    constants behind _solution_rows, so the membership check compares two
-    independent readings of the table: the pair (i, j) puts c_ij^k at key
-    k n + j of ad_{e_i} and -c_ij^k at key k n + i of ad_{e_j}.
+    They are read from the i < j rows of g.brackets with one
+    clear_denominators pass, not from g.numerators(), which the constants
+    of the splitting come through, nor from the holomorphic constants behind
+    _solution_rows, so the membership check compares two independent
+    readings of the table.  D is the table's common denominator; the pair
+    (i, j) puts D c_ij^k at entry (k, j) of ad_{e_i} and -D c_ij^k at entry
+    (k, i) of ad_{e_j}, and entry (r, c) sits at key n^2 - 1 - (r n + c).
     """
     n = g.dim
-    ads = [{} for _ in range(n)]
+    last = n * n - 1
+    _, re, im = clear_denominators(c for vec in g.brackets.values() for c in vec.values())
+    nums = zip(re, im)
+    ads = [NumeratorRow() for _ in range(n)]
     for (i, j), vec in g.brackets.items():
-        for k, c in vec.items():
-            ads[i][k * n + j] = c
-            ads[j][k * n + i] = -c
-    return [dict(sorted(ad.items())) for ad in ads if ad]
+        for k, (a, b) in zip(vec, nums):
+            ads[i][last - k * n - j] = (a, b)
+            ads[j][last - k * n - i] = (-a, -b)
+    return [ad for ad in ads if ad]
 
 
 @dataclass(frozen=True)
@@ -172,30 +231,31 @@ class DeformationSpace:
 def deformation_space(s: ComplexSplitting) -> DeformationSpace:
     """Solve the deformation equations of the pair of s and quotient out inner directions.
 
-    Requires a flat two-step pair; under that hypothesis every inner
-    derivation solves the equations, which is verified by membership in the
-    solution space before the quotient is taken.
+    Requires a quasi-Kaehler flat two-step pair, checked in that order.
+    Under the sector shape [[g, g], g] = 0 says exactly that every bracket
+    vector c_ab lies in K, and _tensor_factors evaluates every K row on
+    every c_ab on Gaussian-integer numerators, so the check is exact.
+    Every inner derivation then solves the equations, which is verified by
+    membership in the solution space before the quotient is taken; that
+    membership is a second reading of [[g, g], g] = 0, from g.brackets.
     """
     if not is_qk_chern_flat(s):
         raise ValueError("deformation space requires a quasi-Kaehler flat pair")
-    g = s.g
-    if not is_two_step(g):
-        raise ValueError("deformation space requires a two-step algebra")
-    n = g.dim
-    last = n * n - 1
+    n = s.dim
     ech = Echelon(n * n)
     for row in _solution_rows(s, *_tensor_factors(s)):
         if not ech.add(row):
             raise AssertionError("deformation directions from K and W are dependent")
-    inner_vectors = _inner_vectors(g)
+    inner_vectors = _inner_vectors(s.g)
     for vec in inner_vectors:
         # a vector in the span reduces to zero and leaves the echelon as it was
-        if ech.add({last - key: c for key, c in vec.items()}):
+        if ech.add(vec):
             raise AssertionError("inner derivation fails the deformation equations")
     # the reduced basis with its keys read back, last pivot first, is the canonical kernel basis
     kernel = tuple(tuple(reversed(v)) for v in reversed(ech.basis()))
-    free = [last - p for p in ech.pivot_columns()]
-    coordinates = [{t: vec[key] for t, key in enumerate(free) if key in vec} for vec in inner_vectors]
+    # an inner vector's coordinates in that basis are its entries on the pivot keys
+    free = ech.pivot_columns()
+    coordinates = [NumeratorRow((t, vec[key]) for t, key in enumerate(free) if key in vec) for vec in inner_vectors]
     inner_rank = rank_of_rows(len(free), coordinates)
     return DeformationSpace(
         n=n,
@@ -203,31 +263,6 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
         inner_rank=inner_rank,
         quotient_dimension=len(kernel) - inner_rank,
     )
-
-
-def satisfies_deformation_equations(
-    g: LieAlgebra, acs: AlmostComplexStructure, l_mat: ExactMatrix
-) -> Verdict:
-    """Check one matrix against both deformation conditions, with witness."""
-    n = g.dim
-    if l_mat.rows != n or l_mat.cols != n:
-        raise ValueError("matrix size does not match the algebra")
-    anti = l_mat * acs.j + acs.j * l_mat
-    for a in range(n):
-        for b in range(n):
-            if anti.entry(a, b):
-                return Verdict(False, ("anticommutation", a, b))
-    for i in range(n):
-        # column jdx is the sparse [L e_i, e_jdx]
-        cols = g._ad_columns(l_mat.column(i))
-        for jdx in range(n):
-            if i == jdx:
-                continue
-            lhs = l_mat.matvec(g.basis_bracket(i, jdx))
-            rhs = cols[jdx]
-            if any(a + rhs.get(k, ZERO) for k, a in enumerate(lhs)):
-                return Verdict(False, ("bracket", i, jdx))
-    return Verdict(True)
 
 
 def lie_derivative_direction(s: ComplexSplitting, x) -> ExactMatrix:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
-from chernflat.acs import AlmostComplexStructure
+from chernflat.acs import AlmostComplexStructure, Verdict
 from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra
@@ -181,6 +181,76 @@ def assert_solution_rows_scale_the_oracle(s, rows, k_basis, w_basis) -> list:
             key: c * scale for key, c in enumerate(mat) if c
         }
     return dense
+
+
+def oracle_inner_vectors(g) -> list:
+    """The nonzero flattened ad_{e_i}, in ascending i, from the dense basis_ad matrices.
+
+    Row-major tuples, key r n + c.
+    """
+    n = g.dim
+    out = []
+    for i in range(n):
+        mat = g.basis_ad(i)
+        vec = tuple(mat.entry(r, c) for r in range(n) for c in range(n))
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def assert_inner_vectors_scale_the_oracle(g, vectors) -> list:
+    """Check deform's int inner vectors against oracle_inner_vectors and return the latter.
+
+    Vector t holds the entry (r, c) of the dense vector t at key
+    n^2 - 1 - (r n + c) as (re, im), and it is D times the dense vector,
+    with D the table's common denominator; so the key sets agree as well.
+    """
+    n = g.dim
+    last = n * n - 1
+    dense = oracle_inner_vectors(g)
+    scale = g.numerators()[0]
+    assert len(vectors) == len(dense)
+    for vec, mat in zip(vectors, dense):
+        assert type(vec) is NumeratorRow
+        assert {last - key: GaussianRational(re, im) for key, (re, im) in vec.items()} == {
+            key: c * scale for key, c in enumerate(mat) if c
+        }
+    return dense
+
+
+def echelon_row(vec) -> NumeratorRow:
+    """A dense Q(i) vector over the n^2 keys as deform enters it: key t at n^2 - 1 - t, on numerators."""
+    last = len(vec) - 1
+    _, re, im = clear_denominators(vec)
+    return NumeratorRow((last - key, (a, b)) for key, (a, b) in enumerate(zip(re, im)) if a or b)
+
+
+def satisfies_deformation_equations(g, acs, l_mat) -> Verdict:
+    """Check one matrix against both deformation conditions, with witness.
+
+    The dense oracle of deform: L J + J L = 0 entry by entry, then
+    L [e_i, e_j] + [L e_i, e_j] = 0 for every ordered pair i != j, read
+    through the sparse ad columns of L e_i and basis_bracket.
+    """
+    n = g.dim
+    if l_mat.rows != n or l_mat.cols != n:
+        raise ValueError("matrix size does not match the algebra")
+    anti = l_mat * acs.j + acs.j * l_mat
+    for a in range(n):
+        for b in range(n):
+            if anti.entry(a, b):
+                return Verdict(False, ("anticommutation", a, b))
+    for i in range(n):
+        # column jdx is the sparse [L e_i, e_jdx]
+        cols = g._ad_columns(l_mat.column(i))
+        for jdx in range(n):
+            if i == jdx:
+                continue
+            lhs = l_mat.matvec(g.basis_bracket(i, jdx))
+            rhs = cols[jdx]
+            if any(a + rhs.get(k, ZERO) for k, a in enumerate(lhs)):
+                return Verdict(False, ("bracket", i, jdx))
+    return Verdict(True)
 
 
 def random_gaussian(rng, span=3):

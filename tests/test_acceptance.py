@@ -24,7 +24,7 @@ from chernflat.constructions import (
     iwasawa_frame_correspondence,
     verify_frame_isomorphism,
 )
-from chernflat.deform import deformation_space, satisfies_deformation_equations
+from chernflat.deform import deformation_space
 from chernflat.forms import (
     HermitianMetric,
     coframe_element,
@@ -51,6 +51,7 @@ from helpers import (
     random_hermitian_metric,
     random_pure_form,
     random_two_step_real_algebra,
+    satisfies_deformation_equations,
 )
 
 # Representatives of every catalog family that carries a flat quasi-Kaehler

@@ -9,10 +9,11 @@ from chernflat.deform import (
     DeformationSpace,
     deformation_space,
     lie_derivative_direction,
-    satisfies_deformation_equations,
 )
 from chernflat.linalg import ExactMatrix, kernel_basis
 from chernflat.scalars import ONE, ZERO, gaussian
+
+from helpers import satisfies_deformation_equations
 
 
 def test_deformation_space_known_dimensions():

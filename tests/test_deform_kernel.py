@@ -3,7 +3,10 @@
 ``deform.deformation_space`` reads the solution space off the holomorphic
 constants as K (x) W (``deform._tensor_factors``), carries each solution
 matrix to the real basis on ints (``deform._solution_rows``) and checks
-that every inner derivation ``deform._inner_vectors`` lies in the span.
+that every inner derivation ``deform._inner_vectors``, on ints D times
+over, lies in the span.  Its two-step check evaluates the K rows on the
+bracket vectors (``deform._closure_holds``); the lower central series
+(``lie.is_two_step``) and ``acs._closure_defect`` are its oracles.
 The full system it replaced, every anticommutation row and every ordered
 pair's bracket rows from dense loops over ``structure_constant`` and
 ``J.entry`` (``helpers.oracle_equation_rows``), and a dense substitution of
@@ -22,15 +25,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from chernflat.acs import AlmostComplexStructure, is_qk_chern_flat, split
+from chernflat.acs import AdaptedConstants, AlmostComplexStructure, _closure_defect, is_qk_chern_flat, split
 from chernflat import deform
 from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
-from chernflat.deform import DeformationSpace, _inner_vectors, deformation_space, satisfies_deformation_equations
-from chernflat.lie import LieAlgebra, is_two_step
-from chernflat.linalg import ExactMatrix, NumeratorRow, det, inverse, kernel_from_rows, rank_of_rows
-from chernflat.scalars import GaussianRational, ZERO, clear_denominators, gaussian
+from chernflat.deform import DeformationSpace, _inner_vectors, deformation_space
+from chernflat.lie import LieAlgebra, _clean_brackets, is_two_step
+from chernflat.linalg import ExactMatrix, det, inverse, kernel_from_rows, rank_of_rows
+from chernflat.scalars import GaussianRational, ZERO, gaussian
 
-from helpers import assert_solution_rows_scale_the_oracle, oracle_equation_rows, random_doubled_pair, transported_pair
+from helpers import (
+    assert_inner_vectors_scale_the_oracle,
+    assert_solution_rows_scale_the_oracle,
+    echelon_row,
+    oracle_equation_rows,
+    oracle_inner_vectors,
+    random_doubled_pair,
+    satisfies_deformation_equations,
+    transported_pair,
+)
 
 
 CATALOG = [
@@ -47,17 +59,6 @@ CATALOG = [
 
 
 # -- oracle: the dense loops ----------------------------------------------------
-
-
-def _oracle_inner_vectors(g):
-    n = g.dim
-    out = []
-    for i in range(n):
-        mat = g.basis_ad(i)
-        vec = tuple(mat.entry(r, c) for r in range(n) for c in range(n))
-        if any(vec):
-            out.append(vec)
-    return out
 
 
 def _oracle_check(rows, inner_vectors):
@@ -81,7 +82,7 @@ def _oracle_deformation_space(g, acs):
     """
     n = g.dim
     kernel = kernel_from_rows(n * n, oracle_equation_rows(g, acs))
-    inner = [{k: c for k, c in enumerate(v) if c} for v in _oracle_inner_vectors(g)]
+    inner = [{k: c for k, c in enumerate(v) if c} for v in oracle_inner_vectors(g)]
     if rank_of_rows(n * n, [*({k: c for k, c in enumerate(v) if c} for v in kernel), *inner]) > len(kernel):
         raise AssertionError("inner derivation fails the deformation equations")
     inner_rank = rank_of_rows(n * n, inner)
@@ -189,6 +190,8 @@ def test_rows_match_the_dense_oracle(label):
     s = split(g, acs)
     n = g.dim
     oracle_rows = oracle_equation_rows(g, acs)
+    # the int inner vectors are D times the dense ad_{e_i}, J or no J
+    assert_inner_vectors_scale_the_oracle(g, _inner_vectors(g))
     if label not in FLAT:
         # off the sector shape there are no holomorphic constants to read: deform
         # refuses the pair, and the full system's kernel passes the dense checker
@@ -230,8 +233,7 @@ def test_deformation_space_of_transported_pairs_matches_the_full_system(data):
 def test_deformation_space_matches_the_dense_oracle(label):
     g, acs = _pair(label)
     assert deformation_space(split(g, acs)) == _oracle_deformation_space(g, acs)
-    sparse = [{k: c for k, c in enumerate(v) if c} for v in _oracle_inner_vectors(g)]
-    assert [list(v.items()) for v in _inner_vectors(g)] == [list(v.items()) for v in sparse]
+    assert_inner_vectors_scale_the_oracle(g, _inner_vectors(g))
 
 
 @pytest.mark.parametrize(
@@ -246,18 +248,19 @@ def test_a_tampered_vector_or_row_fails_both_checks(name, delta, monkeypatch):
     s = split(g, entry.acs)
     oracle_rows = oracle_equation_rows(g, entry.acs)
     vectors = _inner_vectors(g)
-    dense = _oracle_inner_vectors(g)
+    dense = assert_inner_vectors_scale_the_oracle(g, vectors)
+    sparse = [{k: c for k, c in enumerate(vec) if c} for vec in dense]
     deformation_space(s)
     _oracle_check(oracle_rows, dense)
 
     # one entry of one inner vector, at a key that some row reads; no
     # single-entry matrix anticommutes with J, so the tampered vector leaves
     # the solution space whatever the entry
-    t, key = next((t, key) for t, vec in enumerate(vectors) for key in vec if any(key in row for row in oracle_rows))
-    bad_vectors = [dict(vec) for vec in vectors]
-    bad_vectors[t][key] = vectors[t][key] + delta
+    t, key = next((t, key) for t, vec in enumerate(sparse) for key in vec if any(key in row for row in oracle_rows))
     bad_dense = list(dense)
     bad_dense[t] = tuple(c + delta if k == key else c for k, c in enumerate(dense[t]))
+    bad_vectors = list(vectors)
+    bad_vectors[t] = echelon_row(bad_dense[t])
     with monkeypatch.context() as patch:
         patch.setattr(deform, "_inner_vectors", lambda _: bad_vectors)
         with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
@@ -269,32 +272,26 @@ def test_a_tampered_vector_or_row_fails_both_checks(name, delta, monkeypatch):
     # inner vector holds: the single-entry matrix is no solution, so the
     # tampered row takes that inner vector out of the span
     n = g.dim
-    last = n * n - 1
     k_basis, w_basis = deform._tensor_factors(s)
     rows = list(deform._solution_rows(s, k_basis, w_basis))
-    solutions = [
-        {k: c for k, c in enumerate(mat) if c}
-        for mat in assert_solution_rows_scale_the_oracle(s, rows, k_basis, w_basis)
-    ]
+    solutions = assert_solution_rows_scale_the_oracle(s, rows, k_basis, w_basis)
+    sparse_solutions = [{k: c for k, c in enumerate(mat) if c} for mat in solutions]
     r, vec = next(
         (r, vec)
         for r in range(len(rows))
-        for vec in vectors
-        if rank_of_rows(n * n, [*solutions[:r], *solutions[r + 1 :], vec]) == len(rows)
+        for vec in sparse
+        if rank_of_rows(n * n, [*sparse_solutions[:r], *sparse_solutions[r + 1 :], vec]) == len(rows)
     )
     key = next(iter(vec))
-    bad_solution = dict(solutions[r])
-    bad_solution[key] = bad_solution.get(key, ZERO) + delta
-    _, re, im = clear_denominators(bad_solution.values())
     bad_rows = list(rows)
-    bad_rows[r] = NumeratorRow((last - k, (a, b)) for k, a, b in zip(bad_solution, re, im) if a or b)
+    bad_rows[r] = echelon_row(tuple(c + delta if k == key else c for k, c in enumerate(solutions[r])))
     monkeypatch.setattr(deform, "_solution_rows", lambda *_: iter(bad_rows))
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
         deformation_space(s)
 
     # the same on the full system: one entry of one row, at a key that some
     # inner vector holds, now pairs that vector to a nonzero value
-    r, key = next((r, key) for r, row in enumerate(oracle_rows) for key in row if any(key in vec for vec in vectors))
+    r, key = next((r, key) for r, row in enumerate(oracle_rows) for key in row if any(key in vec for vec in sparse))
     bad_oracle_rows = [dict(row) for row in oracle_rows]
     bad_oracle_rows[r][key] = oracle_rows[r][key] + delta
     with pytest.raises(AssertionError, match="inner derivation fails the deformation equations"):
@@ -308,8 +305,10 @@ def test_deformation_space_substitutes_every_inner_direction(monkeypatch):
 
     def tampered(g):
         vectors = sweep(g)
+        assert_inner_vectors_scale_the_oracle(g, vectors)
         key = next(iter(vectors[-1]))
-        vectors[-1][key] = vectors[-1][key] + GaussianRational(0, 1)
+        re, im = vectors[-1][key]
+        vectors[-1][key] = (re, im + 1)
         return vectors
 
     monkeypatch.setattr(deform, "_inner_vectors", tampered)
@@ -405,3 +404,67 @@ def test_a_dropped_k_or_w_vector_is_caught(label, side, drop, outcome, monkeypat
         space = deformation_space(split(g, acs))
         assert space != oracle
         assert space.dimension == oracle.dimension - dropped.lost
+
+
+# -- the two-step check on K ------------------------------------------------------
+
+
+def _closure_verdict(s) -> bool:
+    vectors, k_rows, _ = deform._factor_rows(s)
+    return deform._closure_holds(vectors, k_rows)
+
+
+@pytest.mark.parametrize("label", FLAT)
+def test_the_closure_check_agrees_with_the_lower_central_series(label):
+    s = split(*_pair(label))
+    assert _closure_verdict(s) == is_two_step(s.g)
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=_central_tables(), data=st.data())
+def test_the_closure_check_of_transported_complex_tables_agrees_with_the_lower_central_series(case, data):
+    g, acs = from_holomorphic_constants(*case)
+    n = g.dim
+    p = ExactMatrix([[data.draw(_entry) for _ in range(n)] for _ in range(n)])
+    assume(det(p))
+    h, j = transported_pair(g, acs, p)
+    assert _closure_verdict(split(h, j)) == is_two_step(h)
+
+
+# any antisymmetric table with Q(i) constants, most of them breaking some closure relation
+@st.composite
+def _raw_tables(draw):
+    m = draw(st.integers(2, 4))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    table = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        row = {k: c for k in range(m) if (c := draw(_coefficient))}
+        if row:
+            table[pair] = row
+    return m, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_raw_tables())
+def test_the_closure_check_matches_the_closure_defect_on_raw_tables(case):
+    # acs._closure_defect, the check behind AdaptedConstants, reads the same
+    # relations in GaussianRational arithmetic
+    m, table = case
+    constants = object.__new__(AdaptedConstants)
+    constants._fill(m, _clean_brackets(m, table))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deform, "_holomorphic_table", lambda _: constants.table())
+        assert _closure_verdict(None) == (_closure_defect(constants) is None)
+
+
+def test_a_broken_closure_relation_raises_the_two_step_error(monkeypatch):
+    # c_01 = conj Z_2 and c_02 = conj Z_1: the K row (0, 1) holds -1 at slot 2,
+    # so it reads -1 on c_01; Jacobi rules such a table out, and the check
+    # must still read it
+    entry = catalog("iwasawa_j3")
+    s = split(entry.algebra, entry.acs)
+    table = {(0, 1): {2: GaussianRational(1)}, (0, 2): {1: GaussianRational(1)}}
+    monkeypatch.setattr(deform, "_holomorphic_table", lambda _: table)
+    assert not _closure_verdict(s)
+    with pytest.raises(ValueError, match="deformation space requires a two-step algebra"):
+        deformation_space(s)

@@ -12,8 +12,10 @@ predicates must give the oracle's verdicts and witnesses, the Nijenhuis
 values entry by entry, and the same AssertionError on an inconsistent
 input.  On the flat draws deform's int solution rows
 (``deform._solution_rows``) must be d_J d_R d_x d_w times the dense
-solution matrices R L_R R^-1, and the deformation kernel, which deform
-reads off the same splitting's constants, must be the full system's.
+solution matrices R L_R R^-1, its int inner vectors
+(``deform._inner_vectors``) D times the dense ad_{e_i}, and the
+deformation kernel, which deform reads off the same splitting's
+constants, must be the full system's.
 """
 
 import functools
@@ -42,6 +44,7 @@ from chernflat.linalg import ExactMatrix, inverse, kernel_from_rows
 from chernflat.scalars import GaussianRational, ZERO, accumulate
 
 from helpers import (
+    assert_inner_vectors_scale_the_oracle,
     assert_solution_rows_scale_the_oracle,
     oracle_equation_rows,
     oracle_j_entries,
@@ -306,6 +309,8 @@ def test_deformation_rows_scale_the_oracle_rows(case):
     # each int solution row is d_J d_R d_x d_w times the dense R L_R R^-1 of its x w^T
     k_basis, w_basis = deform._tensor_factors(s)
     assert_solution_rows_scale_the_oracle(s, list(deform._solution_rows(s, k_basis, w_basis)), k_basis, w_basis)
+    # and each int inner vector is D times the dense ad_{e_i}
+    assert_inner_vectors_scale_the_oracle(g, deform._inner_vectors(g))
     assert deformation_space(s).kernel == tuple(kernel_from_rows(n * n, oracle_equation_rows(g, acs)))
 
 
