@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, _clean_brackets, center, is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, accumulate_numerator, clear_denominators, gaussian
+from .scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
     "AdaptedConstants",
@@ -164,10 +164,16 @@ class ComplexSplitting:
     R^-1 [R_p, R_q] is contracted from the sparse bracket table on ints (the
     numerators of the table, of d_J R and of R^-1), each bracket of the frame
     is a combination of four B_pq, and the (0,1)x(0,1) block is the conjugate
-    of the (1,0)x(1,0) block.  The contraction reads the numerator views of
-    ``g`` itself, never the integer sweep behind the real-basis checks
-    (_ad_j_basis), so the two sides of every cross-check evaluate brackets by
-    independent code.
+    of the (1,0)x(1,0) block.  The contraction reads the table's numerators,
+    never the integer sweep behind the real-basis checks (_ad_j_basis), so
+    the two sides of every cross-check evaluate brackets by independent code.
+
+    The algebra is real, so every imaginary part of g.numerators() is 0.
+    The splitting keeps one int view of the table, _real: _real[i][j] is
+    {k: D c_ij^k} over the denominator D of g.numerators(), for every
+    ordered pair, keys ascending as in the full view.  The contraction and
+    every real-basis predicate read it; (re, im) pairs are built only for
+    the rows handed to Echelon.
 
     The splitting keeps indices, the greedily chosen idx with x_k = e_idx
     (ascending), and R^-1 only as ints: _r_inv is (d_R, inv_cols), where
@@ -178,7 +184,7 @@ class ComplexSplitting:
     """
 
     __slots__ = (
-        "g", "acs", "m", "indices", "constants", "_r_inv",
+        "g", "acs", "m", "indices", "constants", "_r_inv", "_real",
         "_dtheta", "_ad_j", "_sectors", "_chern_flat", "_holomorphic",
     )
 
@@ -192,24 +198,21 @@ class ComplexSplitting:
         d_j, _, by_col = acs.numerators()
         ech = Echelon(n)
         indices = []
-        j_rows = []
         for idx in range(n):
             if len(indices) == m:
                 break
             if not ech.add(NumeratorRow({idx: (1, 0)})):
                 continue
             # J e_idx is column idx of J, d_J times it is a numerator row
-            j_row = NumeratorRow({r: (v, 0) for r, v in by_col[idx]})
-            if not ech.add(j_row):
+            if not ech.add(NumeratorRow({r: (v, 0) for r, v in by_col[idx]})):
                 raise AssertionError("greedy eigenbasis extension failed; J is not a complex structure on Q^n")
             indices.append(idx)
-            j_rows.append(j_row)
         if len(indices) != m:
             raise AssertionError("could not complete an adapted real basis")
 
         # for Z = x - i J x, J Z = i Z says exactly J (J x) = -x; here at scale d_J^2
         minus_dd = -d_j * d_j
-        if any(_add_j_image({}, by_col, row) != {idx: (minus_dd, 0)} for idx, row in zip(indices, j_rows)):
+        if any(_add_j_image({}, by_col, dict(by_col[idx])) != {idx: minus_dd} for idx in indices):
             raise AssertionError("eigenvector check failed: J Z != i Z")
 
         # R = [e_idx.., J e_idx..]: d_J R has int columns, and R^-1 is read over its lcm d_R
@@ -226,17 +229,19 @@ class ComplexSplitting:
             for k, row in enumerate(pivot_rows)
         ]
 
+        denom, numerators, _ = g.numerators()
         self.g = g
         self.acs = acs
         self.m = m
         self.indices = tuple(indices)
         self._r_inv = (d_r, inv_cols)
+        self._real = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
         self._dtheta = None
         self._ad_j = None
         self._sectors = None
         self._chern_flat = None
         self._holomorphic = None
-        self.constants = _frame_constants(g, cols, inv_cols, d_j * d_j * d_r)
+        self.constants = _frame_constants(self._real, cols, inv_cols, d_j * d_j * d_r * denom)
 
     # -- frame bookkeeping ---------------------------------------------------
 
@@ -321,28 +326,26 @@ def _sector_scan(s: ComplexSplitting) -> tuple:
     return s._sectors
 
 
-def _frame_constants(g: LieAlgebra, cols: list, inv_cols: list, scale: int) -> dict:
+def _frame_constants(full: list, cols: list, inv_cols: list, scale: int) -> dict:
     """Sparse constants {(alpha, beta): {gamma: c}} of the combined frame of R = [x, J x].
 
-    cols[p] lists the nonzero (i, t R_ip) of column p of R and inv_cols[k]
-    the nonzero (s, u (R^-1)_sk), both ints, with scale = t^2 u.  B_pq =
-    R^-1 [R_p, R_q] is _change_basis of the table's int numerators over the
-    denominator D (the algebra is real, so their imaginary parts are 0); on
-    these columns it gives scale D B_pq.  Then [Z_a, Z_b] = B(a,b) -
+    full is the splitting's int view of the table, D times the constants
+    over their denominator D.  cols[p] lists the nonzero (i, t R_ip) of
+    column p of R and inv_cols[k] the nonzero (s, u (R^-1)_sk), both ints,
+    with scale = t^2 u D.  B_pq = R^-1 [R_p, R_q] is _change_basis of full;
+    on these columns it gives scale B_pq.  Then [Z_a, Z_b] = B(a,b) -
     B(m+a,m+b) - i (B(a,m+b) + B(m+a,b)) and [Z_a, conj Z_b] = B(a,b) +
     B(m+a,m+b) + i (B(a,m+b) - B(m+a,b)), with B_qp = -B_pq.  An R-coordinate
     vector w has coefficient (w_k + i w_{m+k}) / 2 on Z_k and
     (w_k - i w_{m+k}) / 2 on conj Z_k, so every coefficient is one int sum
-    divided once, by 2 scale D.  The algebra is real, so [conj Z_a, conj Z_b]
+    divided once, by 2 scale.  The algebra is real, so [conj Z_a, conj Z_b]
     is the conjugate of [Z_a, Z_b] with key k moved to (k + m) mod 2m.
     Pairs and keys ascend, and zero values and empty rows are dropped.
     """
     n = len(cols)
     m = n // 2
     # ints throughout, divided once per coefficient: the splitting is verify's largest layer
-    denom, numerators, _ = g.numerators()
-    full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
-    divisor = 2 * scale * denom
+    divisor = 2 * scale
     real = _change_basis(full, cols, inv_cols)
 
     def combination(*terms) -> dict:
@@ -357,7 +360,7 @@ def _frame_constants(g: LieAlgebra, cols: list, inv_cols: list, scale: int) -> d
         return acc
 
     def in_frame(re: dict, im: dict) -> dict:
-        """Sparse combined-frame coordinates of the R-coordinate vector (re + i im) / (scale D)."""
+        """Sparse combined-frame coordinates of the R-coordinate vector (re + i im) / scale."""
         top, bottom = {}, {}
         for k in range(m):
             a, b = re.get(k, 0), im.get(k, 0)
@@ -506,16 +509,16 @@ def _ad_j_basis(s: ComplexSplitting) -> list:
     """The columns of ad_{J e_i} on numerators: entry [i][j] is d_J D [J e_i, e_j].
 
     d_J and D are the denominators of J.numerators() and g.numerators().
-    Each column is a sparse dict {r: (re, im)} of ints with no (0, 0) value.
-    One integer sweep over the i < j half of the numerator views builds them
-    all: [J e_i, e_b] is the sum of J_ai [e_a, e_b], so the pair (a, b),
+    Each column is a sparse dict {r: x} of ints with no zero value.  One
+    integer sweep over the i < j half of the splitting's int view builds
+    them all: [J e_i, e_b] is the sum of J_ai [e_a, e_b], so the pair (a, b),
     a < b, adds J_ai c_ab to column b of ad_{J e_i} and -J_bi c_ab to column
     a.  The sweep does its own negation, and the checks compare it with the
-    numerator views, both halves.  Built once per splitting and kept on it.
+    int view, both halves.  Built once per splitting and kept on it.
     """
     if s._ad_j is None:
         n = s.dim
-        full = s.g.numerators()[1]
+        full = s._real
         by_row = s.acs.numerators()[1]
         ad_j = [[{} for _ in range(n)] for _ in range(n)]
         for a in range(n):
@@ -531,20 +534,21 @@ def _ad_j_basis(s: ComplexSplitting) -> list:
 
 
 def _add_multiple(acc: dict, v: int, vec: dict) -> dict:
-    """Add v vec into acc, for an int v and a numerator dict vec {k: (re, im)}; returns acc."""
-    for k, (x, y) in vec.items():
-        accumulate_numerator(acc, k, v * x, v * y)
+    """Add v vec into acc, for an int v and an int dict vec {k: x}; returns acc."""
+    for k, x in vec.items():
+        accumulate(acc, k, v * x)
     return acc
 
 
 def _add_j_image(acc: dict, by_col: list, vec: dict) -> dict:
     """Add J vec into acc on numerators, for by_col from J.numerators(); returns acc.
 
-    With vec at scale t, the image is at scale d_J t.
+    vec and acc are int dicts {k: x}; with vec at scale t, the image is at
+    scale d_J t.
     """
-    for k, (x, y) in vec.items():
+    for k, x in vec.items():
         for r, v in by_col[k]:
-            accumulate_numerator(acc, r, v * x, v * y)
+            accumulate(acc, r, v * x)
     return acc
 
 
@@ -559,11 +563,11 @@ def nijenhuis(s: ComplexSplitting) -> dict:
     nonzero values are divided by it.
     """
     n = s.dim
-    denom, full, _ = s.g.numerators()
+    full = s._real
     d_j, _, by_col = s.acs.numerators()
     ad_j = _ad_j_basis(s)
     minus_dd = -d_j * d_j
-    scale = d_j * d_j * denom
+    scale = d_j * d_j * s.g.numerators()[0]
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -576,8 +580,8 @@ def nijenhuis(s: ComplexSplitting) -> dict:
             _add_j_image(term, by_col, _add_multiple(dict(ad_j[j][i]), -1, ad_j[i][j]))
             if term:
                 vec = [ZERO] * n
-                for r, (x, y) in term.items():
-                    vec[r] = GaussianRational(Fraction(x, scale), Fraction(y, scale))
+                for r, x in term.items():
+                    vec[r] = GaussianRational(Fraction(x, scale))
                 values[(i, j)] = tuple(vec)
     if _sector_scan(s)[2] == (not values):
         raise AssertionError("Nijenhuis formula and eigenspace criterion disagree")
@@ -604,7 +608,7 @@ def is_chern_flat(s: ComplexSplitting) -> Verdict:
             (i, j)
             for i in range(n)
             for j in range(i, n)
-            if ad_j[i][j] != {r: (-x, -y) for r, (x, y) in ad_j[j][i].items()}
+            if ad_j[i][j] != {r: -x for r, x in ad_j[j][i].items()}
         ),
         None,
     )
@@ -640,7 +644,7 @@ def is_qk_chern_flat(s: ComplexSplitting) -> Verdict:
             break
 
     n = s.dim
-    full = s.g.numerators()[1]
+    full = s._real
     by_col = s.acs.numerators()[2]
     ad_j = _ad_j_basis(s)
     # J[e_i, e_j] + [J e_i, e_j] must vanish; both terms are at scale d_J D
@@ -666,10 +670,11 @@ def check_center_j_invariant(s: ComplexSplitting) -> bool:
     by_col = s.acs.numerators()[2]
     images = []
     for v in z.basis:
-        # J v on the numerators of v: only its direction counts
-        _, re, im = clear_denominators(v)
-        vec = {k: (a, b) for k, (a, b) in enumerate(zip(re, im)) if a or b}
-        images.append(NumeratorRow(_add_j_image({}, by_col, vec)))
+        # J v on the numerators of v, which are real: the center of a real
+        # algebra is the kernel of real rows; only the direction counts
+        re = clear_denominators(v)[1]
+        image = _add_j_image({}, by_col, {k: a for k, a in enumerate(re) if a})
+        images.append(NumeratorRow({r: (x, 0) for r, x in image.items()}))
     return Subspace(s.dim, [*z.basis, *images]).dim == z.dim
 
 

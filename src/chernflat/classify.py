@@ -405,14 +405,14 @@ def fingerprint(g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) -> 
     )
 
 
-def random_frame_scramble(g: LieAlgebra, acs: AlmostComplexStructure, rng):
-    """Rebuild the pair from its constants in a random holomorphic frame.
+def random_frame_scramble(s: ComplexSplitting, rng):
+    """Rebuild the pair of the splitting s from its constants in a random holomorphic frame.
 
     Returns (g2, acs2, frame); the frame is an invertible complex matrix and
     the new pair is isomorphic to the input through it.  Requires the
     quasi-Kaehler sector shape.
     """
-    s2, frame = _scrambled_copy(split(g, acs).holomorphic(), rng)
+    s2, frame = _scrambled_copy(s.holomorphic(), rng)
     return s2.g, s2.acs, frame
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "gaussian",
     "clear_denominators",
     "accumulate",
-    "accumulate_numerator",
-    "parse_rational",
     "format_rational",
     "parse_scalar",
     "format_scalar",
@@ -226,18 +224,6 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-def accumulate_numerator(acc: dict, key, re: int, im: int) -> None:
-    """accumulate for Gaussian-integer numerators, kept as pairs (re, im) of ints."""
-    cur = acc.get(key)
-    if cur is not None:
-        re += cur[0]
-        im += cur[1]
-    if re or im:
-        acc[key] = (re, im)
-    else:
-        acc.pop(key, None)
-
-
 # -- text format ------------------------------------------------------------
 
 # a denominator needs a nonzero digit: "1/0" is a malformed literal
@@ -245,14 +231,6 @@ _RAT = r"\d+(?:/0*[1-9]\d*)?"
 _REAL_RE = _re.compile(rf"^([+-]?{_RAT})$")
 _IMAG_RE = _re.compile(rf"^([+-]?)(?:({_RAT})\*)?i$")
 _BOTH_RE = _re.compile(rf"^([+-]?{_RAT})([+-])(?:({_RAT})\*)?i$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    s = text.replace(" ", "")
-    if not _REAL_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
 
 
 def format_rational(value) -> str:

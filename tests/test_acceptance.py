@@ -377,3 +377,22 @@ def test_criterion_10_integrable_counterexample_negative_control():
     tensor = nijenhuis(split(model.algebra, model.acs))
     assert tensor != {}
     assert tensor[(0, 1)] == _unit(6, 2, gaussian(-4))
+
+
+def test_readme_library_tour_states_its_values():
+    # the calls of the README "Library tour", each against the value its comment states
+    from chernflat import Verdict, catalog, deformation_space, is_qk_chern_flat, normal_form, split
+
+    entry = catalog("iwasawa_j3")
+    g, acs = entry.algebra, entry.acs
+    D, full, into = g.numerators()
+    assert D == 1
+    assert full[1][0] == {2: (-1, 0)}
+    assert into[4][5] == {0: (-1, 0)}
+    s = split(g, acs)
+    assert s.constants[(0, 1)] == {5: 2}
+    assert is_qk_chern_flat(s) == Verdict(ok=True)
+    c = s.holomorphic()
+    assert c.table() == {(0, 1): {2: 2}}
+    assert normal_form(s).constants == {(0, 1): {2: 1}}
+    assert deformation_space(s).quotient_dimension == 0

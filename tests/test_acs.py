@@ -162,6 +162,14 @@ def test_complexified_algebra_satisfies_jacobi():
     assert gc.dim == 6
 
 
+def test_splitting_requires_a_real_algebra():
+    # the splitting keeps only the real half of the table's numerators
+    iw = catalog("iwasawa_j3")
+    gc = LieAlgebra(6, split(iw.algebra, iw.acs).constants, field="Qi")
+    with pytest.raises(ValueError, match=r"^splitting requires a real \(field 'Q'\) algebra$"):
+        split(gc, iw.acs)
+
+
 def test_adapted_constants_construction_and_lookup():
     table = {(0, 1): {2: gaussian(2)}}
     c = AdaptedConstants(3, table)

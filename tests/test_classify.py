@@ -109,7 +109,7 @@ def test_dim4_normal_form_under_scrambles():
     e = catalog("dim4_model")
     # a few full-pair rebuilds, then volume at the constants level
     for _ in range(3):
-        g2, acs2, _ = random_frame_scramble(e.algebra, e.acs, rng)
+        g2, acs2, _ = random_frame_scramble(split(e.algebra, e.acs), rng)
         result = dim4_normal_form(split(g2, acs2).holomorphic())
         assert result.constants == {(0, 1): {2: ONE}}
     base = split(e.algebra, e.acs).holomorphic()
@@ -165,7 +165,7 @@ def test_center_one_normal_form_under_scrambles():
     n = 5
     target = {(a, b): {n - 1: ONE} for a in range(n - 1) for b in range(a + 1, n - 1)}
     for _ in range(2):
-        g2, acs2, _ = random_frame_scramble(e.algebra, e.acs, rng)
+        g2, acs2, _ = random_frame_scramble(split(e.algebra, e.acs), rng)
         assert center_one_normal_form(split(g2, acs2).holomorphic()).constants == target
     base = split(e.algebra, e.acs).holomorphic()
     for _ in range(15):
@@ -217,16 +217,16 @@ def test_fingerprint_invariant_under_scrambles():
         e = catalog(name)
         base = fingerprint(e.algebra, e.acs).as_tuple()
         for _ in range(2):
-            g2, acs2, _ = random_frame_scramble(e.algebra, e.acs, rng)
+            g2, acs2, _ = random_frame_scramble(split(e.algebra, e.acs), rng)
             assert fingerprint(g2, acs2).as_tuple() == base
 
 
 def test_random_frame_scramble_consistency():
     rng = random.Random(56)
     e = catalog("iwasawa_j3")
-    g2, acs2, frame = random_frame_scramble(e.algebra, e.acs, rng)
-    assert rank(frame) == 3
     s = split(e.algebra, e.acs)
+    g2, acs2, frame = random_frame_scramble(s, rng)
+    assert rank(frame) == 3
     g3, acs3 = from_holomorphic_constants(3, reframed_constants(s.holomorphic(), frame).table())
     assert g3 == g2
     assert acs3 == acs2
@@ -253,7 +253,7 @@ def _intersection_pairs():
     pairs += [random_two_step(random.Random(seed)) for seed in range(6)]
     for seed, name in enumerate(["centro1_model(2)", "dim4_model", "iwasawa_j3"]):
         entry = catalog(name)
-        pairs.append(random_frame_scramble(entry.algebra, entry.acs, random.Random(seed))[:2])
+        pairs.append(random_frame_scramble(split(entry.algebra, entry.acs), random.Random(seed))[:2])
     return pairs
 
 

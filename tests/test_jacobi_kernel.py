@@ -109,7 +109,7 @@ def _small_algebras() -> tuple:
 
 def _scrambled(name: str, seed: int) -> LieAlgebra:
     entry = catalog(name)
-    g, _acs, _frame = random_frame_scramble(entry.algebra, entry.acs, random.Random(seed))
+    g, _acs, _frame = random_frame_scramble(split(entry.algebra, entry.acs), random.Random(seed))
     return g
 
 
@@ -231,7 +231,7 @@ def test_self_test_round_trip_assertion_catches_a_corrupted_reconstruction(monke
     entry = catalog("dim4_model")
     s = split(entry.algebra, entry.acs)
     s2, frame = _scrambled_copy(s.holomorphic(), random.Random(5))
-    assert (s2.g, s2.acs, frame) == random_frame_scramble(entry.algebra, entry.acs, random.Random(5))
+    assert (s2.g, s2.acs, frame) == random_frame_scramble(s, random.Random(5))
 
     monkeypatch.setattr(constructions, "from_holomorphic_constants", _corrupted(from_holomorphic_constants))
     with pytest.raises(AssertionError, match="does not reproduce the requested constants"):

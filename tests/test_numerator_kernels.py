@@ -1,10 +1,11 @@
 """Differential tests for the flatness predicates on numerators.
 
 ``acs._ad_j_basis``, ``acs._add_j_image``, ``nijenhuis``, ``is_chern_flat``
-(b) and ``is_qk_chern_flat`` (3) run on Gaussian-integer numerators: the
-signed views over the common denominator D of the table
-(``LieAlgebra.numerators``) and the nonzero entries of J over d_J
-(``AlmostComplexStructure.numerators``).  Their earlier versions in
+(b) and ``is_qk_chern_flat`` (3) run on integer numerators of the real
+pair: the splitting's int view of the table over its common denominator D
+(``ComplexSplitting._real``, the real half of ``LieAlgebra.numerators``,
+whose imaginary half is 0 on a real algebra) and the nonzero entries of J
+over d_J (``AlmostComplexStructure.numerators``).  Their earlier versions in
 GaussianRational arithmetic are kept below as the oracle; they read the
 table and J through ``helpers.oracle_signed_views`` and
 ``helpers.oracle_j_entries``, built from ``g.brackets`` and ``acs.j``.  The
@@ -291,12 +292,20 @@ def test_numerator_views_and_ad_j_columns_scale_the_oracle(case):
     d_j, by_row, by_col = acs.numerators()
     for num, exact in zip((by_row, by_col), oracle_j_entries(acs)):
         assert [[(c, Fraction(v, d_j)) for c, v in row] for row in num] == [[(c, x.re) for c, x in row] for row in exact]
+    s = split(g, acs)
+    # the splitting's int view is the real half of the full view, whose imaginary half is 0
+    full = g.numerators()[1]
+    assert [[list(vec.items()) for vec in row] for row in s._real] == [
+        [[(k, x) for k, (x, _) in vec.items()] for vec in row] for row in full
+    ]
+    assert all(y == 0 for row in full for vec in row for _, y in vec.values())
     scale = d_j * denom
-    ad_j = _ad_j_basis(split(g, acs))
+    ad_j = _ad_j_basis(s)
     oracle = _oracle_ad_j(g, acs)
     for i in range(g.dim):
         for j in range(g.dim):
-            assert _from_numerators(ad_j[i][j], scale) == oracle[i][j]
+            assert all(type(x) is int for x in ad_j[i][j].values())
+            assert {k: Fraction(x, scale) for k, x in ad_j[i][j].items()} == oracle[i][j]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])

@@ -78,7 +78,7 @@ def _algebras() -> tuple:
     out += [random_two_step(random.Random(seed))[0] for seed in range(4)]
     center_one = catalog("centro1_model(2)")
     for seed in range(3):
-        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(seed))
+        g, acs, _frame = random_frame_scramble(split(center_one.algebra, center_one.acs), random.Random(seed))
         assert 10 <= _max_bits(g) <= 20
         out.append(g)
     out.append(_complexified(g, acs))

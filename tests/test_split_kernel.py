@@ -203,7 +203,7 @@ def _pair(label: str):
         return complexification(random_two_step_real_algebra(random.Random(int(tail)), max_dim=5))
     if kind == "scrambled-centro1":
         center_one = catalog("centro1_model(2)")
-        g, acs, _frame = random_frame_scramble(center_one.algebra, center_one.acs, random.Random(int(tail)))
+        g, acs, _frame = random_frame_scramble(split(center_one.algebra, center_one.acs), random.Random(int(tail)))
         return g, acs
     if kind in BASES:
         g, dense, permuted = _conjugated(BASES.index(kind))
