@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .lie import LieAlgebra, Subspace, _clean_brackets, center, is_two_step
+from .lie import LieAlgebra, Subspace, _clean_brackets, _numerator_views, center, is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
 from .scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
 
@@ -437,17 +437,30 @@ def _closure_defect(c: "AdaptedConstants") -> Optional[tuple]:
     sector shape it is the whole Jacobi sum of that triple, and its vanishing
     for all indices says [[g, g], g] = 0.  It is the conjugate of
     sum_r conj(c_ij^rbar) c_rk^lbar, which is what the sparse rows give.
+
+    It runs on the full view of c._numerators, D times the constants, so
+    each sum is D^2 times its value and only its zero set is read.  It is
+    the one evaluation of the closure relations: s.holomorphic() runs it
+    once per splitting, and deform and two_step_certificate read its
+    outcome there.
     """
-    full = c._full
-    for (i, j), row in c._rows.items():
-        conj_row = [(r, x.conjugate()) for r, x in row.items()]
+    _, full, _ = c._numerators
+    # an r with c_rk = 0 for every k adds nothing to any sum
+    live = [any(row) for row in full]
+    for i, j in c._rows:
+        conj_row = [(r, x, -y) for r, (x, y) in full[i][j].items() if live[r]]
+        if not conj_row:
+            continue
         for k in range(c.m):
-            acc: dict = {}
-            for r, x in conj_row:
-                for l, d in full[r][k].items():
-                    accumulate(acc, l, x * d)
-            if acc:
-                return (i, j, k, min(acc))
+            re: dict = {}
+            im: dict = {}
+            for r, x, y in conj_row:
+                for l, (u, v) in full[r][k].items():
+                    re[l] = re.get(l, 0) + x * u - y * v
+                    im[l] = im.get(l, 0) + x * v + y * u
+            bad = [l for l in re if re[l] or im[l]]
+            if bad:
+                return (i, j, k, min(bad))
     return None
 
 
@@ -466,12 +479,14 @@ class AdaptedConstants:
     shape) are enforced eagerly; tables violating them are rejected.
 
     The table is kept sparse, with no zero coefficient: _rows is the
-    validated {(i, j): {k: coeff}}, and _full[i][j] is the sparse signed
-    {k: c_ij^kbar} for every ordered pair, keys ascending, as in the full
-    view of LieAlgebra.numerators() but on the coefficients themselves.
+    validated {(i, j): {k: coeff}}, and _numerators is (D, full, into), its
+    views on Gaussian-integer numerators, laid out as LieAlgebra.numerators()
+    lays out a bracket table: full[i][j] is {k: D c_ij^kbar} for every
+    ordered pair and into[j][k] is {i: D c_ij^kbar}.  The closure check,
+    the center kernel of classify and the K and W rows of deform read them.
     """
 
-    __slots__ = ("m", "_rows", "_full")
+    __slots__ = ("m", "_rows", "_numerators")
 
     def __init__(self, m: int, table: Mapping):
         self._fill(m, _clean_brackets(m, table))
@@ -483,14 +498,10 @@ class AdaptedConstants:
             )
 
     def _fill(self, m: int, rows: dict):
-        """Keep the sparse rows {(i, j): {k: coeff}} and the signed m x m lookup."""
-        full = [[{} for _ in range(m)] for _ in range(m)]
-        for (i, j), vec in rows.items():
-            full[i][j] = vec
-            full[j][i] = {k: -c for k, c in vec.items()}
+        """Keep the validated rows {(i, j): {k: coeff}} and their numerator views."""
         self.m = m
         self._rows = rows
-        self._full = full
+        self._numerators = _numerator_views(m, rows)
 
     def table(self) -> dict:
         """Plain {(i, j): {k: coeff}} copy of the nonzero constants."""
@@ -713,6 +724,10 @@ def reframed_constants(c: AdaptedConstants, frame: ExactMatrix) -> AdaptedConsta
     g_inv = inverse(frame.conj())
     cols = [[(a, x) for a, x in enumerate(frame.column(i)) if x] for i in range(m)]
     inv_cols = [[(l, x) for l, x in enumerate(g_inv.column(k)) if x] for k in range(m)]
+    full = [[{} for _ in range(m)] for _ in range(m)]
+    for (i, j), vec in c._rows.items():
+        full[i][j] = vec
+        full[j][i] = {k: -x for k, x in vec.items()}
     reframed = object.__new__(AdaptedConstants)
-    reframed._fill(m, _change_basis(c._full, cols, inv_cols))
+    reframed._fill(m, _change_basis(full, cols, inv_cols))
     return reframed

@@ -26,15 +26,14 @@ from typing import Optional
 
 from .acs import (
     AdaptedConstants,
-    AlmostComplexStructure,
     ComplexSplitting,
     SectorShapeError,
     _sector_scan,
     reframed_constants,
     split,
 )
-from .lie import LieAlgebra, Subspace, center, derived_subalgebra, is_two_step, lower_central_series
-from .linalg import Echelon, ExactMatrix, inverse, kernel_from_rows, random_invertible, rank
+from .lie import Subspace, center, derived_subalgebra, is_two_step, lower_central_series
+from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse, kernel_from_rows, random_invertible, rank
 from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
@@ -168,16 +167,8 @@ def skew_to_all_ones(omega: ExactMatrix) -> ExactMatrix:
 
 def _holomorphic_center_kernel(c: AdaptedConstants):
     """Kernel vectors of a -> [sum a_i Z_i, Z_j] over all (j, target)."""
-    m = c.m
-    rows = []
-    for j in range(m):
-        # by_target[k] is the row {i: c_ij^k}, i ascending
-        by_target: dict = {}
-        for i in range(m):
-            for k, x in c._full[i][j].items():
-                by_target.setdefault(k, {})[i] = x
-        rows += [by_target[k] for k in sorted(by_target)]
-    return kernel_from_rows(m, rows)
+    # the row (j, k) is into[j][k], D c_ij^k at i
+    return kernel_from_rows(c.m, (NumeratorRow(row) for col in c._numerators[2] for row in col if row))
 
 
 def _intersection_dim(basis1, basis2) -> int:
@@ -218,8 +209,7 @@ def dim4_normal_form(c: AdaptedConstants) -> NormalFormResult:
     if c.m != 4:
         raise NormalFormError("this normal form applies to complex dimension 4")
     m = 4
-    vecs = {(i, j): tuple(c._full[i][j].get(k, ZERO) for k in range(m)) for i in range(m) for j in range(i + 1, m)}
-    nonzero = [(pair, vec) for pair, vec in vecs.items() if any(vec)]
+    nonzero = [(pair, tuple(row.get(k, ZERO) for k in range(m))) for pair, row in sorted(c._rows.items())]
     if not nonzero:
         raise NormalFormError("abelian algebra has no normal form in this family")
 
@@ -357,51 +347,37 @@ def normal_form(s: ComplexSplitting) -> NormalFormResult:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Frame-independent invariants of (algebra, optional structure)."""
+    """Frame-independent invariants of a pair (g, J)."""
 
     dim: int
     center_dim: int
     derived_dim: int
     lower_central_dims: tuple
     center_meet_derived: int
-    complex_center_dim: Optional[int] = None
-    qk_sectors: Optional[bool] = None
-    torsion_free: Optional[bool] = None
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.dim,
-            self.center_dim,
-            self.derived_dim,
-            self.lower_central_dims,
-            self.center_meet_derived,
-            self.complex_center_dim,
-            self.qk_sectors,
-            self.torsion_free,
-        )
+    complex_center_dim: Optional[int]
+    qk_sectors: bool
+    torsion_free: bool
 
 
-def fingerprint(g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) -> Fingerprint:
-    """Invariants preserved by isomorphisms (and J-equivariant ones)."""
+def fingerprint(s: ComplexSplitting) -> Fingerprint:
+    """Invariants of the pair of s preserved by J-equivariant isomorphisms.
+
+    complex_center_dim is None without the quasi-Kaehler sector shape.
+    """
+    g = s.g
     z = center(g)
     d = derived_subalgebra(g)
     series = lower_central_series(g)
-    meet = _intersection_dim(z.basis, d.basis)
-    if acs is None:
-        return Fingerprint(g.dim, z.dim, d.dim, tuple(t.dim for t in series), meet)
-    s = split(g, acs)
     qk = bool(s.sector_relations_qk())
-    torsion_free = not _sector_scan(s)[2]
-    complex_center = complex_center_dimension(s) if qk else None
     return Fingerprint(
         g.dim,
         z.dim,
         d.dim,
         tuple(t.dim for t in series),
-        meet,
-        complex_center,
+        _intersection_dim(z.basis, d.basis),
+        complex_center_dimension(s) if qk else None,
         qk,
-        torsion_free,
+        not _sector_scan(s)[2],
     )
 
 

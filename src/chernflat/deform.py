@@ -26,18 +26,18 @@ E(Z_a, Z_b) = 0 for all a, b:
   W = {y : sum_k y_k conj(c_ab^k) = 0 for all a < b}.
 
 So the solutions are A in K (x) W, of real dimension 2 dim K dim W, and two
-eliminations on m columns find bases of K and W, on the int numerators of
-the constants.
+eliminations on m columns find bases of K and W, on the numerator views of
+s.holomorphic(), the same int views its closure check reads.
 
-The same K decides two-step-ness, and the lower central series is not
-computed.  Under the sector shape [[g, g], g] is spanned by the
+That closure check decides two-step-ness, and the lower central series is
+not computed.  Under the sector shape [[g, g], g] is spanned by the
 [[Z_a, Z_b], conj Z_k] and their conjugates, and the coefficient of that
 bracket on Z_l is sum_r c_ab^r conj(c_rk^l), the K row (k, l) evaluated on
 the bracket vector c_ab.  So [[g, g], g] = 0 exactly when every c_ab lies
-in K.  Every K row is evaluated on every c_ab, a < b, in Gaussian-integer
-arithmetic before K and W are eliminated, and a nonzero sum raises the
-two-step ValueError.  These are the closure relations, which Jacobi implies
-under the sector shape, so the check guards the reading of the constants.
+in K, which is what the closure relations say.  s.holomorphic() checks them
+(acs._closure_defect) when it builds the constants, and a failure raises
+the two-step ValueError.  Jacobi implies them under the sector shape, so
+the check guards the reading of the constants.
 
 In the basis
 R = [e_S, J e_S] of the splitting (S = s.indices) the matrix A = P + iQ is
@@ -68,7 +68,6 @@ from dataclasses import dataclass
 
 # split is bound here too (perfbench/test_checks.py traces every binding of it)
 from .acs import ComplexSplitting, is_qk_chern_flat, split  # noqa: F401
-from .acs import _holomorphic_table
 from .lie import LieAlgebra
 from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
 from .scalars import clear_denominators, gaussian
@@ -80,62 +79,24 @@ __all__ = [
 ]
 
 
-def _factor_rows(s: ComplexSplitting) -> tuple:
-    """(vectors, k_rows, w_rows): the bracket vectors c_ab and the rows of K and W, as NumeratorRows.
-
-    The holomorphic constants c of s, read off s.constants, are cleared to
-    Gaussian-integer numerators at one scale D in one pass; vectors holds
-    D c_ab for each pair a < b.  The pair (a, b) puts D conj(c_ab^l) at
-    slot a of the K row (b, l) and -D conj(c_ab^l) at slot b of the K row
-    (a, l), and its conjugated constants are the W row (a, b); k_rows is
-    keyed (b, l).  No two pairs write the same slot of a K row.  The caller
-    has proved the sector shape.
-    """
-    table = _holomorphic_table(s)
-    _, re, im = clear_denominators(c for row in table.values() for c in row.values())
-    nums = zip(re, im)
-    vectors = [NumeratorRow(zip(row, nums)) for row in table.values()]
-    k_rows: dict = {}
-    w_rows = []
-    for (a, b), vec in zip(table, vectors):
-        w_rows.append(NumeratorRow((l, (x, -y)) for l, (x, y) in vec.items()))
-        for l, (x, y) in vec.items():
-            k_rows.setdefault((b, l), NumeratorRow())[a] = (x, -y)
-            k_rows.setdefault((a, l), NumeratorRow())[b] = (-x, y)
-    return vectors, k_rows, w_rows
-
-
-def _closure_holds(vectors: list, k_rows: dict) -> bool:
-    """Whether every K row vanishes on every bracket vector: [[g, g], g] = 0, exactly on ints.
-
-    The K row (b, l) on c_ij is sum_k c_ij^k conj(c_kb^l), the closure
-    relation of (i, j, b, l) (acs.two_step_certificate); both factors come
-    from _factor_rows at the scale D, so the sum is D^2 times its value.
-    """
-    for row in k_rows.values():
-        for vec in vectors:
-            re = im = 0
-            for k, (x, y) in row.items():
-                if k in vec:
-                    u, v = vec[k]
-                    re += x * u - y * v
-                    im += x * v + y * u
-            if re or im:
-                return False
-    return True
-
-
 def _tensor_factors(s: ComplexSplitting) -> tuple:
     """(K, W): bases of the column space K and the row space W of the module docstring.
 
-    Both are eliminations on m columns of the int rows of _factor_rows.
-    Before them the closure relations are checked on the same K rows, and
-    a failure raises the two-step ValueError of deformation_space.
+    Both are eliminations on m columns of the numerator views (D, full,
+    into) of c = s.holomorphic(): the K row (b, l) is conj(into[b][l]),
+    {a: D conj(c_ab^l)}, and the W row (a, b) is conj(full[a][b]), one per
+    nonzero pair a < b.  The closure relations are the check c ran when it
+    was built; a failure there raises the two-step ValueError of
+    deformation_space.  The caller has proved the sector shape.
     """
-    vectors, k_rows, w_rows = _factor_rows(s)
-    if not _closure_holds(vectors, k_rows):
-        raise ValueError("deformation space requires a two-step algebra")
-    return kernel_from_rows(s.m, k_rows.values()), kernel_from_rows(s.m, w_rows)
+    try:
+        c = s.holomorphic()
+    except ValueError:
+        raise ValueError("deformation space requires a two-step algebra") from None
+    _, full, into = c._numerators
+    k_rows = (NumeratorRow((a, (x, -y)) for a, (x, y) in row.items()) for col in into for row in col if row)
+    w_rows = (NumeratorRow((l, (x, -y)) for l, (x, y) in full[a][b].items()) for a, b in c._rows)
+    return kernel_from_rows(s.m, k_rows), kernel_from_rows(s.m, w_rows)
 
 
 def _solution_rows(s: ComplexSplitting, k_basis: list, w_basis: list):
@@ -233,8 +194,8 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
 
     Requires a quasi-Kaehler flat two-step pair, checked in that order.
     Under the sector shape [[g, g], g] = 0 says exactly that every bracket
-    vector c_ab lies in K, and _tensor_factors evaluates every K row on
-    every c_ab on Gaussian-integer numerators, so the check is exact.
+    vector c_ab lies in K, which is the closure check of s.holomorphic(),
+    exact on Gaussian-integer numerators.
     Every inner derivation then solves the equations, which is verified by
     membership in the solution space before the quotient is taken; that
     membership is a second reading of [[g, g], g] = 0, from g.brackets.

@@ -40,7 +40,6 @@ __all__ = [
     "is_quasi_kaehler",
     "coupled_two_form_solutions",
     "SolutionReport",
-    "evaluate_on_real_vectors",
     "real_coframe_coefficients",
     "format_form",
     "parse_form",
@@ -437,11 +436,6 @@ def coupled_two_form_solutions(s: ComplexSplitting) -> SolutionReport:
         all_closed=not non_closed,
         non_closed=non_closed,
     )
-
-
-def evaluate_on_real_vectors(s: ComplexSplitting, f: InvariantForm, vectors: Sequence[Sequence]) -> GaussianRational:
-    """Evaluate a form on standard-coordinate vectors via the combined frame."""
-    return f.evaluate([s.to_combined(v) for v in vectors])
 
 
 def real_coframe_coefficients(s: ComplexSplitting, f: InvariantForm, basis: Sequence[Sequence]) -> dict:

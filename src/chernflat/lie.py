@@ -67,14 +67,18 @@ def _clean_brackets(dim: int, raw: Mapping) -> dict:
 
 def _numerator_views(dim: int, table: Mapping) -> tuple:
     """(D, full, into) of a cleaned table; see LieAlgebra.numerators."""
-    entries = [(i, j, k, c) for (i, j), vec in sorted(table.items()) for k, c in vec.items()]
-    denom, re, im = clear_denominators(c for _, _, _, c in entries)
+    pairs = sorted(table.items())
+    denom, re, im = clear_denominators(c for _, vec in pairs for c in vec.values())
     full = [[{} for _ in range(dim)] for _ in range(dim)]
     into = [[{} for _ in range(dim)] for _ in range(dim)]
+    nums = zip(re, im)
     # ascending pairs (i, j), i < j, fill each into[j][k] in ascending i
-    for (i, j, k, _), a, b in zip(entries, re, im):
-        full[i][j][k] = into[j][k][i] = (a, b)
-        full[j][i][k] = into[i][k][j] = (-a, -b)
+    for (i, j), vec in pairs:
+        full_ij, full_ji, into_i, into_j = full[i][j], full[j][i], into[i], into[j]
+        # vec leads the zip, so the end of a row draws nothing from nums
+        for k, (a, b) in zip(vec, nums):
+            full_ij[k] = into_j[k][i] = (a, b)
+            full_ji[k] = into_i[k][j] = (-a, -b)
     return denom, full, into
 
 

@@ -3,10 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
-from chernflat.acs import AlmostComplexStructure, Verdict
+from chernflat.acs import AdaptedConstants, AlmostComplexStructure, Verdict
 from chernflat.constructions import conjugate_complexification
 from chernflat.forms import HermitianMetric, InvariantForm
-from chernflat.lie import LieAlgebra
+from chernflat.lie import LieAlgebra, _clean_brackets
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
 
@@ -85,6 +85,65 @@ def oracle_signed_views(g) -> tuple:
             full[i][j][k] = into[j][k][i] = c
             full[j][i][k] = into[i][k][j] = -c
     return full, into
+
+
+def oracle_closure_defect(m: int, table: dict):
+    """First (i, j, k, l) with sum_r c_ij^r conj(c_rk^l) != 0, else None, from dense loops.
+
+    The oracle of acs._closure_defect: the nonzero rows become dense m-tuples
+    of GaussianRationals in table order, the signed lookup is a dense m x m
+    array, and every index is looped over.
+    """
+    zero_row = tuple([ZERO] * m)
+    rows = {}
+    for key, row in table.items():
+        vec = tuple(gaussian(row.get(k, 0)) for k in range(m))
+        if any(vec):
+            rows[key] = vec
+    full = [[zero_row] * m for _ in range(m)]
+    for (i, j), vec in rows.items():
+        full[i][j] = vec
+        full[j][i] = tuple(-c for c in vec)
+    conj_rows = [[tuple(x.conjugate() for x in full[r][k]) for k in range(m)] for r in range(m)]
+    for (i, j), cij in rows.items():
+        nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
+        for k in range(m):
+            for l in range(m):
+                acc = ZERO
+                for r, cr in nonzero:
+                    d = conj_rows[r][k][l]
+                    if d:
+                        acc = acc + cr * d
+                if acc:
+                    return (i, j, k, l)
+    return None
+
+
+def tampered_table(m: int, table: dict, rng) -> dict:
+    """The table with one entry changed or added; a new row goes last in table order."""
+    out = {key: dict(row) for key, row in table.items()}
+    i, j = sorted(rng.sample(range(m), 2))
+    k = rng.randrange(m)
+    delta = GaussianRational(rng.choice([-2, -1, 1, 2]), rng.choice([-1, 0, 1]))
+    row = out.setdefault((i, j), {})
+    row[k] = gaussian(row.get(k, 0)) + delta
+    return out
+
+
+def unchecked_constants(m: int, table: dict) -> AdaptedConstants:
+    """The constants of a table without the closure check, built as reframed_constants builds them."""
+    c = object.__new__(AdaptedConstants)
+    c._fill(m, _clean_brackets(m, table))
+    return c
+
+
+# c_01 = i conj Z_2 + conj Z_3, c_24 = conj Z_0 and c_34 = i conj Z_0: the sum
+# of (0, 1, 4, 0) cancels only when the conjugate is taken, and the first
+# closure witness, (2, 4, 1, 2), has a second nonzero l after it
+CONJUGATE_AND_ORDER_TABLE = (
+    5,
+    {(0, 1): {2: GaussianRational(0, 1), 3: ONE}, (2, 4): {0: ONE}, (3, 4): {0: GaussianRational(0, 1)}},
+)
 
 
 def oracle_j_entries(acs) -> tuple:

@@ -6,6 +6,7 @@ rationals or Gaussian rationals; there are no tolerances anywhere.
 """
 
 import random
+from fractions import Fraction
 from math import factorial
 
 from chernflat.acs import (
@@ -44,7 +45,7 @@ from chernflat.linalg import (
     random_invertible,
     rank_of_rows,
 )
-from chernflat.scalars import ONE, ZERO, gaussian
+from chernflat.scalars import GaussianRational, ONE, ZERO, gaussian
 
 from helpers import (
     random_doubled_pair,
@@ -174,7 +175,7 @@ def test_criterion_04_conjugate_doublings_are_flat_and_two_step():
         # contracting any holomorphic row against the conjugated constants
         # gives exactly zero for every index combination
         m = s.m
-        c = s.holomorphic()
+        d, full, _ = s.holomorphic()._numerators
         for i in range(m):
             for j in range(i + 1, m):
                 cij = {r - m: x for r, x in s.constants.get((i, j), {}).items() if r >= m}
@@ -182,7 +183,9 @@ def test_criterion_04_conjugate_doublings_are_flat_and_two_step():
                     for l in range(m):
                         acc = ZERO
                         for r, x in cij.items():
-                            acc = acc + x * c._full[r][k].get(l, ZERO).conjugate()
+                            # full[r][k] holds d c_rk^l as (re, im)
+                            re, im = full[r][k].get(l, (0, 0))
+                            acc = acc + x * GaussianRational(Fraction(re, d), Fraction(-im, d))
                         assert acc == ZERO
 
 

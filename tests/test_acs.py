@@ -174,9 +174,16 @@ def test_adapted_constants_construction_and_lookup():
     table = {(0, 1): {2: gaussian(2)}}
     c = AdaptedConstants(3, table)
     assert c.m == 3
-    assert c._full[0][1] == {2: gaussian(2)}
-    assert c._full[1][0] == {2: gaussian(-2)}
-    assert c._full[1][1] == {}
+    assert c._rows == {(0, 1): {2: gaussian(2)}}
+    # the signed lookup, on numerators over the common denominator d
+    d, full, into = c._numerators
+    assert d == 1
+    assert full[0][1] == {2: (2, 0)}
+    assert full[1][0] == {2: (-2, 0)}
+    assert full[1][1] == {}
+    assert into[1][2] == {0: (2, 0)} and into[0][2] == {1: (-2, 0)}
+    half = AdaptedConstants(3, {(0, 1): {2: GaussianRational(Fraction(1, 2), Fraction(-1, 3))}})
+    assert half._numerators[0] == 6 and half._numerators[1][1][0] == {2: (-3, 2)}
     assert c.table() == {(0, 1): {2: gaussian(2)}}
     with pytest.raises(ValueError):
         AdaptedConstants(3, {(1, 0): {2: 1}})

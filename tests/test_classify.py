@@ -199,26 +199,27 @@ def _pair(name):
 
 def test_fingerprint_known_values():
     e = catalog("centro1_model(2)")
-    fp = fingerprint(e.algebra, e.acs)
-    assert fp.as_tuple() == (10, 2, 2, (10, 2, 0), 2, 1, True, False)
+    fp = fingerprint(split(e.algebra, e.acs))
+    assert fp == Fingerprint(10, 2, 2, (10, 2, 0), 2, 1, True, False)
     ab = catalog("abelian(4)")
-    fpa = fingerprint(ab.algebra, ab.acs)
+    fpa = fingerprint(split(ab.algebra, ab.acs))
     assert fpa.qk_sectors is True
     assert fpa.torsion_free is True
     assert fpa.complex_center_dim == 2
-    plain = fingerprint(e.algebra)
-    assert plain.complex_center_dim is None
-    assert plain.dim == 10
+    # without the quasi-Kaehler sector shape there is no holomorphic center
+    bi = catalog("complex_heisenberg_bicomplex")
+    assert fingerprint(split(bi.algebra, bi.acs)) == Fingerprint(6, 2, 2, (6, 2, 0), 2, None, False, True)
 
 
 def test_fingerprint_invariant_under_scrambles():
     rng = random.Random(55)
     for name in ("iwasawa_j3", "dim4_model", "dim5_irreducible"):
         e = catalog(name)
-        base = fingerprint(e.algebra, e.acs).as_tuple()
+        s = split(e.algebra, e.acs)
+        base = fingerprint(s)
         for _ in range(2):
-            g2, acs2, _ = random_frame_scramble(split(e.algebra, e.acs), rng)
-            assert fingerprint(g2, acs2).as_tuple() == base
+            g2, acs2, _ = random_frame_scramble(s, rng)
+            assert fingerprint(split(g2, acs2)) == base
 
 
 def test_random_frame_scramble_consistency():

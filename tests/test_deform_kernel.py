@@ -4,9 +4,11 @@
 constants as K (x) W (``deform._tensor_factors``), carries each solution
 matrix to the real basis on ints (``deform._solution_rows``) and checks
 that every inner derivation ``deform._inner_vectors``, on ints D times
-over, lies in the span.  Its two-step check evaluates the K rows on the
-bracket vectors (``deform._closure_holds``); the lower central series
-(``lie.is_two_step``) and ``acs._closure_defect`` are its oracles.
+over, lies in the span.  Its two-step check is the closure check that
+``s.holomorphic()`` runs (``acs._closure_defect``, on the numerator views
+that K and W are read from); the lower central series (``lie.is_two_step``)
+and the dense ``helpers.oracle_closure_defect`` are its oracles, the latter
+also on raw and on tampered transported tables.
 The full system it replaced, every anticommutation row and every ordered
 pair's bracket rows from dense loops over ``structure_constant`` and
 ``J.entry`` (``helpers.oracle_equation_rows``), and a dense substitution of
@@ -23,25 +25,29 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from chernflat.acs import AdaptedConstants, AlmostComplexStructure, _closure_defect, is_qk_chern_flat, split
-from chernflat import deform
+from chernflat import acs as acs_module, deform
+from chernflat.acs import AlmostComplexStructure, _closure_defect, is_qk_chern_flat, split
 from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
 from chernflat.deform import DeformationSpace, _inner_vectors, deformation_space
-from chernflat.lie import LieAlgebra, _clean_brackets, is_two_step
+from chernflat.lie import LieAlgebra, is_two_step
 from chernflat.linalg import ExactMatrix, det, inverse, kernel_from_rows, rank_of_rows
 from chernflat.scalars import GaussianRational, ZERO, gaussian
 
 from helpers import (
+    CONJUGATE_AND_ORDER_TABLE,
     assert_inner_vectors_scale_the_oracle,
     assert_solution_rows_scale_the_oracle,
     echelon_row,
+    oracle_closure_defect,
     oracle_equation_rows,
     oracle_inner_vectors,
     random_doubled_pair,
     satisfies_deformation_equations,
+    tampered_table,
     transported_pair,
+    unchecked_constants,
 )
 
 
@@ -406,18 +412,13 @@ def test_a_dropped_k_or_w_vector_is_caught(label, side, drop, outcome, monkeypat
         assert space.dimension == oracle.dimension - dropped.lost
 
 
-# -- the two-step check on K ------------------------------------------------------
-
-
-def _closure_verdict(s) -> bool:
-    vectors, k_rows, _ = deform._factor_rows(s)
-    return deform._closure_holds(vectors, k_rows)
+# -- the two-step check of the holomorphic constants ------------------------------
 
 
 @pytest.mark.parametrize("label", FLAT)
 def test_the_closure_check_agrees_with_the_lower_central_series(label):
     s = split(*_pair(label))
-    assert _closure_verdict(s) == is_two_step(s.g)
+    assert (_closure_defect(s.holomorphic()) is None) == is_two_step(s.g)
 
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -428,7 +429,7 @@ def test_the_closure_check_of_transported_complex_tables_agrees_with_the_lower_c
     p = ExactMatrix([[data.draw(_entry) for _ in range(n)] for _ in range(n)])
     assume(det(p))
     h, j = transported_pair(g, acs, p)
-    assert _closure_verdict(split(h, j)) == is_two_step(h)
+    assert (_closure_defect(split(h, j).holomorphic()) is None) == is_two_step(h)
 
 
 # any antisymmetric table with Q(i) constants, most of them breaking some closure relation
@@ -446,25 +447,45 @@ def _raw_tables(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=_raw_tables())
+@example(case=CONJUGATE_AND_ORDER_TABLE)
 def test_the_closure_check_matches_the_closure_defect_on_raw_tables(case):
-    # acs._closure_defect, the check behind AdaptedConstants, reads the same
-    # relations in GaussianRational arithmetic
+    # acs._closure_defect on the numerator views, the check behind
+    # s.holomorphic() and so behind deform's two-step error, returns the
+    # first witness of the dense oracle
     m, table = case
-    constants = object.__new__(AdaptedConstants)
-    constants._fill(m, _clean_brackets(m, table))
+    assert _closure_defect(unchecked_constants(m, table)) == oracle_closure_defect(m, table)
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=_central_tables(), data=st.data())
+def test_a_tampered_transported_table_raises_the_two_step_error_at_the_oracle_witness(case, data):
+    # the constants of a transported pair with one entry tampered, read by
+    # deform in place of the splitting's own
+    g, acs = from_holomorphic_constants(*case)
+    n = g.dim
+    p = ExactMatrix([[data.draw(_entry) for _ in range(n)] for _ in range(n)])
+    assume(det(p))
+    h, j = transported_pair(g, acs, p)
+    m = n // 2
+    table = tampered_table(m, split(h, j).holomorphic().table(), random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    witness = oracle_closure_defect(m, table)
+    assume(witness is not None)
+    assert _closure_defect(unchecked_constants(m, table)) == witness
+    s = split(h, j)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(deform, "_holomorphic_table", lambda _: constants.table())
-        assert _closure_verdict(None) == (_closure_defect(constants) is None)
+        patch.setattr(acs_module, "_holomorphic_table", lambda _: table)
+        with pytest.raises(ValueError, match="^deformation space requires a two-step algebra$"):
+            deformation_space(s)
 
 
 def test_a_broken_closure_relation_raises_the_two_step_error(monkeypatch):
-    # c_01 = conj Z_2 and c_02 = conj Z_1: the K row (0, 1) holds -1 at slot 2,
-    # so it reads -1 on c_01; Jacobi rules such a table out, and the check
-    # must still read it
+    # c_01 = conj Z_2 and c_02 = conj Z_1 break the closure relation
+    # (0, 1, 0, 1); Jacobi rules such a table out, and deform must still read
+    # the check
     entry = catalog("iwasawa_j3")
     s = split(entry.algebra, entry.acs)
     table = {(0, 1): {2: GaussianRational(1)}, (0, 2): {1: GaussianRational(1)}}
-    monkeypatch.setattr(deform, "_holomorphic_table", lambda _: table)
-    assert not _closure_verdict(s)
-    with pytest.raises(ValueError, match="deformation space requires a two-step algebra"):
+    assert _closure_defect(unchecked_constants(3, table)) == oracle_closure_defect(3, table) == (0, 1, 0, 1)
+    monkeypatch.setattr(acs_module, "_holomorphic_table", lambda _: table)
+    with pytest.raises(ValueError, match="^deformation space requires a two-step algebra$"):
         deformation_space(s)

@@ -11,7 +11,6 @@ from chernflat.forms import (
     InvariantForm,
     coframe_element,
     coupled_two_form_solutions,
-    evaluate_on_real_vectors,
     exterior_d,
     format_form,
     is_quasi_kaehler,
@@ -270,7 +269,7 @@ def test_kaehler_form_is_real_and_matches_real_coefficients():
     # omega(X, JX) > 0 for a positive metric
     x = std[0]
     jx = e.acs.apply(x)
-    assert evaluate_on_real_vectors(s, w, [x, jx]) == gaussian(1)
+    assert w.evaluate([s.to_combined(x), s.to_combined(jx)]) == gaussian(1)
 
 
 def test_quasi_kaehler_predicate():

@@ -31,7 +31,7 @@ from chernflat.acs import (
     split,
     two_step_certificate,
 )
-from chernflat.classify import normal_form, random_frame_scramble
+from chernflat.classify import fingerprint, normal_form, random_frame_scramble
 from chernflat.cli import main
 from chernflat.constructions import catalog, random_two_step
 from chernflat.deform import deformation_space, lie_derivative_direction
@@ -401,9 +401,10 @@ def test_signed_view_algebras_include_complex_tables():
 
 
 def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
-    # the constructor builds the numerator views once, clearing the table's
-    # denominators once, and every reader of one verify and one deform job
-    # shares them
+    # a table's numerator views are built once, clearing its denominators
+    # once: g's table when g is constructed, the holomorphic table when
+    # s.holomorphic() builds the constants, and every reader of one verify
+    # and one deform job shares them
     entry = catalog("iwasawa_j3")
     calls = []
     clear = lie_module.clear_denominators
@@ -412,7 +413,7 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
     path.write_text(dumps_model(entry.algebra, entry.acs))
     for argv in (["verify", str(path)], ["deform", str(path)]):
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
         calls.clear()
     capsys.readouterr()
     g, acs = LieAlgebra(entry.algebra.dim, entry.algebra.brackets), entry.acs
@@ -423,8 +424,9 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
     assert two_step_certificate(s) and center(g).dim == 2
     assert deformation_space(s).dimension > 0
     assert g.structure_constant(1, 0, 2) == -g.structure_constant(0, 1, 2) == -ONE
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert g.numerators() is g.numerators()
+    assert s.holomorphic()._numerators is s.holomorphic()._numerators
 
 
 def test_seeded_pairs_include_failures_of_every_predicate():
@@ -443,6 +445,7 @@ PAIR_QUESTIONS = [
     (is_qk_chern_flat, []),
     (check_center_j_invariant, []),
     (normal_form, []),
+    (fingerprint, []),
     (deformation_space, []),
     (lie_derivative_direction, ["x"]),
 ]

@@ -2,24 +2,30 @@
 
 ``LieAlgebra._ad_columns`` returns sparse columns, ``Subspace`` takes sparse
 rows, and ``AdaptedConstants`` keeps its table as sparse dicts, reframed by
-``acs._change_basis``.  The dense ``reframed_constants`` and
-``_closure_defect`` those replaced are kept below as oracles: they read dense
-m-tuples and loop over every index.  The reframed tables, the first closure
-witness and the ``ValueError`` text must be the same on both sides.
+``acs._change_basis``, with Gaussian-integer numerator views that
+``acs._closure_defect`` reads.  The dense ``reframed_constants`` those
+replaced is kept below as an oracle, and the dense closure check
+(``helpers.oracle_closure_defect``) is the other: they read dense m-tuples
+and loop over every index.  The reframed tables, the first closure witness
+and the ``ValueError`` text must be the same on both sides, also on wide
+numerators.
 """
 
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernflat.acs import AdaptedConstants, reframed_constants, split
+from chernflat.acs import AdaptedConstants, _closure_defect, reframed_constants, split
 from chernflat.constructions import catalog, random_two_step
 from chernflat.lie import LieAlgebra, Subspace
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse, random_invertible
 from chernflat.scalars import GaussianRational, ONE, ZERO, gaussian
+
+from helpers import CONJUGATE_AND_ORDER_TABLE, oracle_closure_defect, tampered_table, unchecked_constants
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # mixed signs in both parts, zero included
@@ -43,23 +49,6 @@ def _dense(m: int, table: dict) -> tuple:
         full[i][j] = vec
         full[j][i] = tuple(-c for c in vec)
     return rows, full
-
-
-def _oracle_closure_defect(m: int, table: dict):
-    rows, full = _dense(m, table)
-    conj_rows = [[tuple(x.conjugate() for x in full[r][k]) for k in range(m)] for r in range(m)]
-    for (i, j), cij in rows.items():
-        nonzero = [(r, cij[r]) for r in range(m) if cij[r]]
-        for k in range(m):
-            for l in range(m):
-                acc = ZERO
-                for r, cr in nonzero:
-                    d = conj_rows[r][k][l]
-                    if d:
-                        acc = acc + cr * d
-                if acc:
-                    return (i, j, k, l)
-    return None
 
 
 def _oracle_reframed(m: int, table: dict, frame: ExactMatrix) -> dict:
@@ -111,8 +100,13 @@ def _closure_message(bad) -> str:
 # -- inputs -----------------------------------------------------------------------
 
 
+# numerators of 40 to 64 bits over small denominators, both signs, real or not
+_wide = st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from([1, -1]), st.integers(2**40, 2**64), st.integers(1, 7))
+_wide_gaussians = st.one_of(st.builds(GaussianRational, _wide, _wide), st.builds(GaussianRational, _wide))
+
+
 @st.composite
-def two_step_tables(draw):
+def two_step_tables(draw, coefficients=_gaussians):
     """(m, table): p generators bracketing onto q central directions, m = p + q <= 5.
 
     Rows (r, k) with r central are zero, so every closure sum vanishes.  The
@@ -122,7 +116,7 @@ def two_step_tables(draw):
     q = draw(st.integers(1, m - 1))
     p = m - q
     pairs = draw(st.permutations([(i, j) for i in range(p) for j in range(i + 1, p)]))
-    table = {pair: draw(st.dictionaries(st.integers(p, m - 1), _gaussians, max_size=q)) for pair in pairs}
+    table = {pair: draw(st.dictionaries(st.integers(p, m - 1), coefficients, max_size=q)) for pair in pairs}
     return m, table
 
 
@@ -143,15 +137,101 @@ def frames(draw, m: int) -> ExactMatrix:
 
 
 def _assert_sparse(c: AdaptedConstants):
-    """No zero coefficient and no empty row; every row's keys ascend in range."""
+    """No zero coefficient and no empty row; every row's keys ascend in range; the views are the rows.
+
+    full[a][b] holds D c_ab^k for every ordered pair, signed, and into[b][k]
+    holds D c_ab^k at a, both on ints with keys ascending and no (0, 0).
+    """
     for row in c._rows.values():
         assert row and all(row.values())
         assert list(row) == sorted(row) and all(0 <= k < c.m for k in row)
+    d, full, into = c._numerators
+    assert d == lcm(*(z.denominator for row in c._rows.values() for x in row.values() for z in (x.re, x.im)))
     for a in range(c.m):
         for b in range(c.m):
-            assert all(c._full[a][b].values())
             row = c._rows.get((a, b), {}) if a < b else {k: -x for k, x in c._rows.get((b, a), {}).items()}
-            assert list(c._full[a][b].items()) == list(row.items())
+            assert list(full[a][b].items()) == [(k, ((x * d).re, (x * d).im)) for k, x in row.items()]
+            assert all(type(u) is int and type(v) is int for u, v in full[a][b].values())
+            assert list(into[a][b].items()) == [(i, full[i][a][b]) for i in range(c.m) if b in full[i][a]]
+
+
+# -- closure relations ------------------------------------------------------------
+
+
+def _closure_outcome(m: int, table: dict):
+    try:
+        AdaptedConstants(m, table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _numerator_bits(c: AdaptedConstants) -> int:
+    return max((abs(t).bit_length() for col in c._numerators[1] for row in col for z in row.values() for t in z), default=0)
+
+
+@pytest.mark.parametrize("scale", [ONE, GaussianRational(Fraction(-(2**45) - 1, 3))], ids=["unit", "wide"])
+def test_the_closure_check_takes_the_conjugate_and_the_least_l(scale):
+    m, table = CONJUGATE_AND_ORDER_TABLE
+    table = {pair: {k: scale * x for k, x in row.items()} for pair, row in table.items()}
+    c = unchecked_constants(m, table)
+    assert _numerator_bits(c) >= (40 if scale != ONE else 1)
+    assert _closure_defect(c) == oracle_closure_defect(m, table) == (2, 4, 1, 2)
+    assert _closure_outcome(m, table) == _closure_message((2, 4, 1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_first_closure_witness_matches_the_dense_oracle(data):
+    m, table = data.draw(two_step_tables())
+    frame = data.draw(frames(m))
+    # a dense table in a drawn frame, with one entry tampered
+    scrambled = _oracle_reframed(m, table, frame)
+    bad_table = tampered_table(m, scrambled, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    bad = oracle_closure_defect(m, bad_table)
+    assert _closure_outcome(m, bad_table) == (None if bad is None else _closure_message(bad))
+
+
+def test_tamperings_break_the_closure_relations_in_many_places():
+    # the property above sees failures, at witnesses other than the first row
+    table = {(0, 1): {3: GaussianRational(1, 1)}, (0, 2): {4: ONE}, (1, 2): {3: -ONE, 4: GaussianRational(0, 2)}}
+    witnesses = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        # a dense frame for even seeds, a sparse shear for odd ones
+        if seed % 2:
+            a, b = rng.sample(range(5), 2)
+            frame = ExactMatrix([[ONE if r == c else GaussianRational(2, -1) if (r, c) == (a, b) else ZERO for c in range(5)] for r in range(5)])
+        else:
+            frame = random_invertible(5, rng, complex_entries=True, span=2)
+        bad_table = tampered_table(5, _oracle_reframed(5, table, frame), rng)
+        bad = oracle_closure_defect(5, bad_table)
+        assert _closure_outcome(5, bad_table) == (None if bad is None else _closure_message(bad))
+        if bad is not None:
+            witnesses.add(bad)
+    assert len(witnesses) >= 5
+    assert len({w[:2] for w in witnesses}) >= 2 and len({w[3] for w in witnesses}) >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_integer_closure_check_returns_the_oracle_witness_on_wide_tables(data):
+    # a valid table of wide numerators in a drawn frame, then with one entry tampered
+    m, table = data.draw(two_step_tables(_wide_gaussians))
+    moved = _oracle_reframed(m, table, data.draw(frames(m)))
+    assert _closure_defect(unchecked_constants(m, moved)) is None is oracle_closure_defect(m, moved)
+    bad_table = tampered_table(m, moved, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    c = unchecked_constants(m, bad_table)
+    assert _numerator_bits(c) >= 40 or not moved
+    assert _closure_defect(c) == oracle_closure_defect(m, bad_table)
+
+
+def test_holomorphic_constants_of_catalog_models_are_sparse():
+    for name in ("iwasawa_j3", "dim4_model", "centro1_model(2)", "abelian(4)"):
+        entry = catalog(name)
+        c = split(entry.algebra, entry.acs).holomorphic()
+        _assert_sparse(c)
+        assert c.table() == _oracle_reframed(c.m, c.table(), ExactMatrix.identity(c.m))
 
 
 # -- reframing --------------------------------------------------------------------
@@ -192,69 +272,6 @@ def test_reframed_rows_keep_ascending_keys():
     assert reframed.table() == _oracle_reframed(4, table, frame)
     assert list(reframed.table()[(0, 1)]) == [0, 2, 3]
     _assert_sparse(reframed)
-
-
-# -- closure relations ------------------------------------------------------------
-
-
-def _tampered(m: int, table: dict, rng) -> dict:
-    """The table with one entry changed or added; a new row goes last in table order."""
-    out = {key: dict(row) for key, row in table.items()}
-    i, j = sorted(rng.sample(range(m), 2))
-    k = rng.randrange(m)
-    delta = GaussianRational(rng.choice([-2, -1, 1, 2]), rng.choice([-1, 0, 1]))
-    row = out.setdefault((i, j), {})
-    row[k] = gaussian(row.get(k, 0)) + delta
-    return out
-
-
-def _closure_outcome(m: int, table: dict):
-    try:
-        AdaptedConstants(m, table)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_first_closure_witness_matches_the_dense_oracle(data):
-    m, table = data.draw(two_step_tables())
-    frame = data.draw(frames(m))
-    # a dense table in a drawn frame, with one entry tampered
-    scrambled = _oracle_reframed(m, table, frame)
-    bad_table = _tampered(m, scrambled, random.Random(data.draw(st.integers(0, 2**32 - 1))))
-    bad = _oracle_closure_defect(m, bad_table)
-    assert _closure_outcome(m, bad_table) == (None if bad is None else _closure_message(bad))
-
-
-def test_tamperings_break_the_closure_relations_in_many_places():
-    # the property above sees failures, at witnesses other than the first row
-    table = {(0, 1): {3: GaussianRational(1, 1)}, (0, 2): {4: ONE}, (1, 2): {3: -ONE, 4: GaussianRational(0, 2)}}
-    witnesses = set()
-    for seed in range(40):
-        rng = random.Random(seed)
-        # a dense frame for even seeds, a sparse shear for odd ones
-        if seed % 2:
-            a, b = rng.sample(range(5), 2)
-            frame = ExactMatrix([[ONE if r == c else GaussianRational(2, -1) if (r, c) == (a, b) else ZERO for c in range(5)] for r in range(5)])
-        else:
-            frame = random_invertible(5, rng, complex_entries=True, span=2)
-        bad_table = _tampered(5, _oracle_reframed(5, table, frame), rng)
-        bad = _oracle_closure_defect(5, bad_table)
-        assert _closure_outcome(5, bad_table) == (None if bad is None else _closure_message(bad))
-        if bad is not None:
-            witnesses.add(bad)
-    assert len(witnesses) >= 5
-    assert len({w[:2] for w in witnesses}) >= 2 and len({w[3] for w in witnesses}) >= 2
-
-
-def test_holomorphic_constants_of_catalog_models_are_sparse():
-    for name in ("iwasawa_j3", "dim4_model", "centro1_model(2)", "abelian(4)"):
-        entry = catalog(name)
-        c = split(entry.algebra, entry.acs).holomorphic()
-        _assert_sparse(c)
-        assert c.table() == _oracle_reframed(c.m, c.table(), ExactMatrix.identity(c.m))
 
 
 # -- ad columns -------------------------------------------------------------------
