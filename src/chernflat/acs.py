@@ -484,9 +484,12 @@ class AdaptedConstants:
     lays out a bracket table: full[i][j] is {k: D c_ij^kbar} for every
     ordered pair and into[j][k] is {i: D c_ij^kbar}.  The closure check,
     the center kernel of classify and the K and W rows of deform read them.
+    They are built on first read and kept: the constructor's closure check
+    reads them at once, while a reframed table that is only read through
+    _rows or table() never builds them.
     """
 
-    __slots__ = ("m", "_rows", "_numerators")
+    __slots__ = ("m", "_rows", "_views")
 
     def __init__(self, m: int, table: Mapping):
         self._fill(m, _clean_brackets(m, table))
@@ -498,10 +501,16 @@ class AdaptedConstants:
             )
 
     def _fill(self, m: int, rows: dict):
-        """Keep the validated rows {(i, j): {k: coeff}} and their numerator views."""
+        """Keep the validated rows {(i, j): {k: coeff}}; their views wait for a reader."""
         self.m = m
         self._rows = rows
-        self._numerators = _numerator_views(m, rows)
+        self._views = None
+
+    @property
+    def _numerators(self) -> tuple:
+        if self._views is None:
+            self._views = _numerator_views(self.m, self._rows)
+        return self._views
 
     def table(self) -> dict:
         """Plain {(i, j): {k: coeff}} copy of the nonzero constants."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows
-from .scalars import ONE, GaussianRational, ZERO, accumulate, clear_denominators, gaussian
+from .scalars import ONE, GaussianRational, SlotPacking, ZERO, accumulate, clear_denominators, gaussian
 
 __all__ = [
     "LieAlgebra",
@@ -209,27 +209,50 @@ def jacobi_defect(dim: int, numerators: tuple) -> list:
     Each entry is ((i, j, k), vector) with i < j < k, in lexicographic order.
 
     The sum over r of c_ab^r c_rc^s is homogeneous of degree 2, so it runs on
-    the numerator views over the common denominator D, and each nonzero sum
-    is divided by D**2 only when it is reported.
+    the numerator views over the common denominator D.  [e_r, e_c] and
+    i [e_r, e_c] are each packed into one int by scalars.SlotPacking, and
+    the cyclic sum of a triple is the sum of x [e_r, e_c] + y i [e_r, e_c]
+    over the (r, (x, y)) of its three brackets [e_a, e_b]: one big-int
+    multiply-add per term for every s at once, and none for y = 0, as on a
+    real table.  A slot sums at most 3 dim terms x u - y v (or x v + y u),
+    so at most 6 dim products, each at most big^2 in absolute value, big
+    being the largest numerator part.  The width comes from the bound
+    6 dim big^2, so a packed sum is 0 exactly when the triple holds; only a
+    nonzero sum is unpacked, and its digits are divided by D**2.
     """
     denom, full, _ = numerators
+    pairs = [(r, c, full[r][c]) for r in range(dim) for c in range(r + 1, dim) if full[r][c]]
+    big = max((abs(t) for _, _, vec in pairs for z in vec.values() for t in z), default=0)
+    packing = SlotPacking(6 * dim * big * big)
+    pack = packing.pack
+    imaginary = any(y for _, _, vec in pairs for _, y in vec.values())
+    # packed[c][r] is [e_r, e_c] and times_i[c][r] is i [e_r, e_c], packed
+    packed = [[0] * dim for _ in range(dim)]
+    times_i = [[0] * dim for _ in range(dim)]
+    for r, c, vec in pairs:
+        p = pack(vec)
+        packed[c][r], packed[r][c] = p, -p
+        if imaginary:
+            p = pack({s: (-v, u) for s, (u, v) in vec.items()})
+            times_i[c][r], times_i[r][c] = p, -p
     scale = denom * denom
 
     defects = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                acc_re: dict = {}
-                acc_im: dict = {}
-                for ab, c_idx in ((full[i][j], k), (full[j][k], i), (full[k][i], j)):
+                acc = 0
+                for ab, c in ((full[i][j], k), (full[j][k], i), (full[k][i], j)):
+                    col = packed[c]
                     for r, (x, y) in ab.items():
-                        for s, (u, v) in full[r][c_idx].items():
-                            acc_re[s] = acc_re.get(s, 0) + x * u - y * v
-                            acc_im[s] = acc_im.get(s, 0) + x * v + y * u
-                if any(acc_re.values()) or any(acc_im.values()):
+                        acc += x * col[r]
+                        if y:
+                            acc += y * times_i[c][r]
+                if acc:
+                    digits = packing.unpack(acc, 2 * dim)
                     vec = [ZERO] * dim
-                    for s, re in acc_re.items():
-                        im = acc_im[s]
+                    for s in range(dim):
+                        re, im = digits[2 * s], digits[2 * s + 1]
                         if re or im:
                             vec[s] = GaussianRational(Fraction(re, scale), Fraction(im, scale))
                     defects.append(((i, j, k), tuple(vec)))

@@ -26,6 +26,7 @@ __all__ = [
     "I",
     "gaussian",
     "clear_denominators",
+    "SlotPacking",
     "accumulate",
     "format_rational",
     "parse_scalar",
@@ -205,6 +206,49 @@ def clear_denominators(values) -> tuple:
     return d, re, im
 
 
+class SlotPacking:
+    """Kronecker packing of Gaussian-integer rows into one Python int.
+
+    A row {s: (re, im)} of ints packs into sum re 2^(2ws) + im 2^(w(2s+1)),
+    re in slot 2s and im in slot 2s+1, each w bits wide.  Packing is
+    linear, so one big-int multiply-add combines every slot of two rows.
+    w is the least width with 2^(w-1) > bound; while every slot of a
+    combination stays within the caller's bound, the combination is 0
+    exactly when its slots are, and its balanced digits are unique
+    (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009).
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, bound: int):
+        self.width = bound.bit_length() + 1
+
+    def pack(self, row) -> int:
+        """The int of a row {s: (re, im)}, re in slot 2s and im in slot 2s+1."""
+        w = self.width
+        out = 0
+        for s, (re, im) in row.items():
+            if re:
+                out += re << (2 * w * s)
+            if im:
+                out += im << (w * (2 * s + 1))
+        return out
+
+    def unpack(self, packed: int, slots: int) -> list:
+        """The first `slots` balanced digits of packed, each in [-2^(w-1), 2^(w-1))."""
+        w = self.width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        digits = []
+        for _ in range(slots):
+            d = packed & mask
+            if d >= half:
+                d -= mask + 1
+            digits.append(d)
+            packed = (packed - d) >> w
+        return digits
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
@@ -231,6 +275,7 @@ _RAT = r"\d+(?:/0*[1-9]\d*)?"
 _REAL_RE = _re.compile(rf"^([+-]?{_RAT})$")
 _IMAG_RE = _re.compile(rf"^([+-]?)(?:({_RAT})\*)?i$")
 _BOTH_RE = _re.compile(rf"^([+-]?{_RAT})([+-])(?:({_RAT})\*)?i$")
+_RATIONAL_ZERO = Fraction(0)
 
 
 def format_rational(value) -> str:
@@ -238,26 +283,36 @@ def format_rational(value) -> str:
     return str(q)
 
 
+def _rational(text: str) -> Fraction:
+    """The Fraction of a signed _RAT literal, which a regex above has validated.
+
+    int() takes the sign and leading zeros, and _RAT keeps a zero
+    denominator out, so each part is built once, as an int.
+    """
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the exact scalar text format into a GaussianRational."""
     s = text.replace(" ", "")
     m = _REAL_RE.match(s)
     if m:
-        return GaussianRational(Fraction(m.group(1)))
+        return GaussianRational._make(_rational(m.group(1)), _RATIONAL_ZERO)
     m = _IMAG_RE.match(s)
     if m:
         sign, mag = m.group(1), m.group(2)
-        im = Fraction(mag) if mag is not None else Fraction(1)
+        im = _rational(mag) if mag is not None else Fraction(1)
         if sign == "-":
             im = -im
-        return GaussianRational(0, im)
+        return GaussianRational._make(_RATIONAL_ZERO, im)
     m = _BOTH_RE.match(s)
     if m:
-        re_part = Fraction(m.group(1))
-        im = Fraction(m.group(3)) if m.group(3) is not None else Fraction(1)
+        re_part = _rational(m.group(1))
+        im = _rational(m.group(3)) if m.group(3) is not None else Fraction(1)
         if m.group(2) == "-":
             im = -im
-        return GaussianRational(re_part, im)
+        return GaussianRational._make(re_part, im)
     raise ValueError(f"not an exact scalar literal: {text!r}")
 
 

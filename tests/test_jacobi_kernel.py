@@ -1,15 +1,18 @@
-"""Differential tests for the integer Jacobi kernel and the shared splittings.
+"""Differential tests for the packed integer Jacobi kernel and the shared splittings.
 
 ``lie.jacobi_defect`` runs the Jacobi cyclic sum on Gaussian-integer
-numerators over one common denominator.  The GaussianRational loop it
-replaced is kept below as the oracle; both must return the same defect list:
-the same triples, in the same order, with the same exact vectors.
+numerators over one common denominator, packed into one int per bracket
+[e_r, e_c] with slots as wide as the bound 6 dim big^2 needs.  The
+GaussianRational loop it replaced is kept below as the oracle; both must
+return the same defect list: the same triples, in the same order, with the
+same exact vectors.  The deterministic tests come first, so that a wrong
+kernel fails one of them before a hypothesis test spends minutes shrinking.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,7 @@ from chernflat.classify import _scrambled_copy, random_frame_scramble
 from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
 from chernflat.fileio import dumps_model
 from chernflat.lie import JacobiError, LieAlgebra, _clean_brackets, _numerator_views, jacobi_defect
-from chernflat.scalars import GaussianRational, ZERO, clear_denominators
+from chernflat.scalars import I, ONE, GaussianRational, SlotPacking, ZERO, clear_denominators
 
 CATALOG = [
     "abelian(4)",
@@ -131,6 +134,51 @@ def _assert_same_report(dim, table, field):
     return expected
 
 
+def _table_at_the_width_bound(dim: int, big: int, s: int) -> tuple:
+    """A Gaussian-integer table whose Jacobi sum at (0, 1, 2) is (2^(w-2) - i) e_s.
+
+    w is the width of the stated bound, the least w with 2^(w-1) > 6 dim
+    big^2, and every part of the table is at most big in absolute value.
+    The t-th product p q goes to r = 3 + t // 3 and the (t mod 3)-th cyclic
+    (a, b, c) of (0, 1, 2), as [e_a, e_b] += p e_r and [e_r, e_c] = q e_s,
+    so the sum at (0, 1, 2) is the sum of the products, the target.
+    Returns (table, w, target).
+    """
+    w = (6 * dim * big * big).bit_length() + 1
+    target = 1 << (w - 2)
+    n, rest = divmod(target, 2 * big * big)
+    a, rest = divmod(rest, big)
+    # (big + big i)(big - big i) = 2 big^2, then a big, then (rest - i) 1
+    products = [(GaussianRational(big, big), GaussianRational(big, -big))] * n
+    products += [(GaussianRational(a), GaussianRational(big)), (GaussianRational(rest, -1), ONE)]
+    assert a <= big and len(products) <= 3 * (dim - 3)
+    table: dict = {}
+    # (a, b, c) = (0, 1, 2), (1, 2, 0) and (2, 0, 1), the last stored as -[e_0, e_2]
+    cyclic = (((0, 1), 1, 2), ((1, 2), 1, 0), ((0, 2), -1, 1))
+    for t, (p, q) in enumerate(products):
+        pair, sign, c = cyclic[t % 3]
+        r = 3 + t // 3
+        table.setdefault(pair, {})[r] = sign * p
+        table.setdefault((c, r), {})[s] = -q
+    return table, w, target
+
+
+def test_slots_next_to_the_width_bound_decode_exactly():
+    # 48 big^2 lies just below 2^126, so the slot 2^(w-2) is half the bound;
+    # two bits narrower, its slots 2^(w-2) and -1 would cancel to a packed 0
+    dim, s = 8, 3
+    big = isqrt((1 << 126) // 48)
+    table, w, target = _table_at_the_width_bound(dim, big, s)
+    defects = _assert_same_report(dim, table, "Qi")
+    first = [ZERO] * dim
+    first[s] = GaussianRational(target, -1)
+    assert defects[0] == ((0, 1, 2), tuple(first))
+    assert len(defects) > 1
+    assert w == 127 and max(abs(f) for row in table.values() for c in row.values() for f in (c.re, c.im)) == big
+    narrow = SlotPacking(1 << (w - 4))
+    assert narrow.width == w - 2 and narrow.pack({s: (target, -1)}) == 0
+
+
 @pytest.mark.parametrize("name, seed", SCRAMBLED, ids=[f"{n}-{s}" for n, s in SCRAMBLED])
 def test_kernel_matches_the_oracle_on_scrambled_tables(name, seed):
     g = _scrambled(name, seed)
@@ -138,6 +186,19 @@ def test_kernel_matches_the_oracle_on_scrambled_tables(name, seed):
     assert _assert_same_report(g.dim, g.brackets, "Q") == []
     defects = _assert_same_report(g.dim, _tampered(g.brackets, Fraction(1, 7)), "Q")
     assert defects
+
+
+def test_rescaled_and_tampered_tables_cover_q_i_and_real_defects():
+    g = catalog("centro1_model(1)").algebra
+    scales = [GaussianRational(Fraction(1, 3), Fraction(2, 5))] * g.dim
+    scales[0] = GaussianRational(Fraction(-3, 4), Fraction(1, 6))
+    table = _rescaled(g, scales)
+    values = [c for vec in table.values() for c in vec.values()]
+    assert any(not c.is_real() for c in values)
+    assert len({f.denominator for c in values for f in (c.re, c.im)}) > 2
+    assert _assert_same_report(g.dim, table, "Qi") == []
+    defects = _assert_same_report(g.dim, _tampered(table, GaussianRational(0, Fraction(1, 2))), "Qi")
+    assert defects and any(not c.is_real() for _t, vec in defects for c in vec)
 
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -155,17 +216,33 @@ def test_kernel_matches_the_oracle_on_rescaled_q_i_tables(data):
     _assert_same_report(g.dim, table, "Qi")
 
 
-def test_rescaled_and_tampered_tables_cover_q_i_and_real_defects():
-    g = catalog("centro1_model(1)").algebra
-    scales = [GaussianRational(Fraction(1, 3), Fraction(2, 5))] * g.dim
-    scales[0] = GaussianRational(Fraction(-3, 4), Fraction(1, 6))
-    table = _rescaled(g, scales)
-    values = [c for vec in table.values() for c in vec.values()]
-    assert any(not c.is_real() for c in values)
-    assert len({f.denominator for c in values for f in (c.re, c.im)}) > 2
-    assert _assert_same_report(g.dim, table, "Qi") == []
-    defects = _assert_same_report(g.dim, _tampered(table, GaussianRational(0, Fraction(1, 2))), "Qi")
-    assert defects and any(not c.is_real() for _t, vec in defects for c in vec)
+@st.composite
+def _wide_ints(draw):
+    """An int of 40 to 70 bits, of either sign."""
+    bits = draw(st.integers(40, 70))
+    return draw(st.sampled_from((-1, 1))) * draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+_wide_gaussians = st.one_of(
+    st.builds(GaussianRational, _wide_ints()),
+    st.builds(GaussianRational, _wide_ints(), _wide_ints()),
+)
+_basis_scales = st.sampled_from([ONE, -ONE, I, -I, GaussianRational(1, 1), GaussianRational(2, -1)])
+_tamperings = st.one_of(_wide_gaussians, st.sampled_from([GaussianRational(Fraction(1, 3)), GaussianRational(0, Fraction(-1, 3))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_oracle_on_wide_tables(data):
+    # parts of 40 to 70 bits and more, times a Jacobi-preserving rescaling,
+    # so the packed slots are as wide as the width bound makes them
+    g = data.draw(st.sampled_from(_small_algebras()))
+    factor = data.draw(_wide_gaussians)
+    scales = data.draw(st.lists(_basis_scales, min_size=g.dim, max_size=g.dim))
+    table = {key: {k: factor * c for k, c in vec.items()} for key, vec in _rescaled(g, scales).items()}
+    if data.draw(st.booleans()) and table:
+        table = _tampered(table, data.draw(_tamperings))
+    _assert_same_report(g.dim, table, "Qi")
 
 
 def test_raw_tables_are_still_validated():

@@ -7,6 +7,7 @@ from chernflat.scalars import (
     GaussianRational,
     I,
     ONE,
+    SlotPacking,
     ZERO,
     accumulate,
     format_rational,
@@ -90,6 +91,42 @@ def test_parse_scalar_literals():
     for bad in ("", "x", "1.5", "i*i", "1//2"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_parsed_parts_equal_fraction_of_their_text():
+    # each part is built from its digits as ints; signs, leading zeros and
+    # the reduction to lowest terms come out as Fraction(text) gives them
+    for text, re_text, im_text in (
+        ("-0012/0034", "-0012/0034", "0"),
+        ("+0007", "+0007", "0"),
+        ("0/05", "0/05", "0"),
+        ("-0003/6*i", "0", "-0003/6"),
+        ("0012/0034+0005/010*i", "0012/0034", "0005/010"),
+        ("-0/7-i", "-0/7", "-1"),
+    ):
+        z = parse_scalar(text)
+        assert z == GaussianRational(Fraction(re_text), Fraction(im_text))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert parse_scalar("-0012/0034").re.denominator == 17
+    for bad in ("1/0", "1/000", "1/-2", "+-1", "1/2/3", "0012/0034*", "-0012/0034i"):
+        with pytest.raises(ValueError, match="not an exact scalar literal"):
+            parse_scalar(bad)
+
+
+def test_slot_packing_width_and_balanced_digits():
+    # the width is the least w with 2^(w-1) > bound
+    for bound, width in ((0, 1), (1, 2), (2, 3), (3, 3), (4, 4), (2**64 - 1, 65), (2**64, 66)):
+        assert SlotPacking(bound).width == width
+    packing = SlotPacking(2**40 - 1)
+    top = 2**40
+    # re in slot 2s, im in slot 2s + 1; the digits reach both ends of [-2^40, 2^40)
+    row = {0: (top - 1, -top), 2: (-1, 1), 3: (-top, top - 1)}
+    assert packing.unpack(packing.pack(row), 8) == [top - 1, -top, 0, 0, -1, 1, -top, top - 1]
+    # packing is linear while every slot of the sum stays inside the range
+    other = {1: (5, -7), 2: (-(top // 4), -2)}
+    both = packing.pack(row) - 3 * packing.pack(other)
+    assert packing.unpack(both, 8) == [top - 1, -top, -15, 21, 3 * (top // 4) - 1, 7, -top, top - 1]
+    assert packing.pack({}) == 0 and packing.unpack(0, 4) == [0, 0, 0, 0]
 
 
 def test_rational_helpers():

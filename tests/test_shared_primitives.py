@@ -404,16 +404,23 @@ def test_signed_views_are_built_once_per_algebra(monkeypatch, capsys, tmp_path):
     # a table's numerator views are built once, clearing its denominators
     # once: g's table when g is constructed, the holomorphic table when
     # s.holomorphic() builds the constants, and every reader of one verify
-    # and one deform job shares them
+    # and one deform job shares them; a normal-form trial adds the rebuilt
+    # table and its holomorphic table, and no reframed table builds views
+    # that nothing reads
     entry = catalog("iwasawa_j3")
     calls = []
     clear = lie_module.clear_denominators
     monkeypatch.setattr(lie_module, "clear_denominators", lambda values: calls.append(1) or clear(values))
     path = tmp_path / "iwasawa.json"
     path.write_text(dumps_model(entry.algebra, entry.acs))
-    for argv in (["verify", str(path)], ["deform", str(path)]):
+    for argv, builds in (
+        (["verify", str(path)], 2),
+        (["deform", str(path)], 2),
+        (["normal-form", str(path), "--trials", "0"], 2),
+        (["normal-form", str(path), "--trials", "2"], 6),
+    ):
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == builds
         calls.clear()
     capsys.readouterr()
     g, acs = LieAlgebra(entry.algebra.dim, entry.algebra.brackets), entry.acs
