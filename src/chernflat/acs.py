@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .lie import LieAlgebra, Subspace, _clean_brackets, _numerator_views, center, is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
+from .scalars import GaussianRational, ONE, ZERO, accumulate, clear_denominators
 
 __all__ = [
     "AdaptedConstants",
@@ -98,18 +98,6 @@ class AlmostComplexStructure:
         """
         return self._numerators
 
-    def apply(self, v) -> tuple:
-        """J v, summed over the nonzero entries of J only, with the int multipliers d_J J_rc."""
-        v = [gaussian(x) for x in v]
-        d, by_row, _ = self._numerators
-        if len(v) != len(by_row):
-            raise ValueError("vector length mismatch in matvec")
-        out = tuple(sum((v[c] * x for c, x in row if v[c]), ZERO) for row in by_row)
-        if d > 1:
-            scale = Fraction(1, d)
-            out = tuple(z * scale for z in out)
-        return out
-
     @classmethod
     def standard(cls, n: int) -> "AlmostComplexStructure":
         """Block structure sending e_k to e_{k+n/2} for k < n/2."""
@@ -179,8 +167,8 @@ class ComplexSplitting:
     (ascending), and R^-1 only as ints: _r_inv is (d_R, inv_cols), where
     inv_cols[k] lists the nonzero (t, d_R (R^-1)_tk) of column k, ascending
     in t, and d_R is the least common denominator of R^-1.  It is read off
-    one elimination over the int columns of d_J R; to_combined and the
-    deformation solution matrices read it too.
+    one elimination over the int columns of d_J R; the deformation solution
+    matrices read it too.
     """
 
     __slots__ = (
@@ -248,26 +236,6 @@ class ComplexSplitting:
     @property
     def dim(self) -> int:
         return self.g.dim
-
-    def to_combined(self, v) -> tuple:
-        """Coordinates of a (complexified) vector in the combined frame.
-
-        They are (1/2) [[I, iI], [I, -iI]] applied to the R-coordinates
-        w = R^-1 v, summed over the int columns of d_R R^-1 and divided
-        once by 2 d_R.
-        """
-        d_r, inv_cols = self._r_inv
-        if len(v) != len(inv_cols):
-            raise ValueError("vector length mismatch in to_combined")
-        w = [ZERO] * len(inv_cols)
-        for x, col in zip(map(gaussian, v), inv_cols):
-            if x:
-                for t, u in col:
-                    w[t] = w[t] + x * u
-        m = self.m
-        scale = Fraction(1, 2 * d_r)
-        top = tuple((w[k] + I * w[m + k]) * scale for k in range(m))
-        return top + tuple((w[k] - I * w[m + k]) * scale for k in range(m))
 
     # -- sector views --------------------------------------------------------
 

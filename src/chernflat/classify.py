@@ -1,4 +1,4 @@
-"""Normal forms and frame-independent invariants for flat two-step pairs.
+"""Normal forms for flat two-step pairs.
 
 The classification machinery works on the holomorphic constants of a pair
 with the quasi-Kaehler sector shape: an AdaptedConstants table, which a
@@ -15,6 +15,8 @@ constructive normal forms:
 
 Every normal-form routine finishes by recomputing the constants in the frame
 it produced and asserting they equal the advertised target exactly.
+normal_form dispatches to the two routines, and the center-dimension check of
+center_one_normal_form is the one that rejects the other dimensions.
 normal_form, like the predicates of acs, takes the splitting s = split(g, acs)
 of the pair alone.
 """
@@ -22,17 +24,15 @@ of the pair alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .acs import (
     AdaptedConstants,
     ComplexSplitting,
     SectorShapeError,
-    _sector_scan,
     reframed_constants,
     split,
 )
-from .lie import Subspace, center, derived_subalgebra, is_two_step, lower_central_series
+from .lie import is_two_step
 from .linalg import Echelon, ExactMatrix, NumeratorRow, inverse, kernel_from_rows, random_invertible, rank
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -44,9 +44,6 @@ __all__ = [
     "dim4_normal_form",
     "center_one_normal_form",
     "normal_form",
-    "complex_center_dimension",
-    "Fingerprint",
-    "fingerprint",
     "random_frame_scramble",
 ]
 
@@ -171,30 +168,6 @@ def _holomorphic_center_kernel(c: AdaptedConstants):
     return kernel_from_rows(c.m, (NumeratorRow(row) for col in c._numerators[2] for row in col if row))
 
 
-def _intersection_dim(basis1, basis2) -> int:
-    """dim (U meet V) = dim U + dim V - dim (U + V), for bases of U and V."""
-    if not basis1 or not basis2:
-        return 0
-    return len(basis1) + len(basis2) - Subspace(len(basis1[0]), [*basis1, *basis2]).dim
-
-
-def complex_center_dimension(s: ComplexSplitting) -> int:
-    """Complex dimension of the center's holomorphic part.
-
-    Computed from the holomorphic-frame kernel and cross-checked against the
-    real center intersected with its image under the structure; the two
-    methods must agree.  Raises SectorShapeError without the quasi-Kaehler
-    sector shape.
-    """
-    kern = _holomorphic_center_kernel(s.holomorphic())
-    z_real = center(s.g)
-    j_images = [s.acs.apply(v) for v in z_real.basis]
-    inter = _intersection_dim(z_real.basis, j_images)
-    if 2 * len(kern) != inter:
-        raise AssertionError("holomorphic and real center computations disagree")
-    return len(kern)
-
-
 # -- dimension-4 normal form -------------------------------------------------
 
 
@@ -270,18 +243,13 @@ def center_one_normal_form(c: AdaptedConstants) -> NormalFormResult:
     """
     if not isinstance(c, AdaptedConstants):
         raise TypeError("center_one_normal_form expects an AdaptedConstants table")
+    m = c.m
     kern = _holomorphic_center_kernel(c)
     if len(kern) != 1:
         raise NormalFormError(
-            f"complex center dimension is {len(kern)}, this normal form needs exactly 1"
+            f"no constructive normal form for complex dimension {m} with complex center dimension {len(kern)}"
         )
-    return _center_one_normal_form(c, kern[0])
-
-
-def _center_one_normal_form(c: AdaptedConstants, center_vector) -> NormalFormResult:
-    """center_one_normal_form, given the vector spanning the holomorphic center."""
-    m = c.m
-    gen = list(center_vector)
+    gen = list(kern[0])
     lead = next(t for t, x in enumerate(gen) if x)
     gen = [x / gen[lead] for x in gen]
 
@@ -331,54 +299,12 @@ def normal_form(s: ComplexSplitting) -> NormalFormResult:
         raise NormalFormError("normal forms require the quasi-Kaehler sector shape") from None
     if s.g.is_abelian():
         raise NormalFormError("abelian algebras are their own normal form; nothing to do")
-    if c.m != 4:
-        kern = _holomorphic_center_kernel(c)
-        if len(kern) != 1:
-            raise NormalFormError(
-                f"no constructive normal form for complex dimension {c.m} with complex center dimension {len(kern)}"
-            )
     if not is_two_step(s.g):
         raise NormalFormError("normal form requires a two-step algebra")
-    return dim4_normal_form(c) if c.m == 4 else _center_one_normal_form(c, kern[0])
+    return dim4_normal_form(c) if c.m == 4 else center_one_normal_form(c)
 
 
-# -- invariants --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Frame-independent invariants of a pair (g, J)."""
-
-    dim: int
-    center_dim: int
-    derived_dim: int
-    lower_central_dims: tuple
-    center_meet_derived: int
-    complex_center_dim: Optional[int]
-    qk_sectors: bool
-    torsion_free: bool
-
-
-def fingerprint(s: ComplexSplitting) -> Fingerprint:
-    """Invariants of the pair of s preserved by J-equivariant isomorphisms.
-
-    complex_center_dim is None without the quasi-Kaehler sector shape.
-    """
-    g = s.g
-    z = center(g)
-    d = derived_subalgebra(g)
-    series = lower_central_series(g)
-    qk = bool(s.sector_relations_qk())
-    return Fingerprint(
-        g.dim,
-        z.dim,
-        d.dim,
-        tuple(t.dim for t in series),
-        _intersection_dim(z.basis, d.basis),
-        complex_center_dimension(s) if qk else None,
-        qk,
-        not _sector_scan(s)[2],
-    )
+# -- frame scrambles ---------------------------------------------------------
 
 
 def random_frame_scramble(s: ComplexSplitting, rng):

@@ -23,7 +23,7 @@ from typing import Optional
 from .acs import AlmostComplexStructure, ComplexSplitting, SectorShapeError, split
 from .lie import LieAlgebra, _clean_brackets
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, accumulate, gaussian
+from .scalars import accumulate, gaussian
 
 __all__ = [
     "CatalogEntry",
@@ -33,10 +33,6 @@ __all__ = [
     "from_holomorphic_constants",
     "catalog",
     "catalog_names",
-    "iwasawa_frame_correspondence",
-    "FrameIsomorphismReport",
-    "verify_frame_isomorphism",
-    "random_two_step",
 ]
 
 
@@ -327,100 +323,3 @@ def catalog(name: str) -> CatalogEntry:
 def catalog_names() -> list:
     """Available names; parametrized families shown with a placeholder."""
     return sorted([*_MODELS, *_FAMILIES])
-
-
-def iwasawa_frame_correspondence() -> ExactMatrix:
-    """Isomorphism from the adapted frame model onto the alternate frame model.
-
-    Column k gives the image of the k-th adapted basis vector in alternate
-    frame coordinates; the map intertwines both the brackets and the two
-    structures (verify_frame_isomorphism confirms this).
-    """
-    cols = [
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, -1],
-        [0, -1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-    ]
-    return ExactMatrix.from_columns([[gaussian(c) for c in col] for col in cols])
-
-
-@dataclass(frozen=True)
-class FrameIsomorphismReport:
-    """Outcome of checking a linear map as a (J-compatible) isomorphism."""
-
-    bracket_ok: bool
-    j_ok: Optional[bool]
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.bracket_ok and self.j_ok is not False
-
-
-def verify_frame_isomorphism(
-    g1: LieAlgebra,
-    g2: LieAlgebra,
-    phi: ExactMatrix,
-    acs1: Optional[AlmostComplexStructure] = None,
-    acs2: Optional[AlmostComplexStructure] = None,
-) -> FrameIsomorphismReport:
-    """Check phi[x, y] = [phi x, phi y] on basis pairs, and J-equivariance.
-
-    The first failing basis pair is reported as the witness.  phi must be
-    invertible for an isomorphism claim; singular maps are rejected outright.
-    """
-    if g1.dim != g2.dim or phi.rows != g1.dim or phi.cols != g1.dim:
-        raise ValueError("dimension mismatch")
-    from .linalg import rank
-
-    if rank(phi) != phi.rows:
-        raise ValueError("candidate map is singular")
-    n = g1.dim
-    cols = [phi.column(k) for k in range(n)]
-    bracket_ok = True
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = phi.matvec(g1.basis_bracket(i, j))
-            rhs = g2.bracket(cols[i], cols[j])
-            if lhs != rhs:
-                bracket_ok = False
-                witness = ("bracket", i, j)
-                break
-        if not bracket_ok:
-            break
-    j_ok: Optional[bool] = None
-    if acs1 is not None and acs2 is not None:
-        j_ok = phi * acs1.j == acs2.j * phi
-        if not j_ok and witness is None:
-            witness = ("structure",)
-    return FrameIsomorphismReport(bracket_ok, j_ok, witness)
-
-
-def random_two_step(rng, max_generators: int = 4, max_center: int = 2, span: int = 2):
-    """Random flat pair: generators bracketing onto dedicated central slots.
-
-    Constants c_{ij} live on the last q conjugate directions, so the result
-    is 2-step with the quasi-Kaehler sector shape by construction; at least
-    one constant is forced nonzero.
-    """
-    p = rng.randint(2, max(2, max_generators))
-    q = rng.randint(1, max(1, max_center))
-    m = p + q
-    while True:
-        constants = {}
-        for i in range(p):
-            for j in range(i + 1, p):
-                row = {}
-                for k in range(p, m):
-                    c = gaussian(rng.randint(-span, span)) + GaussianRational(
-                        0, rng.randint(-span, span)
-                    )
-                    if c:
-                        row[k] = c
-                if row:
-                    constants[(i, j)] = row
-        if constants:
-            return from_holomorphic_constants(m, constants)

@@ -58,8 +58,10 @@ ints) is the inner rank.  Every ad_z solves the equations exactly when
 [[g, g], g] = 0, so this membership is a second, independent reading of
 two-step-ness.  The tests compare all of it with the full row system.
 
-deformation_space and lie_derivative_direction take the splitting s of the
-pair alone, as the predicates of acs do.
+deformation_space takes the splitting s of the pair alone, as the
+predicates of acs do.  The flow direction -2 J ad_x of a vector x, an inner
+direction, and the kernel read as n x n matrices are test oracles, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,13 +71,12 @@ from dataclasses import dataclass
 # split is bound here too (perfbench/test_checks.py traces every binding of it)
 from .acs import ComplexSplitting, is_qk_chern_flat, split  # noqa: F401
 from .lie import LieAlgebra
-from .linalg import Echelon, ExactMatrix, NumeratorRow, kernel_from_rows, rank_of_rows
-from .scalars import clear_denominators, gaussian
+from .linalg import Echelon, NumeratorRow, kernel_from_rows, rank_of_rows
+from .scalars import clear_denominators
 
 __all__ = [
     "DeformationSpace",
     "deformation_space",
-    "lie_derivative_direction",
 ]
 
 
@@ -184,10 +185,6 @@ class DeformationSpace:
     def dimension(self) -> int:
         return len(self.kernel)
 
-    def matrices(self) -> list:
-        n = self.n
-        return [ExactMatrix([[gaussian(v[r * n + c]) for c in range(n)] for r in range(n)]) for v in self.kernel]
-
 
 def deformation_space(s: ComplexSplitting) -> DeformationSpace:
     """Solve the deformation equations of the pair of s and quotient out inner directions.
@@ -224,20 +221,3 @@ def deformation_space(s: ComplexSplitting) -> DeformationSpace:
         inner_rank=inner_rank,
         quotient_dimension=len(kernel) - inner_rank,
     )
-
-
-def lie_derivative_direction(s: ComplexSplitting, x) -> ExactMatrix:
-    """Deformation direction induced by flowing the structure of s along x.
-
-    Equals -2 J ad_x; for a flat pair this coincides with ad applied to
-    2 J x (asserted), hence is always an inner direction.
-    """
-    if not is_qk_chern_flat(s):
-        raise ValueError("flow directions are computed for quasi-Kaehler flat pairs")
-    g, acs = s.g, s.acs
-    ad_x = g.ad(x)
-    m = (acs.j * ad_x) * gaussian(-2)
-    jx2 = [c + c for c in acs.apply(x)]
-    if m != g.ad(jx2):
-        raise AssertionError("flow direction is not the expected inner derivation")
-    return m

@@ -40,7 +40,6 @@ __all__ = [
     "loads_model",
     "load_model",
     "dumps_model",
-    "dump_model",
     "resolve_model",
     "load_metric_matrix",
 ]
@@ -224,11 +223,6 @@ def model_object(g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) ->
             for r in range(g.dim)
         ]
     return obj
-
-
-def dump_model(path: str, g: LieAlgebra, acs: Optional[AlmostComplexStructure] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(g, acs))
 
 
 def resolve_model(spec: str):

@@ -12,37 +12,30 @@ Conventions (fixed once; the identity-metric fixture on the standard
     d(theta^gamma)(B_a, B_b) = -theta^gamma([B_a, B_b])
     and extends as an antiderivation.
 
-Forms over an abstract coordinate coframe (no conjugate block) are supported
-with mbar = 0: the 2-form of a skew matrix (two_form_from_skew_matrix) is
-nondegenerate exactly when its top wedge power is nonzero.  The normal-form
-module does not use them.
+Evaluation on vectors, the graded pieces A, del, delbar, Abar of d and
+coefficients in a real coframe are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .acs import ComplexSplitting
-from .linalg import ExactMatrix, det, kernel_from_rows, leading_minors
-from .scalars import GaussianRational, I, ONE, ZERO, accumulate, format_scalar, gaussian, parse_scalar
+from .linalg import ExactMatrix, kernel_from_rows, leading_minors
+from .scalars import I, ONE, ZERO, accumulate, format_scalar, gaussian
 
 __all__ = [
     "InvariantForm",
     "HermitianMetric",
     "coframe_element",
-    "two_form_from_skew_matrix",
     "exterior_d",
-    "type_components",
     "kaehler_form",
     "is_quasi_kaehler",
     "coupled_two_form_solutions",
     "SolutionReport",
-    "real_coframe_coefficients",
     "format_form",
-    "parse_form",
 ]
 
 
@@ -196,32 +189,6 @@ class InvariantForm:
         out = {k: v for k, v in self.coeffs.items() if self.key_bidegree(k) == (p, q)}
         return InvariantForm(self.m, self.mbar, self.degree, out)
 
-    def bidegrees(self) -> set:
-        return {self.key_bidegree(k) for k in self.coeffs}
-
-    def pure_bidegree(self) -> tuple:
-        degs = self.bidegrees()
-        if len(degs) > 1:
-            raise ValueError(f"form mixes bidegrees {sorted(degs)}")
-        if not degs:
-            return (self.degree, 0) if self.mbar == 0 else None
-        return next(iter(degs))
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, vectors: Sequence[Sequence]) -> GaussianRational:
-        """Evaluate on vectors given in the coframe's dual-basis coordinates."""
-        if len(vectors) != self.degree:
-            raise ValueError("need exactly degree-many vectors")
-        vecs = [[gaussian(c) for c in v] for v in vectors]
-        total = ZERO
-        for key, coeff in self.coeffs.items():
-            minor = ExactMatrix([[vecs[t][idx] for t in range(len(vecs))] for idx in key])
-            d = det(minor)
-            if d:
-                total = total + coeff * d
-        return total
-
     # -- comparisons ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -246,19 +213,6 @@ class InvariantForm:
 def coframe_element(m: int, mbar: int, index: int) -> InvariantForm:
     """The degree-1 coframe dual theta^index."""
     return InvariantForm.monomial(m, mbar, (index,))
-
-
-def two_form_from_skew_matrix(mat: ExactMatrix, m: int, mbar: int = 0) -> InvariantForm:
-    """Sum of mat[i][j] theta^i ^ theta^j over i < j."""
-    if not mat.is_square() or mat.rows != m + mbar:
-        raise ValueError("matrix size must match the coframe")
-    out = {}
-    for i in range(mat.rows):
-        for j in range(i + 1, mat.rows):
-            v = mat.entry(i, j)
-            if v:
-                out[(i, j)] = v
-    return InvariantForm(m, mbar, 2, out)
 
 
 def _coframe_differentials(s: ComplexSplitting) -> list:
@@ -287,29 +241,6 @@ def exterior_d(s: ComplexSplitting, f: InvariantForm) -> InvariantForm:
                     continue
                 accumulate(out, merged, v * c if pos_sign * sign > 0 else -(v * c))
     return InvariantForm(f.m, f.mbar, f.degree + 1, out)
-
-
-_TYPE_SHIFTS = {
-    "A": (2, -1),
-    "del": (1, 0),
-    "delbar": (0, 1),
-    "Abar": (-1, 2),
-}
-
-
-def type_components(s: ComplexSplitting, f: InvariantForm, which: str) -> InvariantForm:
-    """One graded piece (A, del, delbar, Abar) of the differential of a pure form."""
-    if which not in _TYPE_SHIFTS:
-        raise ValueError(f"unknown graded piece {which!r}; expected one of {sorted(_TYPE_SHIFTS)}")
-    bideg = f.pure_bidegree()
-    df = exterior_d(s, f)
-    if bideg is None:
-        return df
-    dp, dq = _TYPE_SHIFTS[which]
-    p, q = bideg[0] + dp, bideg[1] + dq
-    if p < 0 or q < 0:
-        return InvariantForm.zero(f.m, f.mbar, df.degree)
-    return df.component(p, q)
 
 
 class HermitianMetric:
@@ -438,28 +369,11 @@ def coupled_two_form_solutions(s: ComplexSplitting) -> SolutionReport:
     )
 
 
-def real_coframe_coefficients(s: ComplexSplitting, f: InvariantForm, basis: Sequence[Sequence]) -> dict:
-    """Coefficients of f in the dual coframe of the given real basis.
-
-    Returns {increasing index tuple: value} with zero entries omitted; for a
-    2-form the (a, b) entry is just f evaluated on (basis[a], basis[b]).
-    """
-    coords = [s.to_combined(v) for v in basis]
-    out = {}
-    for key in combinations(range(len(basis)), f.degree):
-        value = f.evaluate([coords[t] for t in key])
-        if value:
-            out[key] = value
-    return out
-
-
 # -- text format -------------------------------------------------------------
-
-_TOKEN_RE = _re.compile(r"^(zb|z)(\d+)$")
 
 
 def format_form(f: InvariantForm) -> str:
-    """Canonical text rendering; round-trips through parse_form."""
+    """Canonical text rendering: sorted terms joined by " + ", coframe tokens z and zb."""
     if not f.coeffs:
         return "0"
     terms = []
@@ -474,55 +388,3 @@ def format_form(f: InvariantForm) -> str:
         else:
             terms.append(cs)
     return " + ".join(terms)
-
-
-def parse_form(text: str, m: int, mbar: int) -> InvariantForm:
-    """Parse the form text format; all terms must share one degree."""
-    s = text.strip()
-    if s == "0":
-        return InvariantForm.zero(m, mbar, 0)
-    degree = None
-    coeffs: dict = {}
-    for raw_term in s.split(" + "):
-        term = raw_term.strip()
-        if not term:
-            raise ValueError("empty term in form literal")
-        # A coefficient string never contains the letters z or n, so the
-        # coefficient/monomial boundary is the first '*' followed by one;
-        # an n there starts a token that the check below rejects.
-        split_at = None
-        for pos, ch in enumerate(term):
-            if ch == "*" and pos + 1 < len(term) and term[pos + 1] in "zn":
-                split_at = pos
-                break
-        if split_at is not None:
-            coeff_text, mono_text = term[:split_at], term[split_at + 1 :]
-        elif term[0] in "zn":
-            coeff_text, mono_text = "1", term
-        else:
-            coeff_text, mono_text = term, ""
-        coeff_text = coeff_text.strip()
-        if coeff_text.startswith("(") and coeff_text.endswith(")"):
-            coeff_text = coeff_text[1:-1]
-        coeff = parse_scalar(coeff_text)
-        indices = []
-        if mono_text:
-            for token in mono_text.split("^"):
-                mt = _TOKEN_RE.match(token.strip())
-                if not mt:
-                    raise ValueError(f"bad coframe token {token!r}")
-                kind, num = mt.group(1), int(mt.group(2)) - 1
-                if not 0 <= num < (m if kind == "z" else mbar):
-                    raise ValueError(f"coframe token {token!r} out of range")
-                indices.append(num if kind == "z" else m + num)
-        key, sign = _sort_key(indices)
-        if not sign:
-            continue
-        if sign < 0:
-            coeff = -coeff
-        if degree is None:
-            degree = len(indices)
-        elif degree != len(indices):
-            raise ValueError("terms of different degree in one form literal")
-        accumulate(coeffs, key, coeff)
-    return InvariantForm(m, mbar, degree or 0, coeffs)

@@ -23,7 +23,6 @@ __all__ = [
     "Subspace",
     "jacobi_defect",
     "lower_central_series",
-    "derived_subalgebra",
     "center",
     "nilpotency_step",
     "is_two_step",
@@ -131,24 +130,6 @@ class LieAlgebra:
         if i > j:
             return -self.structure_constant(j, i, k)
         return self.brackets.get((i, j), {}).get(k, ZERO)
-
-    def basis_bracket(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a coordinate tuple."""
-        return tuple(self.structure_constant(i, j, k) for k in range(self.dim))
-
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """Bilinear extension of the bracket to coordinate vectors."""
-        xv = [gaussian(a) for a in x]
-        yv = [gaussian(a) for a in y]
-        if len(xv) != self.dim or len(yv) != self.dim:
-            raise ValueError("vector length must match the algebra dimension")
-        out = [ZERO] * self.dim
-        for (i, j), vec in self.brackets.items():
-            coeff = xv[i] * yv[j] - xv[j] * yv[i]
-            if coeff:
-                for k, c in vec.items():
-                    out[k] = out[k] + coeff * c
-        return tuple(out)
 
     def ad(self, x: Sequence) -> ExactMatrix:
         """Matrix of ad_x = [x, .] in the standard basis; see _ad_columns."""
@@ -327,10 +308,6 @@ def lower_central_series(g: LieAlgebra) -> list:
             nxt = Subspace(n, (col for d in current.basis for col in g._ad_columns(d) if col))
         g._series = series
     return list(g._series)
-
-
-def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    return lower_central_series(g)[1]
 
 
 def center(g: LieAlgebra) -> Subspace:

@@ -26,7 +26,6 @@ __all__ = [
     "NumeratorRow",
     "SingularMatrixError",
     "rank",
-    "kernel_basis",
     "inverse",
     "det",
     "leading_minors",
@@ -61,10 +60,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "ExactMatrix":
@@ -160,20 +155,6 @@ class ExactMatrix:
         except TypeError:
             return NotImplemented
         return ExactMatrix([[s * x for x in row] for row in self._e])
-
-    def matvec(self, vec: Sequence) -> tuple:
-        v = [gaussian(x) for x in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch in matvec")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            row = self._e[i]
-            for k in range(self.cols):
-                if row[k] and v[k]:
-                    acc = acc + row[k] * v[k]
-            out.append(acc)
-        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -361,11 +342,6 @@ def kernel_from_rows(ncols: int, rows: Iterable[dict]) -> list:
 
 def rank(m: ExactMatrix) -> int:
     return rank_of_rows(m.cols, _matrix_rows(m))
-
-
-def kernel_basis(m: ExactMatrix) -> list:
-    """Basis of {v : m v = 0} as a list of coordinate tuples."""
-    return kernel_from_rows(m.cols, _matrix_rows(m))
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/models/build.py
+    PYTHONPATH=src:tests python tests/golden/models/build.py
 
 Two models start from the catalog pair iwasawa_j3 and the dense rational P
 that ``_seeded_pairs`` in ``tests/test_shared_primitives.py`` draws for seed 2:
@@ -30,9 +30,10 @@ import random
 
 from chernflat.acs import AlmostComplexStructure
 from chernflat.constructions import catalog
-from chernflat.fileio import dump_model, model_object
+from chernflat.fileio import dumps_model, model_object
 from chernflat.lie import LieAlgebra
 from chernflat.linalg import inverse, random_invertible
+from oracles import bracket, matvec
 
 HERE = pathlib.Path(__file__).resolve().parent
 SEED = 2
@@ -44,7 +45,7 @@ def carried(g: LieAlgebra, p, p_inv) -> LieAlgebra:
     table = {}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            image = p.matvec(g.bracket(cols[i], cols[j]))
+            image = matvec(p, bracket(g, cols[i], cols[j]))
             table[(i, j)] = {k: c for k, c in enumerate(image) if c}
     return LieAlgebra(g.dim, table)
 
@@ -53,6 +54,10 @@ def dense_p(g: LieAlgebra):
     """The dense rational P of seed SEED in dimension g.dim, and its inverse."""
     p = random_invertible(g.dim, random.Random(1000 + SEED), complex_entries=False, span=1)
     return p, inverse(p)
+
+
+def dump(name: str, g: LieAlgebra, j: AlmostComplexStructure) -> None:
+    (HERE / name).write_text(dumps_model(g, j), encoding="utf-8")
 
 
 def dump_raw_j(name: str, g: LieAlgebra, rows) -> None:
@@ -67,13 +72,13 @@ if __name__ == "__main__":
     g, acs = entry.algebra, entry.acs
     p, p_inv = dense_p(g)
     j = AlmostComplexStructure(p * acs.j * p_inv)
-    dump_model(str(HERE / "iwasawa_j3_dense_p.json"), carried(g, p, p_inv), j)
-    dump_model(str(HERE / "iwasawa_j3_conjugated.json"), g, j)
+    dump("iwasawa_j3_dense_p.json", carried(g, p, p_inv), j)
+    dump("iwasawa_j3_conjugated.json", g, j)
 
     entry = catalog("dim4_model")
     p, p_inv = dense_p(entry.algebra)
     j = AlmostComplexStructure(p * entry.acs.j * p_inv)
-    dump_model(str(HERE / "dim4_model_dense_p.json"), carried(entry.algebra, p, p_inv), j)
+    dump("dim4_model_dense_p.json", carried(entry.algebra, p, p_inv), j)
 
     odd_j = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
     dump_raw_j("heisenberg3_odd_j.json", catalog("heisenberg3").algebra, odd_j)

@@ -9,6 +9,7 @@ from chernflat.forms import HermitianMetric, InvariantForm
 from chernflat.lie import LieAlgebra, _clean_brackets
 from chernflat.linalg import ExactMatrix, NumeratorRow, inverse
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, accumulate, clear_denominators, gaussian
+from oracles import basis_bracket, bracket, matvec
 
 
 def random_two_step_real_algebra(rng, max_dim=6, span=2):
@@ -49,7 +50,7 @@ def transported_pair(g, acs, p):
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            vec = {k: c for k, c in enumerate(p.matvec(g.bracket(cols[a], cols[b]))) if c}
+            vec = {k: c for k, c in enumerate(matvec(p, bracket(g, cols[a], cols[b]))) if c}
             if vec:
                 brackets[(a, b)] = vec
     return LieAlgebra(n, brackets), AlmostComplexStructure(p * acs.j * p_inv)
@@ -66,7 +67,7 @@ def combined_frame(s) -> ExactMatrix:
     Z_k = x_k - i J x_k is built from real_basis(s) and the dense matrix
     acs.j, apart from the splitting's own code.
     """
-    holo = [[a - I * b for a, b in zip(x, s.acs.j.matvec(x))] for x in real_basis(s)]
+    holo = [[a - I * b for a, b in zip(x, matvec(s.acs.j, x))] for x in real_basis(s)]
     return ExactMatrix.from_columns(holo + [[c.conjugate() for c in z] for z in holo])
 
 
@@ -181,7 +182,7 @@ def oracle_equation_rows(g, acs) -> list:
         for jdx in range(n):
             if i == jdx:
                 continue
-            bij = g.basis_bracket(i, jdx)
+            bij = basis_bracket(g, i, jdx)
             for k in range(n):
                 row = {}
                 for c in range(n):
@@ -203,7 +204,7 @@ def oracle_solution_matrices(s, k_basis, w_basis) -> list:
     """
     n, m = s.dim, s.m
     basis = real_basis(s)
-    r = ExactMatrix.from_columns([*basis, *(s.acs.j.matvec(x) for x in basis)])
+    r = ExactMatrix.from_columns([*basis, *(matvec(s.acs.j, x) for x in basis)])
     r_inv = inverse(r)
     out = []
     for x in k_basis:
@@ -305,7 +306,7 @@ def satisfies_deformation_equations(g, acs, l_mat) -> Verdict:
         for jdx in range(n):
             if i == jdx:
                 continue
-            lhs = l_mat.matvec(g.basis_bracket(i, jdx))
+            lhs = matvec(l_mat, basis_bracket(g, i, jdx))
             rhs = cols[jdx]
             if any(a + rhs.get(k, ZERO) for k, a in enumerate(lhs)):
                 return Verdict(False, ("bracket", i, jdx))

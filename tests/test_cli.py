@@ -8,7 +8,7 @@ import pytest
 from chernflat.acs import AlmostComplexStructure
 from chernflat.cli import main
 from chernflat.constructions import catalog
-from chernflat.fileio import dump_model, dumps_model, loads_model
+from chernflat.fileio import dumps_model, loads_model
 from chernflat.linalg import ExactMatrix, inverse
 
 
@@ -47,7 +47,7 @@ def test_verify_witness_rows_are_one_based(capsys, tmp_path):
     n = entry.algebra.dim
     p = ExactMatrix([[1 if (r, c) in ((r, r), (0, 1)) else 0 for c in range(n)] for r in range(n)])
     path = tmp_path / "sheared.json"
-    dump_model(str(path), entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p)))
+    path.write_text(dumps_model(entry.algebra, AlmostComplexStructure(p * entry.acs.j * inverse(p))))
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
     assert code == 1
     assert json.loads(out)["chern-flat-witness"] == "('basis-pair', 2, 2)"
@@ -235,7 +235,7 @@ def test_construct_reports_an_output_path_it_cannot_write(capsys, tmp_path, targ
 def test_construct_doubling_matches_catalog(capsys, tmp_path):
     h3 = tmp_path / "h3.json"
     entry = catalog("heisenberg3")
-    dump_model(str(h3), entry.algebra, None)
+    h3.write_text(dumps_model(entry.algebra, None))
     code, out, _ = run(capsys, "construct", "conjugate-complexification", str(h3))
     assert code == 0
     g, acs = loads_model(out)

@@ -15,15 +15,13 @@ from chernflat.forms import (
     format_form,
     is_quasi_kaehler,
     kaehler_form,
-    parse_form,
-    real_coframe_coefficients,
-    two_form_from_skew_matrix,
-    type_components,
 )
 from chernflat.linalg import ExactMatrix, det, leading_minors
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
 from helpers import random_gaussian, random_hermitian_metric, random_pure_form
+from oracles import apply_j, bidegrees, evaluate, pure_bidegree, real_coframe_coefficients, to_combined
+from oracles import two_form_from_skew_matrix, type_components
 
 
 def random_form(rng, m, mbar, degree, terms=4):
@@ -57,7 +55,7 @@ def test_wedge_evaluation_convention():
     w = a.wedge(b)
     x = (gaussian(3), gaussian(5), ZERO, ZERO)
     y = (gaussian(2), gaussian(7), ZERO, ZERO)
-    assert w.evaluate([x, y]) == a.evaluate([x]) * b.evaluate([y]) - a.evaluate([y]) * b.evaluate([x])
+    assert evaluate(w, [x, y]) == evaluate(a, [x]) * evaluate(b, [y]) - evaluate(a, [y]) * evaluate(b, [x])
 
 
 def test_wedge_graded_commutativity_and_associativity():
@@ -87,8 +85,8 @@ def test_conjugate_involution_and_bidegree_swap():
         g = f.conjugate()
         assert g.conjugate() == f
         if not f.is_zero():
-            assert f.pure_bidegree() == (p, q)
-            assert g.pure_bidegree() == (q, p)
+            assert pure_bidegree(f) == (p, q)
+            assert pure_bidegree(g) == (q, p)
         h = random_pure_form(rng, m, 2, 1)
         assert f.wedge(h).conjugate() == g.wedge(h.conjugate())
 
@@ -103,7 +101,7 @@ def test_component_partition():
         for p in range(d + 1):
             comp = f.component(p, d - p)
             if not comp.is_zero():
-                assert comp.pure_bidegree() == (p, d - p)
+                assert pure_bidegree(comp) == (p, d - p)
             total = total + comp
         assert total == f
 
@@ -168,7 +166,7 @@ def test_type_component_shifts():
         }
         for which, piece in zip(names, pieces):
             if not piece.is_zero():
-                assert piece.pure_bidegree() == expected[which]
+                assert pure_bidegree(piece) == expected[which]
 
 
 def test_hermitian_metric_validation():
@@ -258,7 +256,7 @@ def test_kaehler_form_is_real_and_matches_real_coefficients():
     s = split(e.algebra, e.acs)
     w = kaehler_form(s, HermitianMetric.identity(3))
     assert w.conjugate() == w
-    assert w.bidegrees() == {(1, 1)}
+    assert bidegrees(w) == {(1, 1)}
     std = [[Fraction(1 if t == k else 0) for t in range(6)] for k in range(6)]
     coeffs = real_coframe_coefficients(s, w, std)
     assert coeffs == {
@@ -268,8 +266,8 @@ def test_kaehler_form_is_real_and_matches_real_coefficients():
     }
     # omega(X, JX) > 0 for a positive metric
     x = std[0]
-    jx = e.acs.apply(x)
-    assert w.evaluate([s.to_combined(x), s.to_combined(jx)]) == gaussian(1)
+    jx = apply_j(e.acs, x)
+    assert evaluate(w, [to_combined(s, x), to_combined(s, jx)]) == gaussian(1)
 
 
 def test_quasi_kaehler_predicate():
@@ -310,40 +308,17 @@ def test_two_form_from_skew_matrix():
         two_form_from_skew_matrix(mat, 2)
 
 
-def test_format_parse_round_trip():
-    rng = random.Random(79)
-    for _ in range(40):
-        m = rng.randint(2, 3)
-        d = rng.randint(0, 3)
-        f = random_form(rng, m, m, d) if d else InvariantForm(m, m, 0, {(): random_gaussian(rng)})
-        text = format_form(f)
-        back = parse_form(text, m, m)
-        assert back == f
-
-
 def test_format_examples():
     f = InvariantForm(3, 3, 2, {(0, 4): GaussianRational(Fraction(1, 2), Fraction(3, 4))})
     assert format_form(f) == "(1/2+3/4*i)*z1^zb2"
     g = InvariantForm(3, 3, 1, {(2,): GaussianRational(0, 2)})
     assert format_form(g) == "2*i*z3"
     assert format_form(InvariantForm.zero(3, 3, 2)) == "0"
-
-
-def test_parse_reordered_indices_and_errors():
-    assert parse_form("z2^z1", 3, 3) == InvariantForm(3, 3, 2, {(0, 1): -ONE})
-    assert parse_form("z1^z1", 3, 3).is_zero()
-    with pytest.raises(ValueError):
-        parse_form("z1 + z1^z2", 3, 3)
-    with pytest.raises(ValueError):
-        parse_form("w1^z2", 3, 3)
-    with pytest.raises(ValueError):
-        parse_form("z9", 2, 2)
-    with pytest.raises(ValueError):
-        parse_form("1.5*z1", 2, 2)
-    # the format has z and zb tokens only
-    for text in ("n1", "nb1", "n1^z2", "2*nb1^z1"):
-        with pytest.raises(ValueError, match="bad coframe token"):
-            parse_form(text, 3, 3)
+    # terms in sorted key order, joined by " + "
+    h = InvariantForm(2, 2, 2, {(1, 2): ONE, (0, 3): GaussianRational(0, -1), (0, 1): gaussian(3)})
+    assert format_form(h) == "3*z1^z2 + -i*z1^zb2 + 1*z2^zb1"
+    assert format_form(InvariantForm(2, 2, 1, {(3,): gaussian(Fraction(-5, 2))})) == "-5/2*zb2"
+    assert format_form(InvariantForm(2, 2, 0, {(): GaussianRational(Fraction(1, 3), 1)})) == "(1/3+i)"
 
 
 def test_evaluate_antisymmetry():
@@ -351,5 +326,5 @@ def test_evaluate_antisymmetry():
     f = random_form(rng, 3, 3, 2)
     x = [random_gaussian(rng) for _ in range(6)]
     y = [random_gaussian(rng) for _ in range(6)]
-    assert f.evaluate([x, y]) == -f.evaluate([y, x])
-    assert f.evaluate([x, x]) == ZERO
+    assert evaluate(f, [x, y]) == -evaluate(f, [y, x])
+    assert evaluate(f, [x, x]) == ZERO

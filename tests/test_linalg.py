@@ -8,7 +8,6 @@ from chernflat.linalg import (
     SingularMatrixError,
     det,
     inverse,
-    kernel_basis,
     kernel_from_rows,
     rank,
     rank_of_rows,
@@ -17,12 +16,17 @@ from chernflat.linalg import (
 from chernflat.scalars import GaussianRational, I, ONE, ZERO, gaussian
 
 from helpers import random_gaussian
+from oracles import matvec
 
 
 def _random_matrix(rng, rows, cols, span=3):
     return ExactMatrix(
         [[random_gaussian(rng, span) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def _rows(m):
+    return [dict(enumerate(m.row(i))) for i in range(m.rows)]
 
 
 def test_basic_algebra():
@@ -32,7 +36,7 @@ def test_basic_algebra():
     assert (a + a) == a * gaussian(2)
     assert (a - a).is_zero()
     assert a.transpose().transpose() == a
-    assert a.matvec((ONE, ZERO)) == (gaussian(1), gaussian(3))
+    assert matvec(a, (ONE, ZERO)) == (gaussian(1), gaussian(3))
 
 
 def test_conjugate_transpose_and_reality():
@@ -50,10 +54,10 @@ def test_rank_and_kernel_small():
         ]
     )
     assert rank(m) == 1
-    kern = kernel_basis(m)
+    kern = kernel_from_rows(m.cols, _rows(m))
     assert len(kern) == 2
     for v in kern:
-        assert m.matvec(v) == (ZERO, ZERO)
+        assert matvec(m, v) == (ZERO, ZERO)
 
 
 def test_rank_nullity_random():
@@ -63,10 +67,10 @@ def test_rank_nullity_random():
         cols = rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols)
         r = rank(m)
-        kern = kernel_basis(m)
+        kern = kernel_from_rows(m.cols, _rows(m))
         assert r + len(kern) == cols
         for v in kern:
-            assert all(c == ZERO for c in m.matvec(v))
+            assert all(c == ZERO for c in matvec(m, v))
 
 
 def test_inverse_round_trip_random():
@@ -128,9 +132,9 @@ def test_sparse_row_kernel_matches_dense():
         ]
         assert rank_of_rows(cols, sparse) == rank(m)
         kern_sparse = kernel_from_rows(cols, sparse)
-        assert len(kern_sparse) == len(kernel_basis(m))
+        assert len(kern_sparse) == len(kernel_from_rows(m.cols, _rows(m)))
         for v in kern_sparse:
-            assert all(c == ZERO for c in m.matvec(v))
+            assert all(c == ZERO for c in matvec(m, v))
 
 
 def test_from_columns_and_blocks():

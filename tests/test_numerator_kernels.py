@@ -36,7 +36,7 @@ from chernflat.acs import (
     nijenhuis,
     split,
 )
-from chernflat.constructions import catalog, complexification, random_two_step
+from chernflat.constructions import catalog, complexification
 from chernflat import deform
 from chernflat.deform import deformation_space
 from chernflat.forms import coframe_element, exterior_d
@@ -54,6 +54,7 @@ from helpers import (
     random_two_step_real_algebra,
     transported_pair,
 )
+from oracles import random_two_step
 
 
 # -- oracle: the predicates and rows in GaussianRational arithmetic ---------------

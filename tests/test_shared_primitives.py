@@ -31,10 +31,10 @@ from chernflat.acs import (
     split,
     two_step_certificate,
 )
-from chernflat.classify import fingerprint, normal_form, random_frame_scramble
+from chernflat.classify import normal_form, random_frame_scramble
 from chernflat.cli import main
-from chernflat.constructions import catalog, random_two_step
-from chernflat.deform import deformation_space, lie_derivative_direction
+from chernflat.constructions import catalog
+from chernflat.deform import deformation_space
 from chernflat.fileio import dumps_model
 from chernflat.forms import coframe_element, exterior_d
 from chernflat.lie import LieAlgebra, Subspace, center, lower_central_series
@@ -42,6 +42,7 @@ from chernflat.linalg import ExactMatrix, inverse, random_invertible
 from chernflat.scalars import GaussianRational, ONE, ZERO, gaussian
 
 from helpers import random_doubled_pair
+from oracles import apply_j, basis_bracket, bracket, fingerprint, lie_derivative_direction, matvec, random_two_step
 
 CATALOG = [
     "abelian(4)",
@@ -103,7 +104,7 @@ def test_ad_columns_match_the_dense_bracket(data):
     ad_x = g.ad(x)
     for j in range(g.dim):
         e_j = [ONE if t == j else ZERO for t in range(g.dim)]
-        assert ad_x.column(j) == g.bracket(x, e_j)
+        assert ad_x.column(j) == bracket(g, x, e_j)
 
 
 def test_ad_rejects_wrong_length():
@@ -129,10 +130,10 @@ def test_sparse_apply_matches_the_dense_matvec(data):
     acs = data.draw(st.sampled_from(_structures()))
     entry = st.builds(GaussianRational, _rationals, _rationals) | st.just(ZERO)
     v = data.draw(st.lists(entry, min_size=acs.dim, max_size=acs.dim))
-    assert acs.apply(v) == acs.j.matvec(v)
-    assert all(type(x) is GaussianRational for x in acs.apply(v))
+    assert apply_j(acs, v) == matvec(acs.j, v)
+    assert all(type(x) is GaussianRational for x in apply_j(acs, v))
     with pytest.raises(ValueError, match="vector length mismatch"):
-        acs.apply(v[1:])
+        apply_j(acs, v[1:])
 
 
 # -- oracle: dense basis-pair loops over LieAlgebra.bracket -------------------
@@ -145,19 +146,19 @@ def _dense_nijenhuis(s):
     for i in range(n):
         ei = [ZERO] * n
         ei[i] = ONE
-        jei = acs.apply(ei)
+        jei = apply_j(acs, ei)
         for j in range(i + 1, n):
             ej = [ZERO] * n
             ej[j] = ONE
-            jej = acs.apply(ej)
-            term = g.bracket(jei, jej)
+            jej = apply_j(acs, ej)
+            term = bracket(g, jei, jej)
             term = tuple(
                 t - b - jc - jd
                 for t, b, jc, jd in zip(
                     term,
-                    g.basis_bracket(i, j),
-                    acs.apply(g.bracket(jei, ej)),
-                    acs.apply(g.bracket(ei, jej)),
+                    basis_bracket(g, i, j),
+                    apply_j(acs, bracket(g, jei, ej)),
+                    apply_j(acs, bracket(g, ei, jej)),
                 )
             )
             if any(term):
@@ -185,12 +186,12 @@ def _dense_is_chern_flat(s):
     for i in range(n):
         ei = [ZERO] * n
         ei[i] = ONE
-        jei = acs.apply(ei)
+        jei = apply_j(acs, ei)
         for j in range(i, n):
             ej = [ZERO] * n
             ej[j] = ONE
-            left = g.bracket(jei, ej)
-            right = g.bracket(ei, acs.apply(ej))
+            left = bracket(g, jei, ej)
+            right = bracket(g, ei, apply_j(acs, ej))
             if left != right:
                 verdict_b = Verdict(False, ("basis-pair", i, j))
                 break
@@ -218,13 +219,13 @@ def _dense_is_qk_chern_flat(s):
     for i in range(n):
         ei = [ZERO] * n
         ei[i] = ONE
-        jei = acs.apply(ei)
+        jei = apply_j(acs, ei)
         for j in range(n):
             ej = [ZERO] * n
             ej[j] = ONE
-            w = g.basis_bracket(i, j)
-            lhs = acs.apply(w)
-            rhs = tuple(-c for c in g.bracket(jei, ej))
+            w = basis_bracket(g, i, j)
+            lhs = apply_j(acs, w)
+            rhs = tuple(-c for c in bracket(g, jei, ej))
             if lhs != rhs:
                 v3 = Verdict(False, ("basis-pair", i, j))
                 break
@@ -380,8 +381,8 @@ def test_signed_views_match_the_dense_bracket(label):
     basis = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            dense = g.bracket(basis[i], basis[j])
-            assert g.basis_bracket(i, j) == dense
+            dense = bracket(g, basis[i], basis[j])
+            assert basis_bracket(g, i, j) == dense
             assert full[i][j] == {k: ((c * denom).re, (c * denom).im) for k, c in enumerate(dense) if c}
             assert all(type(x) is int and type(y) is int for x, y in full[i][j].values())
             assert list(full[i][j]) == sorted(full[i][j])

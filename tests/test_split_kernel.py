@@ -21,11 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from chernflat.acs import AlmostComplexStructure, split
 from chernflat.classify import random_frame_scramble
-from chernflat.constructions import catalog, complexification, random_two_step
+from chernflat.constructions import catalog, complexification
 from chernflat.linalg import ExactMatrix, inverse, random_invertible
 from chernflat.scalars import GaussianRational, ONE, ZERO, accumulate, clear_denominators
 
 from helpers import combined_frame, random_two_step_real_algebra, real_basis
+from oracles import bracket, matvec, random_two_step, to_combined
 
 CATALOG = [
     "centro1_model(1)",
@@ -50,8 +51,8 @@ def _dense_constants(g, s) -> dict:
     basis_vectors = [combined.column(alpha) for alpha in range(n)]
     for alpha in range(n):
         for beta in range(alpha + 1, n):
-            v = g.bracket(basis_vectors[alpha], basis_vectors[beta])
-            constants[(alpha, beta)] = combined_inv.matvec(v)
+            v = bracket(g, basis_vectors[alpha], basis_vectors[beta])
+            constants[(alpha, beta)] = matvec(combined_inv, v)
     return constants
 
 
@@ -81,7 +82,7 @@ def _fraction_frame_constants(g, s) -> dict:
     """The splitting's constants from R = [x, J x] and R^-1 as Fractions, as computed before the int version."""
     m = s.m
     n = 2 * m
-    r = ExactMatrix.from_columns([*real_basis(s), *(s.acs.j.matvec(x) for x in real_basis(s))])
+    r = ExactMatrix.from_columns([*real_basis(s), *(matvec(s.acs.j, x) for x in real_basis(s))])
     r_inv = inverse(r)
     denom, numerators, _ = g.numerators()
     full = [[{k: x for k, (x, _) in vec.items()} for vec in row] for row in numerators]
@@ -222,9 +223,9 @@ def test_constants_match_the_dense_oracle(label):
     assert _items(s.constants) == _items(_without_zeros(_dense_constants(g, s)))
     combined_inv = inverse(combined_frame(s))
     for k in range(g.dim):
-        assert s.to_combined([ONE if t == k else ZERO for t in range(g.dim)]) == combined_inv.column(k)
+        assert to_combined(s, [ONE if t == k else ZERO for t in range(g.dim)]) == combined_inv.column(k)
     # R^-1 is kept as the int columns of d_R R^-1, d_R its least common denominator
-    r_inv = inverse(ExactMatrix.from_columns([*real_basis(s), *(acs.j.matvec(x) for x in real_basis(s))]))
+    r_inv = inverse(ExactMatrix.from_columns([*real_basis(s), *(matvec(acs.j, x) for x in real_basis(s))]))
     d_r, inv_cols = s._r_inv
     assert d_r == clear_denominators(x for k in range(g.dim) for x in r_inv.column(k))[0]
     assert [[(t, Fraction(v, d_r)) for t, v in col] for col in inv_cols] == [
@@ -241,7 +242,7 @@ def test_constants_match_the_fraction_oracle(label):
 
 def test_inputs_cover_denominators_in_j_and_in_r_inverse():
     def r_inverse_denominator(s):
-        r = ExactMatrix.from_columns([*real_basis(s), *(s.acs.j.matvec(x) for x in real_basis(s))])
+        r = ExactMatrix.from_columns([*real_basis(s), *(matvec(s.acs.j, x) for x in real_basis(s))])
         return clear_denominators(x for k in range(r.cols) for x in inverse(r).column(k))[0]
 
     pairs = [_pair(label) for label in LABELS]
@@ -264,7 +265,7 @@ def test_to_combined_round_trips_gaussian_vectors(data):
     g, acs = _pair(data.draw(st.sampled_from(LABELS)))
     s = split(g, acs)
     v = tuple(data.draw(st.lists(_gaussians, min_size=g.dim, max_size=g.dim)))
-    assert combined_frame(s).matvec(s.to_combined(v)) == v
+    assert matvec(combined_frame(s), to_combined(s, v)) == v
 
 
 def test_inputs_cover_dense_columns_and_skipped_indices():
